@@ -19,10 +19,10 @@ from .oracle import (COMMON_CAUSE, I_CAUSES_J, INDETERMINATE, J_CAUSES_I,
                      mistake_bound_margin, psi_population)
 from .estimators import (Dataset, EstimatorConfig, coefficient_matrix, ecdf_values,
                          empirical_cdf_column, gamma_estimate, psi_estimate, resolve_k)
-from .ease import EaseStep, MistakeRate, ease, ease_trace, mistake_rate
+from .ease import EaseStep, ease, ease_trace
 from .simulate import (GridSpec, Scenario, SimSetting, SimulationResult,
                        simulate, simulate_grid)
-from .evaluate import (BenchmarkRow, OrderScore, SensitivityRow, benchmark,
-                       k_sensitivity, score_order, sensitivity_rows_to_csv)
+from .evaluate import (BenchmarkRow, MistakeRate, OrderScore, SensitivityRow, benchmark,
+                       k_sensitivity, mistake_rate, score_order, sensitivity_rows_to_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

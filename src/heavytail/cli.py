@@ -114,13 +114,17 @@ def cmd_evaluate(args) -> int:
 def _load_grid(path) -> GridSpec:
     if str(path).endswith(".toml"):
         try:
-            import tomli
-        except ImportError as exc:
-            raise ValidationError("TOML grids need the tomli package; use JSON") from exc
+            import tomllib
+        except ImportError:  # Python < 3.11
+            try:
+                import tomli as tomllib
+            except ImportError as exc:
+                raise ValidationError(
+                    "TOML grids need Python >= 3.11 or the tomli package; use JSON") from exc
         try:
             with open(path, "rb") as fh:
-                doc = tomli.load(fh)
-        except tomli.TOMLDecodeError as exc:
+                doc = tomllib.load(fh)
+        except tomllib.TOMLDecodeError as exc:
             raise ValidationError(f"malformed TOML in {path}: {exc}") from exc
     else:
         doc = read_json(path)

@@ -5,6 +5,10 @@ it from the other remaining nodes; the node with the smallest score is a root
 of the remaining subgraph (its score stays below 1 exactly when nothing left
 still causes it) and is assigned the next position. Ties break on the
 smallest node index so results are reproducible.
+
+The scores of a step are one masked column max: the diagonal and the rows of
+nodes already placed are set to -inf, so the max over each remaining column
+runs over the other remaining nodes only (and is -inf for the last node).
 """
 
 from __future__ import annotations
@@ -13,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import derived_seed
 from .errors import ValidationError
-from .estimators import coefficient_matrix
-from .graph import CausalOrder, Scm, validate_order
+from .graph import CausalOrder
 from .oracle import CoefMatrix
-from .simulate import SimSetting, simulate
 
 
 @dataclass(frozen=True)
@@ -31,21 +32,18 @@ class EaseStep:
 def _steps(coefs: CoefMatrix):
     values = coefs.values
     p = coefs.p
-    off_diagonal = values[~np.eye(p, dtype=bool)]
-    if not np.isfinite(off_diagonal).all():
+    off_diagonal = ~np.eye(p, dtype=bool)
+    if not np.isfinite(values[off_diagonal]).all():
         raise ValidationError("coefficient matrix has non-finite off-diagonal entries")
+    masked = np.where(off_diagonal, values, -np.inf)
     remaining = list(range(p))
     while remaining:
-        if len(remaining) == 1:
-            scores = {remaining[0]: float("-inf")}
-        else:
-            scores = {
-                i: max(float(values[j, i]) for j in remaining if j != i)
-                for i in remaining
-            }
-        chosen = min(remaining, key=lambda i: (scores[i], i))
-        yield EaseStep(tuple(remaining), scores, chosen)
+        # remaining stays ascending, so argmin's first minimum is the smallest index
+        column_max = masked.max(axis=0)[remaining]
+        chosen = remaining[int(np.argmin(column_max))]
+        yield EaseStep(tuple(remaining), dict(zip(remaining, column_max.tolist())), chosen)
         remaining.remove(chosen)
+        masked[chosen, :] = -np.inf
 
 
 def ease(coefs: CoefMatrix) -> CausalOrder:
@@ -56,38 +54,3 @@ def ease(coefs: CoefMatrix) -> CausalOrder:
 def ease_trace(coefs: CoefMatrix) -> list[EaseStep]:
     """The same loop as :func:`ease`, keeping per-step scores for inspection."""
     return list(_steps(coefs))
-
-
-@dataclass(frozen=True)
-class MistakeRate:
-    rate: float
-    mean_violations: float
-
-
-def mistake_rate(scm: Scm, n: int, config, reps: int, seed=None) -> MistakeRate:
-    """Fraction of simulated datasets on which the recovered order is invalid.
-
-    Each replicate simulates ``n`` rows from the SCM, estimates the
-    coefficient matrix per ``config``, runs the search, and validates the
-    order against the true graph (over observed nodes only when the SCM has
-    hidden ones). Replicate streams derive from (seed, replicate), so results
-    do not depend on evaluation order.
-    """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    base = 0 if seed is None else seed
-    setting = SimSetting("hidden_confounders" if scm.hidden else "linear")
-    observed_only = bool(scm.hidden)
-    mistakes = 0
-    violation_total = 0
-    for rep in range(reps):
-        result = simulate(scm, setting, n, derived_seed(base, rep))
-        if result.data.p < 2:
-            order = CausalOrder(scm.observed)
-        else:
-            matrix = coefficient_matrix(result.data, config)
-            order = ease(matrix).relabel(scm.observed)
-        check = validate_order(scm.dag, order, observed_only=observed_only)
-        mistakes += 0 if check.valid else 1
-        violation_total += len(check.violations)
-    return MistakeRate(rate=mistakes / reps, mean_violations=violation_total / reps)

@@ -9,9 +9,17 @@ even if ties at the threshold inflate the exceedance count. The two-tailed
 variant averages sigma(u) = |2u - 1| over the upper exceedances of the column
 and of its negation, each with weight 1 / (2k).
 
+Each column is sorted once. Max ranks come from the run lengths of equal
+values in the sorted column, and the upper and lower tail rows are the rows
+sorted above s[n-k-1] and below s[k]; the latter are the upper exceedances of
+the negated column. The matrix gathers every conditioning column's tail rows
+into one index array, so each averaged column's weights are gathered once and
+summed slice by slice.
+
 Sums of contributions are accumulated with math.fsum (correctly rounded), so
 estimates are bit-identical under row permutations and under strictly
-increasing transforms of the columns.
+increasing transforms of the columns, and do not depend on the order in which
+tail rows are visited.
 """
 
 from __future__ import annotations
@@ -103,74 +111,97 @@ def resolve_k(n: int, config: EstimatorConfig) -> int:
     return min(max(int(math.floor(n ** exponent)), 1), n - 1)
 
 
+def _rank_kernel(column: np.ndarray, k: int | None = None):
+    """One sort of a column: its ECDF and, given k, its upper and lower tail rows.
+
+    The ECDF is the max rank over n. The upper tail rows are those strictly
+    above the (n - k)-th order statistic s[n-k-1]; the lower tail rows those
+    strictly below s[k], which is the upper tail of the negated column.
+    Without k both are None.
+    """
+    n = column.size
+    order = np.argsort(column)
+    s = column[order]
+    boundary = s[1:] != s[:-1]
+    if n and s[-1] != s[-1]:
+        # NaNs sort last and form one run, as searchsorted ranks them
+        boundary[np.argmax(s != s):] = False
+    run_ends = np.append(np.flatnonzero(boundary), n - 1)
+    cdf = np.empty(n)
+    cdf[order] = np.repeat(run_ends + 1, np.diff(run_ends, prepend=-1)) / n
+    if k is None:
+        return cdf, None, None
+    upper = order[np.searchsorted(s, s[n - k - 1], "right"):].copy()
+    lower = order[:np.searchsorted(s, s[k], "left")].copy()
+    return cdf, upper, lower
+
+
 def ecdf_values(column: np.ndarray) -> np.ndarray:
     """Empirical CDF of a column evaluated at its own entries (max rank on ties)."""
-    column = np.asarray(column, dtype=float)
-    sorted_col = np.sort(column)
-    return np.searchsorted(sorted_col, column, side="right") / column.size
+    return _rank_kernel(np.asarray(column, dtype=float))[0]
 
 
 def empirical_cdf_column(data: Dataset, j: int) -> np.ndarray:
     return ecdf_values(data.column(j))
 
 
-def _exceedance_mask(column: np.ndarray, k: int) -> np.ndarray:
-    # strict exceedance over the (n - k)-th order statistic
-    threshold = np.sort(column)[column.size - k - 1]
-    return column > threshold
+def _weights(cdf: np.ndarray, psi: bool) -> np.ndarray:
+    """Per-row contribution of an averaged column: u, or sigma(u) = |2u - 1|."""
+    return np.abs(2.0 * cdf - 1.0) if psi else cdf
 
 
-def _tail_sum(weights: np.ndarray, mask: np.ndarray) -> float:
-    return math.fsum(weights[mask].tolist())
+def _tail_rows(upper: np.ndarray, lower: np.ndarray, psi: bool) -> np.ndarray:
+    """Rows a conditioning column selects: upper exceedances, and lower ones for psi."""
+    return np.concatenate([upper, lower]) if psi else upper
+
+
+def _tail_sums(weights: np.ndarray, rows: np.ndarray, bounds: list[int],
+               divisor: int) -> list[float]:
+    """Correctly rounded sums of weights[rows] over consecutive slices, over divisor."""
+    gathered = weights[rows].tolist()
+    return [math.fsum(gathered[a:b]) / divisor for a, b in zip(bounds, bounds[1:])]
+
+
+def _pair_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig,
+                   psi: bool) -> float:
+    if j == k_col:
+        raise ValidationError("conditioning and averaged columns must differ")
+    k = resolve_k(data.n, config)
+    cdf, _, _ = _rank_kernel(data.column(k_col))
+    _, upper, lower = _rank_kernel(data.column(j), k)
+    rows = _tail_rows(upper, lower, psi)
+    return _tail_sums(_weights(cdf, psi), rows, [0, rows.size], 2 * k if psi else k)[0]
 
 
 def gamma_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig) -> float:
     """One-tailed coefficient estimate conditioning on column j, averaging column k_col."""
-    if j == k_col:
-        raise ValidationError("conditioning and averaged columns must differ")
-    k = resolve_k(data.n, config)
-    cdf_k = ecdf_values(data.column(k_col))
-    mask = _exceedance_mask(data.column(j), k)
-    return _tail_sum(cdf_k, mask) / k
+    return _pair_estimate(data, j, k_col, config, psi=False)
 
 
 def psi_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig) -> float:
     """Two-tailed coefficient estimate; the lower tail is the upper tail of -X_j."""
-    if j == k_col:
-        raise ValidationError("conditioning and averaged columns must differ")
-    k = resolve_k(data.n, config)
-    sig = np.abs(2.0 * ecdf_values(data.column(k_col)) - 1.0)
-    col_j = data.column(j)
-    upper = _exceedance_mask(col_j, k)
-    lower = _exceedance_mask(-col_j, k)
-    return math.fsum(np.concatenate([sig[upper], sig[lower]]).tolist()) / (2 * k)
+    return _pair_estimate(data, j, k_col, config, psi=True)
 
 
 def coefficient_matrix(data: Dataset, config: EstimatorConfig) -> CoefMatrix:
     """All ordered off-diagonal coefficient estimates.
 
-    Ranks are computed once per column and reused across the p * (p - 1)
-    pairs; entry [j, k] conditions on column j and averages column k.
+    Each column is ranked once and reused across the p * (p - 1) pairs;
+    entry [j, k] conditions on column j and averages column k.
     """
     if data.p < 2:
         raise ValidationError("coefficient estimation needs at least two columns")
     k = resolve_k(data.n, config)
     psi = config.kind == "psi"
-    cdfs = [ecdf_values(data.column(c)) for c in range(data.p)]
-    if psi:
-        sigs = [np.abs(2.0 * cdf - 1.0) for cdf in cdfs]
-    upper = [_exceedance_mask(data.column(c), k) for c in range(data.p)]
-    if psi:
-        lower = [_exceedance_mask(-data.column(c), k) for c in range(data.p)]
-    values = np.full((data.p, data.p), np.nan)
-    for j in range(data.p):
-        for c in range(data.p):
-            if j == c:
-                continue
-            if psi:
-                total = math.fsum(
-                    np.concatenate([sigs[c][upper[j]], sigs[c][lower[j]]]).tolist())
-                values[j, c] = total / (2 * k)
-            else:
-                values[j, c] = _tail_sum(cdfs[c], upper[j]) / k
+    weights, tails = [], []
+    for c in range(data.p):
+        cdf, upper, lower = _rank_kernel(data.column(c), k)
+        weights.append(_weights(cdf, psi))
+        tails.append(_tail_rows(upper, lower, psi))
+    rows = np.concatenate(tails)
+    bounds = np.cumsum([0] + [t.size for t in tails]).tolist()
+    values = np.empty((data.p, data.p))
+    for c, w in enumerate(weights):
+        values[:, c] = _tail_sums(w, rows, bounds, 2 * k if psi else k)
+    np.fill_diagonal(values, np.nan)
     return CoefMatrix(values, config.kind, data.names, estimated=True)

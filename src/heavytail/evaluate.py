@@ -18,9 +18,9 @@ from ._rng import as_rng, derived_seed
 from .ease import ease
 from .errors import ValidationError
 from .estimators import Dataset, EstimatorConfig, coefficient_matrix, resolve_k
-from .graph import CausalOrder, Scm
-from .simulate import (GridSpec, SimSetting, effective_setting, scenario_scm,
-                       scenario_streams, simulate)
+from .graph import CausalOrder, Scm, validate_order
+from .simulate import (GridSpec, SimSetting, check_memory, effective_setting,
+                       scenario_scm, scenario_streams, simulate)
 
 METHODS = ("ease_gamma", "ease_psi", "random_order")
 
@@ -66,15 +66,22 @@ class BenchmarkRow:
                 self.mean_violation_fraction, self.se, self.mistake_rate, self.wall_ms)
 
 
+def recover_order(data: Dataset, config: EstimatorConfig, observed) -> CausalOrder:
+    """EASE order of the data's columns, relabelled to the SCM nodes ``observed``.
+
+    A single column has nothing to estimate: its order is the one node.
+    """
+    if data.p < 2:
+        return CausalOrder(observed)
+    return ease(coefficient_matrix(data, config)).relabel(observed)
+
+
 def _method_order(method: str, data: Dataset, truth: Scm, seed_key) -> CausalOrder:
     if method == "random_order":
         rng = as_rng(derived_seed(*seed_key, 2))
         return CausalOrder(rng.permutation(truth.observed).tolist())
     kind = "gamma" if method == "ease_gamma" else "psi"
-    if data.p < 2:
-        return CausalOrder(truth.observed)
-    config = EstimatorConfig(kind=kind)
-    return ease(coefficient_matrix(data, config)).relabel(truth.observed)
+    return recover_order(data, EstimatorConfig(kind=kind), truth.observed)
 
 
 def _aggregate(fractions, valids) -> tuple[float, float, float]:
@@ -109,7 +116,9 @@ def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None,
         setting, n, p, alpha, rep = task
         scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
         truth = scenario_scm(p, alpha, setting, scm_seed)
-        result = simulate(truth, effective_setting(truth, setting), n, data_seed)
+        drawn = effective_setting(truth, setting)
+        check_memory(truth, drawn, n, grid.memory_cap_bytes)
+        result = simulate(truth, drawn, n, data_seed)
         out = {}
         for method in methods:
             start = time.perf_counter()
@@ -150,10 +159,6 @@ class SensitivityRow:
     coefficients: dict | None = None
 
 
-def resolve_k_for(n: int, exponent: float) -> int:
-    return resolve_k(n, EstimatorConfig(k_exponent=exponent))
-
-
 def k_sensitivity(exponents, *, data: Dataset | None = None, scm: Scm | None = None,
                   p: int | None = None, alpha: float | None = None, n: int | None = None,
                   reps: int = 1, seed=None, kind: str = "psi",
@@ -184,7 +189,7 @@ def k_sensitivity(exponents, *, data: Dataset | None = None, scm: Scm | None = N
                 (data.names[i], data.names[j]): float(matrix.values[i, j])
                 for i in range(data.p) for j in range(data.p) if i != j
             }
-            rows.append(SensitivityRow(e, resolve_k_for(data.n, e), None, None, coefs))
+            rows.append(SensitivityRow(e, resolve_k(data.n, config), None, None, coefs))
         return rows
 
     if n is None or n < 2:
@@ -211,16 +216,43 @@ def k_sensitivity(exponents, *, data: Dataset | None = None, scm: Scm | None = N
         fractions = []
         valids = []
         for truth, sample in replicates:
-            if sample.p < 2:
-                order = CausalOrder(truth.observed)
-            else:
-                order = ease(coefficient_matrix(sample, config)).relabel(truth.observed)
-            score = score_order(truth, order)
+            score = score_order(truth, recover_order(sample, config, truth.observed))
             fractions.append(score.violation_fraction)
             valids.append(score.valid)
         mean, se, _ = _aggregate(fractions, valids)
-        rows.append(SensitivityRow(e, resolve_k_for(n, e), mean, se))
+        rows.append(SensitivityRow(e, resolve_k(n, config), mean, se))
     return rows
+
+
+@dataclass(frozen=True)
+class MistakeRate:
+    rate: float
+    mean_violations: float
+
+
+def mistake_rate(scm: Scm, n: int, config, reps: int, seed=None) -> MistakeRate:
+    """Fraction of simulated datasets on which the recovered order is invalid.
+
+    Each replicate simulates ``n`` rows from the SCM, estimates the
+    coefficient matrix per ``config``, runs the search, and validates the
+    order against the true graph (over observed nodes only when the SCM has
+    hidden ones). Replicate streams derive from (seed, replicate), so results
+    do not depend on evaluation order.
+    """
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
+    base = 0 if seed is None else seed
+    setting = SimSetting("hidden_confounders" if scm.hidden else "linear")
+    observed_only = bool(scm.hidden)
+    mistakes = 0
+    violation_total = 0
+    for rep in range(reps):
+        result = simulate(scm, setting, n, derived_seed(base, rep))
+        order = recover_order(result.data, config, scm.observed)
+        check = validate_order(scm.dag, order, observed_only=observed_only)
+        mistakes += 0 if check.valid else 1
+        violation_total += len(check.violations)
+    return MistakeRate(rate=mistakes / reps, mean_violations=violation_total / reps)
 
 
 def sensitivity_rows_to_csv(rows: list[SensitivityRow]) -> str:

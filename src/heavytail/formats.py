@@ -84,7 +84,22 @@ def scm_to_dict(scm: Scm) -> dict:
     return out
 
 
+def _noise_from_dict(spec_doc, alpha: float) -> NoiseSpec:
+    if not isinstance(spec_doc, dict):
+        raise ValidationError(f"noise spec must be an object, got {spec_doc!r}")
+    family = spec_doc.get("family")
+    if not isinstance(family, str):
+        raise ValidationError(f"noise spec needs a string 'family', got {family!r}")
+    try:
+        scales = {key: float(spec_doc.get(key, 1.0)) for key in ("scale_upper", "scale_lower")}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"noise scales must be numbers: {exc}") from exc
+    return NoiseSpec(family, alpha, **scales)
+
+
 def scm_from_dict(doc: dict) -> Scm:
+    if not isinstance(doc, dict):
+        raise ValidationError("SCM document must be a JSON object")
     try:
         p = int(doc["p"])
         alpha = float(doc["alpha"])
@@ -92,21 +107,19 @@ def scm_from_dict(doc: dict) -> Scm:
         raw_noise = doc["noise"]
     except KeyError as exc:
         raise ValidationError(f"SCM document missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"SCM 'p' must be an integer and 'alpha' a number: {exc}") from exc
     coefficients = {}
     for entry in raw_edges:
-        if len(entry) != 3:
-            raise ValidationError(f"edge entries must be [parent, child, beta], got {entry}")
-        parent, child, beta = entry
-        coefficients[(int(parent), int(child))] = float(beta)
+        try:
+            parent, child, beta = entry
+            coefficients[(int(parent), int(child))] = float(beta)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"edge entries must be [parent, child, beta], got {entry!r}") from exc
     dag = Dag(p, coefficients.keys())
-
-    def build(spec_doc):
-        return NoiseSpec(spec_doc["family"], alpha,
-                         scale_upper=float(spec_doc.get("scale_upper", 1.0)),
-                         scale_lower=float(spec_doc.get("scale_lower", 1.0)))
-
-    noise = ([build(s) for s in raw_noise] if isinstance(raw_noise, list)
-             else build(raw_noise))
+    noise = ([_noise_from_dict(s, alpha) for s in raw_noise] if isinstance(raw_noise, list)
+             else _noise_from_dict(raw_noise, alpha))
     mode = doc.get("mode")
     if mode is None:
         mode = "positive" if all(v > 0 for v in coefficients.values()) else "real"

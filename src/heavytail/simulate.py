@@ -4,7 +4,8 @@ Columns are generated in topological order. The full noise matrix is drawn
 up front (one column per node in index order from a single stream), so the
 linear, nonlinear, and uniform-margins settings applied to the same SCM and
 seed share identical noise; the settings differ only in the deterministic
-assignment step. Hidden columns are generated but never emitted.
+assignment step, which adds each node's parent terms into its noise column
+in place. Hidden columns are generated but never emitted.
 """
 
 from __future__ import annotations
@@ -56,23 +57,19 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResu
     if setting.kind in ("nonlinear", "uniform_margins") and n < 2:
         raise DomainError(f"{setting.kind} needs n >= 2 for a non-degenerate empirical CDF")
     rng = as_rng(seed)
-    p = scm.p
-    noise = np.empty((n, p))
-    for j in range(p):
-        noise[:, j] = sample_noise(scm.noise[j], n, rng)
+    x = np.empty((n, scm.p))
+    for j in range(scm.p):
+        x[:, j] = sample_noise(scm.noise[j], n, rng)
 
-    x = np.empty((n, p))
     b = scm.coefficient_matrix()
     nonlinear = setting.kind == "nonlinear"
     for j in scm.dag.topological_order:
-        acc = noise[:, j].copy()
         for parent in scm.dag.parents(j):
             col = x[:, parent]
             if nonlinear:
                 # threshold on the empirical CDF of the generated parent column
                 col = col * (ecdf_values(col) > setting.nonlinear_quantile)
-            acc += b[j, parent] * col
-        x[:, j] = acc
+            x[:, j] += b[j, parent] * col
 
     observed = scm.observed
     data = x[:, observed]
@@ -84,7 +81,11 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResu
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cartesian scenario grid over sample sizes, dimensions, tail indices, settings."""
+    """Cartesian scenario grid over sample sizes, dimensions, tail indices, settings.
+
+    ``memory_cap_bytes`` bounds :func:`simulation_bytes` of every drawn
+    scenario; a replicate over it raises CapacityError before it simulates.
+    """
 
     n_values: tuple[int, ...]
     p_values: tuple[int, ...]
@@ -153,6 +154,26 @@ def scenario_streams(seed, n: int, p: int, alpha: float, rep: int):
     return scm_seed, data_seed
 
 
+def simulation_bytes(scm: Scm, setting: SimSetting, n: int) -> int:
+    """Bytes of the n-row arrays :func:`simulate` holds at once for this SCM.
+
+    These are the matrix over every node (hidden ones included), the copy of
+    its observed columns and the Dataset's own copy, plus the stacked ECDF
+    columns under uniform margins.
+    """
+    copies = 3 if setting.kind == "uniform_margins" else 2
+    return 8 * n * (scm.p + copies * len(scm.observed))
+
+
+def check_memory(scm: Scm, setting: SimSetting, n: int, cap_bytes: int) -> None:
+    """Raise CapacityError if simulating n rows of the SCM would exceed the cap."""
+    need = simulation_bytes(scm, setting, n)
+    if need > cap_bytes:
+        raise CapacityError(
+            f"simulating n={n} rows of {scm.p} nodes needs {need} bytes, "
+            f"over the memory cap of {cap_bytes} bytes")
+
+
 def simulate_grid(grid: GridSpec, reps: int, seed=None):
     """Yield one Scenario per (setting, n, p, alpha, replicate), lazily.
 
@@ -161,13 +182,12 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     for setting, n, p, alpha in grid.cells():
-        if n * p * 8 > grid.memory_cap_bytes:
-            raise CapacityError(
-                f"scenario n={n}, p={p} exceeds the memory cap of {grid.memory_cap_bytes} bytes")
         for rep in range(reps):
             scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
             scm = scenario_scm(p, alpha, setting, scm_seed)
-            result = simulate(scm, effective_setting(scm, setting), n, data_seed)
+            drawn = effective_setting(scm, setting)
+            check_memory(scm, drawn, n, grid.memory_cap_bytes)
+            result = simulate(scm, drawn, n, data_seed)
             yield Scenario(
                 scenario_id=f"{setting.kind}-n{n}-p{p}-a{alpha:g}-r{rep}",
                 setting=setting, n=n, p=p, alpha=alpha, rep=rep,

@@ -1,4 +1,5 @@
 import importlib.resources
+import importlib.util
 import json
 
 import numpy as np
@@ -120,6 +121,25 @@ def test_oracle_disconnected_and_mode_error(tmp_path):
     assert run("oracle", "--scm", real_path, "--kind", "psi", "--out", out) == 0
 
 
+@pytest.mark.parametrize("broken", [
+    {"noise": {"scale_upper": 1.0, "scale_lower": 1.0}},
+    {"noise": {"family": 3}},
+    {"noise": {"family": "student_t", "scale_upper": "x"}},
+    {"noise": ["student_t", "student_t"]},
+    {"p": "x"},
+    {"p": None},
+    {"edges": [5]},
+    {"edges": [[0, 1]]},
+])
+def test_oracle_malformed_scm_exits_2(tmp_path, capsys, broken):
+    doc = scm_to_dict(make_chain([0.5]))
+    doc.update(broken)
+    path = tmp_path / "scm.json"
+    write_json(path, doc)
+    assert run("oracle", "--scm", path, "--kind", "psi", "--out", tmp_path / "m.json") == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_evaluate_round_trip(tmp_path, capsys):
     scm = make_chain([1.0, 1.0])
     truth_path = tmp_path / "t.json"
@@ -213,14 +233,25 @@ def test_threads_env_var_sets_default(monkeypatch):
     assert args.threads == 3
 
 
+@pytest.mark.skipif(
+    importlib.util.find_spec("tomllib") is None and importlib.util.find_spec("tomli") is None,
+    reason="TOML grids need Python >= 3.11 or tomli")
 def test_benchmark_toml_grid(tmp_path):
-    pytest.importorskip("tomli")
     grid_path = tmp_path / "grid.toml"
     grid_path.write_text('n = [200]\np = [3]\nalpha = [2.5]\nsettings = ["linear"]\n')
     out = tmp_path / "results.csv"
     assert run("benchmark", "--grid", grid_path, "--reps", 2, "--seed", 0,
                "--methods", "ease_psi", "--out", out) == 0
     assert len(out.read_text().strip().splitlines()) == 2
+
+
+def test_benchmark_memory_cap_exits_2(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"n": [1e6], "p": [200], "alpha": [2.5],
+                                     "memory_cap_bytes": 1e6}))
+    out = tmp_path / "results.csv"
+    assert run("benchmark", "--grid", grid_path, "--reps", 1, "--out", out) == 2
+    assert "memory cap" in capsys.readouterr().err
 
 
 def test_tail_index_command(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from heavytail import (CoefMatrix, EstimatorConfig, ValidationError, ease,
                        ease_trace, gamma_population, mistake_rate, validate_order)
+from heavytail.ease import EaseStep
 from heavytail.formats import matrix_from_dict, read_json
 
 from conftest import make_chain, random_positive_scm_pool
@@ -111,6 +112,37 @@ def test_population_correctness_with_hidden_nodes():
         assert validate_order(scm.dag, order, observed_only=True).valid
         checked += 1
     assert checked > 30
+
+
+def reference_steps(values):
+    """The search as a pure-Python loop over the remaining nodes."""
+    remaining = list(range(values.shape[0]))
+    steps = []
+    while remaining:
+        if len(remaining) == 1:
+            scores = {remaining[0]: float("-inf")}
+        else:
+            scores = {i: max(float(values[j, i]) for j in remaining if j != i)
+                      for i in remaining}
+        chosen = min(remaining, key=lambda i: (scores[i], i))
+        steps.append(EaseStep(tuple(remaining), scores, chosen))
+        remaining.remove(chosen)
+    return steps
+
+
+def test_matches_reference_loop_on_tied_matrices():
+    rng = np.random.default_rng(2)
+    for trial in range(300):
+        p = int(rng.integers(1, 12))
+        # few distinct values, so scores tie within and across steps
+        values = rng.choice([0.25, 0.5, 0.75, 1.0], size=(p, p))
+        if trial % 2:
+            values = values + rng.uniform(0, 1e-3, size=(p, p)).round(4)
+        np.fill_diagonal(values, np.nan)
+        matrix = CoefMatrix(values, "gamma")
+        expected = reference_steps(values)
+        assert ease_trace(matrix) == expected
+        assert ease(matrix).sequence == tuple(s.chosen for s in expected)
 
 
 def test_mistake_rate_trivial_and_guards():

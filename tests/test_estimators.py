@@ -7,6 +7,7 @@ from heavytail import (ConfigError, Dataset, EstimatorConfig, NoiseSpec,
                        ValidationError, coefficient_matrix, ecdf_values,
                        empirical_cdf_column, gamma_estimate, psi_estimate,
                        resolve_k, sample_noise)
+from heavytail.estimators import _rank_kernel
 
 from brute_oracles import brute_gamma, brute_psi
 
@@ -217,3 +218,51 @@ def test_consistency_improves_with_sample_size():
             errs.append(abs(gamma_estimate(sample, 1, 0, config) - 0.75))
         errors[n] = np.mean(errs)
     assert errors[10**5] < errors[10**3]
+
+
+# Columns with heavy ties: a few small integers, some of them signed zeros.
+tied_columns = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]),
+                        min_size=2, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_columns, st.data())
+def test_rank_kernel_matches_sort_formulas(values, draw):
+    # the reference: ECDF by searchsorted over a sorted copy, tails by masks
+    # over one sort of the column and one of its negation
+    column = np.array(values)
+    n = column.size
+    k = draw.draw(st.integers(1, n - 1))  # k >= n/2 makes the two tails overlap
+    cdf, upper, lower = _rank_kernel(column, k)
+    assert np.array_equal(cdf, np.searchsorted(np.sort(column), column, side="right") / n)
+    assert np.array_equal(ecdf_values(column), cdf)
+    expected_upper = np.flatnonzero(column > np.sort(column)[n - k - 1])
+    expected_lower = np.flatnonzero(-column > np.sort(-column)[n - k - 1])
+    assert np.array_equal(np.sort(upper), expected_upper)
+    assert np.array_equal(np.sort(lower), expected_lower)
+
+
+def test_ecdf_ranks_nan_last_as_one_run():
+    column = np.array([np.nan, 1.0, np.nan, -np.inf, np.inf, 1.0, 0.0, -0.0])
+    expected = np.searchsorted(np.sort(column), column, side="right") / column.size
+    assert np.array_equal(ecdf_values(column), expected)
+    assert ecdf_values([]).size == 0
+
+
+@pytest.mark.parametrize("kind", ["gamma", "psi"])
+def test_matrix_matches_brute_oracle_on_ties(kind):
+    brute = brute_gamma if kind == "gamma" else brute_psi
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        n = int(rng.integers(2, 11))
+        p = int(rng.integers(2, 5))
+        k = int(rng.integers(1, n))
+        values = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(n, p))
+        matrix = coefficient_matrix(Dataset([f"x{c}" for c in range(p)], values),
+                                    EstimatorConfig(k=k, kind=kind)).values
+        listed = values.tolist()
+        for j in range(p):
+            for c in range(p):
+                if j != c:
+                    assert matrix[j, c] == brute(listed, j, c, k)
+        assert np.isnan(np.diag(matrix)).all()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from heavytail import (CausalOrder, Dag, GridSpec, NoiseSpec, Scm, SimSetting,
-                       ValidationError, benchmark, k_sensitivity, score_order,
+from heavytail import (CapacityError, CausalOrder, Dag, GridSpec, NoiseSpec, Scm,
+                       SimSetting, ValidationError, benchmark, k_sensitivity, score_order,
                        sensitivity_rows_to_csv, simulate)
 from heavytail.evaluate import RESULT_HEADER
 
@@ -88,6 +88,12 @@ def test_benchmark_header_and_validation():
         benchmark(grid, methods=("pc_rank",), reps=1, seed=0)
     with pytest.raises(ValidationError):
         benchmark(grid, reps=0, seed=0)
+
+
+def test_benchmark_enforces_memory_cap():
+    grid = GridSpec((10**6,), (200,), (2.5,), memory_cap_bytes=10**6)
+    with pytest.raises(CapacityError):
+        benchmark(grid, reps=1, seed=0)
 
 
 def test_k_sensitivity_dataset_rows():

@@ -5,6 +5,7 @@ from heavytail import (CapacityError, DomainError, EstimatorConfig, GeneratorCon
                        GridSpec, NoiseSpec, SimSetting, ValidationError,
                        coefficient_matrix, gamma_estimate, random_scm, simulate,
                        simulate_grid)
+from heavytail.simulate import check_memory, scenario_scm, simulation_bytes
 
 from conftest import make_chain
 
@@ -135,6 +136,19 @@ def test_grid_memory_cap():
     grid = GridSpec((10**6,), (200,), (2.5,), memory_cap_bytes=10**6)
     with pytest.raises(CapacityError):
         next(iter(simulate_grid(grid, reps=1, seed=0)))
+
+
+def test_memory_cap_counts_hidden_nodes_and_copies():
+    setting = SimSetting("hidden_confounders")
+    scm = scenario_scm(8, 2.5, setting, seed=3)
+    assert scm.hidden
+    n = 100
+    need = simulation_bytes(scm, setting, n)
+    assert need == 8 * n * (scm.p + 2 * len(scm.observed))
+    assert simulation_bytes(scm, SimSetting("uniform_margins"), n) == need + 8 * n * 8
+    check_memory(scm, setting, n, need)
+    with pytest.raises(CapacityError):
+        check_memory(scm, setting, n, need - 1)
 
 
 def test_mixed_noise_families_supported():
