@@ -17,11 +17,11 @@ from . import __version__
 from .ease import ease
 from .errors import ValidationError
 from .estimators import EstimatorConfig, coefficient_matrix
-from .evaluate import RESULT_HEADER, benchmark, score_order
+from .evaluate import benchmark, score_order
 from .formats import (dataset_from_csv, dataset_to_csv, matrix_from_dict,
                       matrix_to_dict, meta_block, order_names_from_dict,
-                      order_to_dict, read_json, scm_from_dict, scm_to_dict,
-                      score_to_dict, write_json)
+                      order_to_dict, read_json, results_to_csv, scm_from_dict,
+                      scm_to_dict, score_to_dict, write_json)
 from .graph import CausalOrder, GeneratorConfig, random_scm
 from .noise import hill_tail_index
 from .oracle import gamma_population, psi_population
@@ -124,7 +124,9 @@ def _load_grid(path) -> GridSpec:
         try:
             with open(path, "rb") as fh:
                 doc = tomllib.load(fh)
-        except tomllib.TOMLDecodeError as exc:
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # TOMLDecodeError, or bytes that are not UTF-8
             raise ValidationError(f"malformed TOML in {path}: {exc}") from exc
     else:
         doc = read_json(path)
@@ -133,7 +135,7 @@ def _load_grid(path) -> GridSpec:
             n_values=doc["n"], p_values=doc["p"], alpha_values=doc["alpha"],
             settings=tuple(doc.get("settings", ["linear"])),
             memory_cap_bytes=int(doc.get("memory_cap_bytes", 1 << 30)))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"grid file needs 'n', 'p', and 'alpha' arrays: {exc}") from exc
 
 
@@ -142,12 +144,7 @@ def cmd_benchmark(args) -> int:
     methods = tuple(args.methods.split(","))
     rows = benchmark(grid, methods=methods, reps=args.reps, seed=args.seed,
                      threads=args.threads)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RESULT_HEADER) + "\n")
-        for row in rows:
-            rendered = [repr(v) if isinstance(v, float) else str(v)
-                        for v in row.as_csv_values()]
-            fh.write(",".join(rendered) + "\n")
+    results_to_csv(rows, args.out)
     return 0
 
 

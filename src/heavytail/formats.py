@@ -1,15 +1,23 @@
-"""File schemas: dataset CSV, SCM / matrix / order / score JSON.
+"""File schemas: dataset CSV, SCM / matrix / order / score JSON, results CSV.
 
 CSV files carry a header row of column names and shortest-round-trip float
-literals, UTF-8, LF line endings, no index column. Every JSON document has a
-"meta" block (version, seed, resolved config) next to the payload; readers
-ignore it, so stripping meta and re-reading reproduces the object.
+literals (``repr``), UTF-8, LF line endings, no index column. The dataset
+writer formats blocks of rows with one ``%``-template each, so it costs about
+what ``repr`` of the values costs. Every JSON document has a "meta" block
+(version, seed, resolved config) next to the payload; readers ignore it, so
+stripping meta and re-reading reproduces the object.
+
+Every file problem is a ValidationError naming the path: a missing,
+unreadable or unwritable file (any OSError), bytes that are not UTF-8, and a
+document of the wrong shape or type.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import ValidationError
 from .estimators import Dataset
-from .evaluate import OrderScore
+from .evaluate import RESULT_HEADER, OrderScore
 from .graph import CausalOrder, Dag, Scm
 from .noise import NoiseSpec
 from .oracle import CoefMatrix
@@ -27,38 +35,69 @@ def meta_block(seed=None, config: dict | None = None) -> dict:
     return {"version": __version__, "seed": seed, "config": config or {}}
 
 
+_BLOCK_ROWS = 1024  # rows formatted per write; larger blocks add memory, not speed
+
+
+@contextmanager
+def _file_errors(path, action: str):
+    """Turn an OS or decode error on ``path`` into a ValidationError."""
+    try:
+        yield
+    except (OSError, UnicodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot {action} {path}: {reason}") from exc
+
+
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
-                          encoding="utf-8")
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    with _file_errors(path, "write"):
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def read_json(path) -> dict:
+    with _file_errors(path, "read"):
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def dataset_to_csv(data: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    row = ",".join(["%r"] * data.p) + "\n"
+    with _file_errors(path, "write"), open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(data.names) + "\n")
-        for row in data.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, data.n, _BLOCK_ROWS):
+            block = data.values[start:start + _BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def dataset_from_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _file_errors(path, "read"), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
             raise ValidationError(f"{path} is empty")
         names = header.split(",")
         try:
-            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a header with no rows is reported below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"malformed CSV in {path}: {exc}") from exc
     if values.size == 0:
         raise ValidationError(f"{path} has no data rows")
     return Dataset(names, values)
+
+
+def results_to_csv(rows, path) -> None:
+    """Benchmark results: RESULT_HEADER, then one line per row, floats as repr."""
+    with _file_errors(path, "write"), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(RESULT_HEADER) + "\n")
+        for row in rows:
+            rendered = [repr(v) if isinstance(v, float) else str(v)
+                        for v in row.as_csv_values()]
+            fh.write(",".join(rendered) + "\n")
 
 
 def _noise_to_dict(spec: NoiseSpec) -> dict:
@@ -92,7 +131,7 @@ def _noise_from_dict(spec_doc, alpha: float) -> NoiseSpec:
         raise ValidationError(f"noise spec needs a string 'family', got {family!r}")
     try:
         scales = {key: float(spec_doc.get(key, 1.0)) for key in ("scale_upper", "scale_lower")}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"noise scales must be numbers: {exc}") from exc
     return NoiseSpec(family, alpha, **scales)
 
@@ -107,24 +146,32 @@ def scm_from_dict(doc: dict) -> Scm:
         raw_noise = doc["noise"]
     except KeyError as exc:
         raise ValidationError(f"SCM document missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"SCM 'p' must be an integer and 'alpha' a number: {exc}") from exc
+    if not isinstance(raw_edges, list):
+        raise ValidationError("SCM 'edges' must be a list of [parent, child, beta]")
     coefficients = {}
     for entry in raw_edges:
         try:
             parent, child, beta = entry
             coefficients[(int(parent), int(child))] = float(beta)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"edge entries must be [parent, child, beta], got {entry!r}") from exc
+    try:
+        hidden = [int(h) for h in doc.get("hidden", [])]
+        names = doc.get("names")
+        names = None if names is None else [str(s) for s in names]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"SCM 'hidden' must list node indices and 'names' node names: {exc}") from exc
     dag = Dag(p, coefficients.keys())
     noise = ([_noise_from_dict(s, alpha) for s in raw_noise] if isinstance(raw_noise, list)
              else _noise_from_dict(raw_noise, alpha))
     mode = doc.get("mode")
     if mode is None:
         mode = "positive" if all(v > 0 for v in coefficients.values()) else "real"
-    return Scm(dag, coefficients, noise, mode=mode,
-               hidden=doc.get("hidden", ()), names=doc.get("names"))
+    return Scm(dag, coefficients, noise, mode=mode, hidden=hidden, names=names)
 
 
 def matrix_to_dict(matrix: CoefMatrix) -> dict:
@@ -136,13 +183,21 @@ def matrix_to_dict(matrix: CoefMatrix) -> dict:
 
 
 def matrix_from_dict(doc: dict) -> CoefMatrix:
+    if not isinstance(doc, dict):
+        raise ValidationError("matrix document must be a JSON object")
     try:
         kind = doc["kind"]
         names = doc["names"]
         raw = doc["values"]
     except KeyError as exc:
         raise ValidationError(f"matrix document missing field {exc}") from exc
-    values = np.array([[np.nan if v is None else float(v) for v in row] for row in raw])
+    if not (isinstance(names, list) and all(isinstance(s, str) for s in names)):
+        raise ValidationError("matrix 'names' must be a list of strings")
+    try:
+        values = np.array([[np.nan if v is None else float(v) for v in row] for row in raw])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"matrix 'values' must be equal-length rows of numbers or null: {exc}") from exc
     return CoefMatrix(values, kind, tuple(names), bool(doc.get("estimated", False)))
 
 
@@ -151,13 +206,18 @@ def order_to_dict(order: CausalOrder, names) -> dict:
 
 
 def order_names_from_dict(doc: dict) -> list[str]:
+    if not isinstance(doc, dict):
+        raise ValidationError("order document must be a JSON object")
     try:
         names = doc["pi_inverse"]
     except KeyError as exc:
         raise ValidationError(f"order document missing field {exc}") from exc
+    if not isinstance(names, list):
+        raise ValidationError("order 'pi_inverse' must be a list of names")
+    names = [str(s) for s in names]
     if len(set(names)) != len(names):
         raise ValidationError("order repeats names")
-    return [str(s) for s in names]
+    return names
 
 
 def score_to_dict(score: OrderScore) -> dict:

@@ -5,7 +5,10 @@ up front (one column per node in index order from a single stream), so the
 linear, nonlinear, and uniform-margins settings applied to the same SCM and
 seed share identical noise; the settings differ only in the deterministic
 assignment step, which adds each node's parent terms into its noise column
-in place. Hidden columns are generated but never emitted.
+in place. The sample matrix is column-major (Fortran order), so every noise
+column written, every parent term added and every column the estimators
+rank is contiguous; the emitted Dataset keeps that layout. Hidden columns
+are generated but never emitted.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResu
     if setting.kind in ("nonlinear", "uniform_margins") and n < 2:
         raise DomainError(f"{setting.kind} needs n >= 2 for a non-degenerate empirical CDF")
     rng = as_rng(seed)
-    x = np.empty((n, scm.p))
+    x = np.empty((n, scm.p), order="F")
     for j in range(scm.p):
         x[:, j] = sample_noise(scm.noise[j], n, rng)
 
@@ -74,7 +77,7 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResu
     observed = scm.observed
     data = x[:, observed]
     if setting.kind == "uniform_margins":
-        data = np.column_stack([ecdf_values(data[:, c]) for c in range(data.shape[1])])
+        data = np.array([ecdf_values(data[:, c]) for c in range(data.shape[1])]).T
     names = [scm.node_name(j) for j in observed]
     return SimulationResult(data=Dataset(names, data), truth=scm)
 

@@ -1,14 +1,20 @@
 import importlib.resources
 import importlib.util
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from heavytail import EstimatorConfig, SimSetting, coefficient_matrix, ease
+from heavytail import Dataset, EstimatorConfig, SimSetting, coefficient_matrix, ease
 from heavytail.cli import main
-from heavytail.formats import (dataset_from_csv, dataset_to_csv, matrix_from_dict,
-                               read_json, scm_from_dict, scm_to_dict, write_json)
+from heavytail.formats import (_BLOCK_ROWS, dataset_from_csv, dataset_to_csv,
+                               matrix_from_dict, read_json, scm_from_dict, scm_to_dict,
+                               write_json)
 from heavytail.simulate import scenario_streams, simulate
 from heavytail.graph import random_scm, GeneratorConfig
 
@@ -274,3 +280,119 @@ def test_tail_index_command(tmp_path, capsys):
     assert lower["alpha_hat"] == upper["alpha_hat"]
 
     assert run("tail-index", "--data", csv_path, "--column", "missing", "--k", 10) == 2
+
+
+def per_row_csv(data, path):
+    """The per-row writer the block writer replaced; its bytes are the reference."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(data.names) + "\n")
+        for row in data.values:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def csv_bytes(writer, data) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        writer(data, path)
+        return path.read_bytes()
+
+
+# values whose shortest repr switches notation or sits at the float64 edges
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-5, 0.0001, 1e16, 1e22, 1e-7, 2.0 ** 53,
+               1.0, -3.0, 100.0, 123456789.0, 0.1, 1.7976931348623157e308)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=9),
+              elements=st.sampled_from(EDGE_FLOATS)
+              | st.floats(allow_nan=False, allow_infinity=False)))
+def test_block_writer_matches_per_row_writer(values):
+    data = Dataset([f"c{j}" for j in range(values.shape[1])], values)
+    assert csv_bytes(dataset_to_csv, data) == csv_bytes(per_row_csv, data)
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                               2 * _BLOCK_ROWS + 3])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_block_writer_block_edges(tmp_path, n, p, order):
+    rng = np.random.default_rng(n * 10 + p)
+    values = rng.standard_t(1.5, size=(n, p)) * 10.0 ** rng.integers(-8, 24, size=(n, p))
+    values[rng.random((n, p)) < 0.1] = rng.choice(EDGE_FLOATS)
+    data = Dataset([f"c{j}" for j in range(p)], np.asarray(values, order=order))
+    assert csv_bytes(dataset_to_csv, data) == csv_bytes(per_row_csv, data)
+    path = tmp_path / "d.csv"
+    dataset_to_csv(data, path)
+    back = dataset_from_csv(path)
+    assert back.names == data.names and np.array_equal(back.values, data.values)
+
+
+def _bad_csv(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,b\n1,\xff\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["coefficients", "--data", d / "missing.csv", "--kind", "gamma",
+               "--out", d / "m.json"],
+    lambda d: ["tail-index", "--data", d / "missing.csv", "--column", "a", "--k", 2],
+    lambda d: ["discover", "--matrix", d / "missing.json", "--out", d / "o.json"],
+    lambda d: ["coefficients", "--data", d, "--kind", "gamma", "--out", d / "m.json"],
+    lambda d: ["coefficients", "--data", _bad_csv(d), "--kind", "gamma", "--out", d / "m.json"],
+    lambda d: ["simulate", "--p", 3, "--n", 10, "--alpha", 2.5,
+               "--out", d / "no" / "d.csv", "--truth", d / "t.json"],
+    lambda d: ["simulate", "--p", 3, "--n", 10, "--alpha", 2.5,
+               "--out", d / "d.csv", "--truth", d / "no" / "t.json"],
+    lambda d: ["discover", "--matrix", FIXTURE, "--out", d / "no" / "o.json"],
+], ids=["csv-missing", "tail-index-missing", "json-missing", "csv-is-dir", "csv-not-utf8",
+        "csv-write", "json-write", "order-write"])
+def test_file_errors_exit_2(tmp_path, capsys, argv):
+    argv = argv(tmp_path)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and "internal error" not in err
+
+
+def test_benchmark_results_write_error_exits_2(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"n": [50], "p": [2], "alpha": [2.5]}))
+    out = tmp_path / "no" / "results.csv"
+    assert run("benchmark", "--grid", grid_path, "--reps", 1, "--methods", "random_order",
+               "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"kind": "gamma", "names": ["a", "b"], "values": [[None, 0.5], [0.5]]},
+    {"kind": "gamma", "names": ["a", "b"], "values": [[None, "x"], [0.5, None]]},
+    {"kind": "gamma", "names": ["a", "b"], "values": [[None, [1]], [0.5, None]]},
+    {"kind": "gamma", "names": ["a", "b"], "values": {"a": 1}},
+    {"kind": "gamma", "names": 2, "values": [[None, 0.5], [0.5, None]]},
+    {"kind": "gamma", "names": ["a", "b"], "values": [[None, 10 ** 400], [0.5, None]]},
+])
+def test_discover_malformed_matrix_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert run("discover", "--matrix", path, "--out", tmp_path / "o.json") == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [["x0", "x1"], {"pi_inverse": "x0x1"}, {"pi_inverse": None}])
+def test_evaluate_malformed_order_exits_2(tmp_path, capsys, doc):
+    truth_path = tmp_path / "t.json"
+    write_json(truth_path, scm_to_dict(make_chain([1.0])))
+    order_path = tmp_path / "o.json"
+    order_path.write_text(json.dumps(doc))
+    assert run("evaluate", "--order", order_path, "--truth", truth_path) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", ["", "\n\n"])
+def test_header_only_csv_is_one_error_line(tmp_path, capsys, body):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n" + body)
+    assert run("coefficients", "--data", path, "--kind", "gamma", "--out", tmp_path / "m.json") == 2
+    assert capsys.readouterr().err == f"error: {path} has no data rows\n"
