@@ -2,15 +2,13 @@
 
 Commands: simulate | coefficients | discover | oracle | evaluate | benchmark
 | tail-index. Exit codes: 0 success, 2 validation or usage error, 1 internal
-error. HEAVYTAIL_THREADS sets the default worker count for replicate-parallel
-commands.
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -27,14 +25,6 @@ from .noise import hill_tail_index
 from .oracle import gamma_population, psi_population
 from .simulate import (GridSpec, SimSetting, effective_setting, scenario_streams,
                        simulate)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("HEAVYTAIL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _estimator_config(args) -> EstimatorConfig:
@@ -142,8 +132,7 @@ def _load_grid(path) -> GridSpec:
 def cmd_benchmark(args) -> int:
     grid = _load_grid(args.grid)
     methods = tuple(args.methods.split(","))
-    rows = benchmark(grid, methods=methods, reps=args.reps, seed=args.seed,
-                     threads=args.threads)
+    rows = benchmark(grid, methods=methods, reps=args.reps, seed=args.seed)
     results_to_csv(rows, args.out)
     return 0
 
@@ -221,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--grid", required=True, help="grid spec JSON (or TOML)")
     p_bench.add_argument("--reps", type=int, default=50)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=_default_threads())
     p_bench.add_argument("--methods", default="ease_gamma,ease_psi,random_order")
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(func=cmd_benchmark)

@@ -9,18 +9,19 @@ to be an intervention distance.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ._rng import as_rng, derived_seed
 from .ease import ease
 from .errors import ValidationError
 from .estimators import Dataset, EstimatorConfig, coefficient_matrix, resolve_k
-from .graph import CausalOrder, Scm, validate_order
-from .simulate import (GridSpec, SimSetting, check_memory, effective_setting,
-                       scenario_scm, scenario_streams, simulate)
+from .graph import CausalOrder, Scm
+from .simulate import (GridSpec, Scenario, SimSetting, effective_setting, scenario_streams,
+                       simulate, simulate_grid)
 
 METHODS = ("ease_gamma", "ease_psi", "random_order")
 
@@ -96,14 +97,26 @@ def _aggregate(fractions, valids) -> tuple[float, float, float]:
     return mean, se, mistake
 
 
-def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None,
-              threads: int = 1) -> list[BenchmarkRow]:
+def _score_methods(methods, seed, scenario: Scenario) -> dict[str, tuple[float, bool, float]]:
+    """Violation fraction, validity and wall milliseconds of each method on a scenario."""
+    key = (0 if seed is None else seed, scenario.n, scenario.p, scenario.alpha, scenario.rep)
+    out = {}
+    for method in methods:
+        start = time.perf_counter()
+        score = score_order(scenario.truth,
+                            _method_order(method, scenario.data, scenario.truth, key))
+        elapsed = (time.perf_counter() - start) * 1000.0
+        out[method] = (score.violation_fraction, score.valid, elapsed)
+    return out
+
+
+def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None) -> list[BenchmarkRow]:
     """Per-cell aggregation of method scores over replicates.
 
-    Replicate streams derive from scenario_streams: shared across settings
-    (so rank-invariant settings produce identical score columns) and, for the
-    SCM draw, across sample sizes (so trends in n are paired). Aggregation
-    runs in fixed replicate order regardless of ``threads``.
+    The replicates are the scenarios of ``simulate_grid(grid, reps, seed)``,
+    taken ``reps`` per cell in grid order: their streams are shared across
+    settings (so rank-invariant settings produce identical score columns)
+    and, for the SCM draw, across sample sizes (so trends in n are paired).
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -112,31 +125,12 @@ def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None,
         if m not in METHODS:
             raise ValidationError(f"unknown method {m!r}; expected subset of {METHODS}")
 
-    def run_rep(task) -> dict[str, tuple[float, bool, float]]:
-        setting, n, p, alpha, rep = task
-        scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
-        truth = scenario_scm(p, alpha, setting, scm_seed)
-        drawn = effective_setting(truth, setting)
-        check_memory(truth, drawn, n, grid.memory_cap_bytes)
-        result = simulate(truth, drawn, n, data_seed)
-        out = {}
-        for method in methods:
-            start = time.perf_counter()
-            order = _method_order(method, result.data, truth,
-                                  (0 if seed is None else seed, n, p, alpha, rep))
-            score = score_order(truth, order)
-            elapsed = (time.perf_counter() - start) * 1000.0
-            out[method] = (score.violation_fraction, score.valid, elapsed)
-        return out
-
+    scenarios = simulate_grid(grid, reps, seed)
+    score = functools.partial(_score_methods, methods, seed)
     rows = []
     for setting, n, p, alpha in grid.cells():
-        tasks = [(setting, n, p, alpha, rep) for rep in range(reps)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_rep, tasks))
-        else:
-            results = [run_rep(t) for t in tasks]
+        # map drops each scenario once scored, before the next one is drawn
+        results = list(map(score, itertools.islice(scenarios, reps)))
         for method in methods:
             fractions = [r[method][0] for r in results]
             valids = [r[method][1] for r in results]
@@ -168,8 +162,8 @@ def k_sensitivity(exponents, *, data: Dataset | None = None, scm: Scm | None = N
     Exactly one source drives the sweep: a fixed ``data`` set (rows then carry
     the estimated off-diagonal coefficients per exponent), a fixed ``scm``
     (rows carry the mean violation fraction over ``reps`` simulated datasets),
-    or dimensions ``p`` and ``alpha`` (as for the SCM case but with a fresh
-    random SCM per replicate, the protocol used for exponent calibration).
+    or dimensions ``p`` and ``alpha`` (the ``simulate_grid`` replicates of that
+    one cell, a fresh random SCM each: the exponent calibration protocol).
     """
     exponents = [float(e) for e in exponents]
     if not exponents:
@@ -199,16 +193,15 @@ def k_sensitivity(exponents, *, data: Dataset | None = None, scm: Scm | None = N
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
 
-    replicates = []
-    for rep in range(reps):
-        if scm is not None:
-            truth = scm
-            _, data_seed = scenario_streams(seed, n, truth.p, truth.alpha, rep)
-        else:
-            scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
-            truth = scenario_scm(p, alpha, setting, scm_seed)
-        sample = simulate(truth, effective_setting(truth, setting), n, data_seed).data
-        replicates.append((truth, sample))
+    if scm is None:
+        grid = GridSpec((n,), (p,), (alpha,), (setting,))
+        replicates = [(s.truth, s.data) for s in simulate_grid(grid, reps, seed)]
+    else:
+        replicates = []
+        for rep in range(reps):
+            _, data_seed = scenario_streams(seed, n, scm.p, scm.alpha, rep)
+            sample = simulate(scm, effective_setting(scm, setting), n, data_seed).data
+            replicates.append((scm, sample))
 
     rows = []
     for e in exponents:
@@ -235,23 +228,21 @@ def mistake_rate(scm: Scm, n: int, config, reps: int, seed=None) -> MistakeRate:
 
     Each replicate simulates ``n`` rows from the SCM, estimates the
     coefficient matrix per ``config``, runs the search, and validates the
-    order against the true graph (over observed nodes only when the SCM has
-    hidden ones). Replicate streams derive from (seed, replicate), so results
+    order with :func:`score_order` (ancestry over observed nodes, taken in the
+    full graph). Replicate streams derive from (seed, replicate), so results
     do not depend on evaluation order.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     base = 0 if seed is None else seed
     setting = SimSetting("hidden_confounders" if scm.hidden else "linear")
-    observed_only = bool(scm.hidden)
     mistakes = 0
     violation_total = 0
     for rep in range(reps):
         result = simulate(scm, setting, n, derived_seed(base, rep))
-        order = recover_order(result.data, config, scm.observed)
-        check = validate_order(scm.dag, order, observed_only=observed_only)
-        mistakes += 0 if check.valid else 1
-        violation_total += len(check.violations)
+        score = score_order(scm, recover_order(result.data, config, scm.observed))
+        mistakes += 0 if score.valid else 1
+        violation_total += score.violations
     return MistakeRate(rate=mistakes / reps, mean_violations=violation_total / reps)
 
 

@@ -149,9 +149,11 @@ def scenario_streams(seed, n: int, p: int, alpha: float, rep: int):
     The SCM stream is keyed on (seed, p, alpha, rep): deliberately not on the
     setting (so settings sharing a cell draw the same SCM and noise) and not
     on n (so sample-size comparisons are paired over the same SCM pool). The
-    data stream additionally keys on n.
+    data stream additionally keys on n. ``alpha`` keys as a float, so 2 and
+    2.0 draw the same replicate.
     """
     root = 0 if seed is None else seed
+    alpha = float(alpha)
     scm_seed = derived_seed(root, p, alpha, rep, 0)
     data_seed = derived_seed(root, n, p, alpha, rep, 1)
     return scm_seed, data_seed
@@ -190,8 +192,9 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
             scm = scenario_scm(p, alpha, setting, scm_seed)
             drawn = effective_setting(scm, setting)
             check_memory(scm, drawn, n, grid.memory_cap_bytes)
-            result = simulate(scm, drawn, n, data_seed)
+            # No local keeps the data across the yield, so a consumer that drops
+            # each scenario holds one replicate's data, as check_memory assumes.
             yield Scenario(
                 scenario_id=f"{setting.kind}-n{n}-p{p}-a{alpha:g}-r{rep}",
                 setting=setting, n=n, p=p, alpha=alpha, rep=rep,
-                data=result.data, truth=result.truth)
+                data=simulate(scm, drawn, n, data_seed).data, truth=scm)

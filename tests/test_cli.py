@@ -2,6 +2,7 @@ import importlib.resources
 import importlib.util
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,19 @@ def test_oracle_disconnected_and_mode_error(tmp_path):
     assert run("oracle", "--scm", real_path, "--kind", "psi", "--out", out) == 0
 
 
+@pytest.mark.parametrize("kind", ["gamma", "psi"])
+def test_oracle_huge_p_exits_2_before_allocating(tmp_path, capsys, kind):
+    path = tmp_path / "scm.json"
+    path.write_text(json.dumps(
+        {"p": 100000, "alpha": 1.5, "edges": [], "noise": {"family": "student_t"}}))
+    start = time.perf_counter()
+    code = run("oracle", "--scm", path, "--kind", kind, "--out", tmp_path / "m.json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "memory cap" in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("broken", [
     {"noise": {"scale_upper": 1.0, "scale_lower": 1.0}},
     {"noise": {"family": 3}},
@@ -230,13 +244,12 @@ def test_benchmark_shipped_desk_config_reproduces_trend(tmp_path):
     assert ease_frac[10000] < 0.05 < rand_frac[10000]
 
 
-def test_threads_env_var_sets_default(monkeypatch):
-    from heavytail.cli import build_parser
-
-    monkeypatch.setenv("HEAVYTAIL_THREADS", "3")
-    args = build_parser().parse_args(
-        ["benchmark", "--grid", "g.json", "--out", "r.csv"])
-    assert args.threads == 3
+def test_benchmark_threads_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("benchmark", "--grid", tmp_path / "g.json", "--threads", 2,
+            "--out", tmp_path / "r.csv")
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(

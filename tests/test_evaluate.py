@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from heavytail import (CapacityError, CausalOrder, Dag, GridSpec, NoiseSpec, Scm,
-                       SimSetting, ValidationError, benchmark, k_sensitivity, score_order,
-                       sensitivity_rows_to_csv, simulate)
-from heavytail.evaluate import RESULT_HEADER
+from heavytail import (CapacityError, CausalOrder, Dag, EstimatorConfig, GeneratorConfig,
+                       GridSpec, MistakeRate, NoiseSpec, Scm, SimSetting, ValidationError,
+                       benchmark, k_sensitivity, mistake_rate, random_scm, score_order,
+                       sensitivity_rows_to_csv, simulate, validate_order)
+from heavytail._rng import derived_seed
+from heavytail.evaluate import RESULT_HEADER, recover_order
 
 from conftest import make_chain
 
@@ -62,14 +64,13 @@ def test_benchmark_trivial_single_node_grid():
         assert row.mistake_rate == 0.0
 
 
-def test_benchmark_rows_reproducible_and_thread_invariant():
+def test_benchmark_rows_reproducible():
     grid = GridSpec((300,), (4,), (2.5,), settings=("linear",))
     a = benchmark(grid, reps=6, seed=3)
     b = benchmark(grid, reps=6, seed=3)
-    c = benchmark(grid, reps=6, seed=3, threads=4)
     strip = lambda rows: [(r.scenario_id, r.method, r.mean_violation_fraction,
                            r.se, r.mistake_rate) for r in rows]
-    assert strip(a) == strip(b) == strip(c)
+    assert strip(a) == strip(b)
 
 
 def test_benchmark_linear_uniform_margin_rows_identical():
@@ -94,6 +95,20 @@ def test_benchmark_enforces_memory_cap():
     grid = GridSpec((10**6,), (200,), (2.5,), memory_cap_bytes=10**6)
     with pytest.raises(CapacityError):
         benchmark(grid, reps=1, seed=0)
+
+
+def test_benchmark_holds_one_replicate_at_a_time():
+    import tracemalloc
+
+    grid = GridSpec((50000,), (4,), (1.5,))
+    peaks = []
+    for reps in (1, 3):
+        tracemalloc.start()
+        benchmark(grid, methods=("random_order",), reps=reps, seed=0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    dataset_bytes = 8 * 50000 * 4
+    assert peaks[1] < peaks[0] + dataset_bytes / 2
 
 
 def test_k_sensitivity_dataset_rows():
@@ -145,3 +160,33 @@ def test_k_sensitivity_fresh_scm_mode_matches_benchmark():
     assert rows[0].se == bench[0].se
     text = sensitivity_rows_to_csv(rows)
     assert text.startswith("exponent,k,mean_violation_fraction,se\n")
+
+
+def test_int_and_float_alpha_draw_the_same_fresh_scm_replicates():
+    rows = [k_sensitivity([0.4], p=6, alpha=a, n=400, reps=8, seed=4, kind="psi")[0]
+            for a in (2, 2.0)]
+    assert rows[0] == rows[1]
+    bench = benchmark(GridSpec((400,), (6,), (2,)), methods=("ease_psi",), reps=8, seed=4)
+    assert rows[0].mean_violation_fraction == bench[0].mean_violation_fraction
+
+
+def test_int_and_float_alpha_draw_the_same_fixed_scm_replicates():
+    rows = [k_sensitivity([0.4], scm=random_scm(5, a, seed=1), n=400, reps=8, seed=4)[0]
+            for a in (2, 2.0)]
+    assert rows[0] == rows[1]
+
+
+def test_mistake_rate_on_hidden_scm_matches_observed_only_validation():
+    scm = random_scm(6, 1.5, GeneratorConfig(hidden_confounders=True), seed=0)
+    assert scm.hidden
+    config = EstimatorConfig(kind="psi")
+    mistakes = violations = 0
+    for rep in range(20):
+        data = simulate(scm, SimSetting("hidden_confounders"), 300, derived_seed(7, rep)).data
+        order = recover_order(data, config, scm.observed)
+        check = validate_order(scm.dag, order, observed_only=True)
+        mistakes += not check.valid
+        violations += len(check.violations)
+    result = mistake_rate(scm, n=300, config=config, reps=20, seed=7)
+    assert result == MistakeRate(rate=mistakes / 20, mean_violations=violations / 20)
+    assert 0 < result.rate < 1
