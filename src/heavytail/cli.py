@@ -19,10 +19,10 @@ from .evaluate import benchmark, score_order
 from .formats import (dataset_from_csv, dataset_to_csv, matrix_from_dict,
                       matrix_to_dict, meta_block, order_names_from_dict,
                       order_to_dict, read_json, results_to_csv, scm_from_dict,
-                      scm_to_dict, score_to_dict, write_json)
+                      scm_node_count, scm_to_dict, score_to_dict, write_json)
 from .graph import CausalOrder, GeneratorConfig, random_scm
 from .noise import hill_tail_index
-from .oracle import gamma_population, psi_population
+from .oracle import check_capacity, gamma_population, psi_population
 from .simulate import (GridSpec, SimSetting, effective_setting, scenario_streams,
                        simulate)
 
@@ -78,7 +78,9 @@ def cmd_discover(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    scm = scm_from_dict(read_json(args.scm))
+    doc = read_json(args.scm)
+    check_capacity(scm_node_count(doc))  # before the Dag's per-node lists are built
+    scm = scm_from_dict(doc)
     matrix = gamma_population(scm) if args.kind == "gamma" else psi_population(scm)
     doc = matrix_to_dict(matrix)
     doc["meta"] = meta_block(None, _config_meta(args))

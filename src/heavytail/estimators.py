@@ -12,14 +12,18 @@ and of its negation, each with weight 1 / (2k).
 Each column is sorted once. Max ranks come from the run lengths of equal
 values in the sorted column, and the upper and lower tail rows are the rows
 sorted above s[n-k-1] and below s[k]; the latter are the upper exceedances of
-the negated column. The matrix gathers every conditioning column's tail rows
-into one index array, so each averaged column's weights are gathered once and
-summed slice by slice.
+the negated column. The matrix concatenates every conditioning column's tail
+rows into one index array and gathers the weights of all averaged columns at
+those rows, a block of conditioning columns at a time.
 
-Sums of contributions are accumulated with math.fsum (correctly rounded), so
-estimates are bit-identical under row permutations and under strictly
-increasing transforms of the columns, and do not depend on the order in which
-tail rows are visited.
+Sums are exact: every weight is an integer multiple of a power of two, so
+cutting the weights into limbs narrow enough that no slice's limb sum reaches
+2**53 makes each limb sum exact in float64, in any order. The limb sums are
+added with one correctly rounded float add (math.fsum when there are more
+than two limbs) and only then divided by k or 2k. Estimates are therefore the
+correctly rounded sums, bit-identical under row permutations and under
+strictly increasing transforms of the columns, and do not depend on the order
+in which tail rows are visited.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .oracle import CoefMatrix
+
+# Weights _tail_sums gathers at a time: its scratch memory stays bounded
+# whatever p and k are.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class Dataset:
@@ -155,11 +163,67 @@ def _tail_rows(upper: np.ndarray, lower: np.ndarray, psi: bool) -> np.ndarray:
     return np.concatenate([upper, lower]) if psi else upper
 
 
-def _tail_sums(weights: np.ndarray, rows: np.ndarray, bounds: list[int],
-               divisor: int) -> list[float]:
-    """Correctly rounded sums of weights[rows] over consecutive slices, over divisor."""
-    gathered = weights[rows].tolist()
-    return [math.fsum(gathered[a:b]) / divisor for a, b in zip(bounds, bounds[1:])]
+def _tail_sums(weights: np.ndarray, rows: np.ndarray, bounds, divisor: int) -> np.ndarray:
+    """Correctly rounded sums of weights[rows] over consecutive row slices, over divisor.
+
+    ``weights`` is n x m with entries in [0, 1]; entry [i, c] of the result
+    sums column c over rows[bounds[i]:bounds[i + 1]]. Rows are gathered for
+    blocks of slices holding at most _BLOCK_ELEMENTS weights (a longer slice
+    is gathered alone), and each block is summed exactly by _slice_sums.
+    """
+    bounds = np.asarray(bounds)
+    sizes = np.diff(bounds)
+    m = weights.shape[1]
+    out = np.zeros((sizes.size, m))
+    limit = max(_BLOCK_ELEMENTS // m, 1)  # rows per block
+    longest = int(sizes.max(initial=0))
+    scratch = np.empty(m * min(int(bounds[-1]), max(limit, longest)))
+    a = 0
+    while a < sizes.size:
+        b = max(int(np.searchsorted(bounds, bounds[a] + limit, "right")) - 1, a + 1)
+        # reduceat would give an empty slice the row after it, so only the
+        # nonempty slices are summed; the others keep their zero sum
+        filled = a + np.flatnonzero(sizes[a:b])
+        if filled.size:
+            block = weights[rows[bounds[a]:bounds[b]]]
+            whole = scratch[:block.size].reshape(block.shape)
+            out[filled] = _slice_sums(block, whole, bounds[filled] - bounds[a],
+                                      int(sizes[filled].max()))
+        a = b
+    return out / divisor
+
+
+def _slice_sums(block: np.ndarray, whole: np.ndarray, starts: np.ndarray,
+                longest: int) -> np.ndarray:
+    """Correctly rounded column sums of block[starts[i]:starts[i + 1]] (the last to the end).
+
+    Entries lie in [0, 1]; no slice is empty or longer than ``longest``. Every
+    entry is an integer multiple of 2**unit, unit being the smallest nonzero
+    entry's exponent minus 53 (and at least -1074). Cut at multiples of
+    2**shift into limbs of width = 53 - longest.bit_length() bits, no slice's
+    limb sum reaches 2**53, so each is exact whatever the summation order.
+    The limb sums are scaled back exactly and their total is rounded once:
+    one float add for two limbs, else math.fsum. ``block`` and the scratch
+    array ``whole`` (same shape) are overwritten.
+    """
+    np.equal(block, 0.0, out=whole)
+    whole += block  # zeros become 1, which leaves the smallest nonzero entry the minimum
+    unit = max(math.frexp(whole.min())[1] - 53, -1074)
+    width = 53 - longest.bit_length()
+    shifts = list(range(unit + width, 1, width))[::-1]  # top down, the top limb holds 1
+    block *= 2.0 ** -shifts[0]
+    parts = []
+    for level, shift in enumerate(shifts):
+        if level:
+            block *= 2.0 ** width
+        np.floor(block, out=whole)
+        block -= whole
+        parts.append(np.ldexp(np.add.reduceat(whole, starts), shift))
+    parts.append(np.ldexp(np.add.reduceat(block, starts), shifts[-1]))
+    if len(parts) == 2:
+        return parts[0] + parts[1]
+    return np.array([math.fsum(t) for t in zip(*(q.ravel() for q in parts))]).reshape(
+        parts[0].shape)
 
 
 def _pair_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig,
@@ -170,7 +234,8 @@ def _pair_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig,
     cdf, _, _ = _rank_kernel(data.column(k_col))
     _, upper, lower = _rank_kernel(data.column(j), k)
     rows = _tail_rows(upper, lower, psi)
-    return _tail_sums(_weights(cdf, psi), rows, [0, rows.size], 2 * k if psi else k)[0]
+    weights = _weights(cdf, psi)[:, None]
+    return float(_tail_sums(weights, rows, [0, rows.size], 2 * k if psi else k)[0, 0])
 
 
 def gamma_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig) -> float:
@@ -193,15 +258,13 @@ def coefficient_matrix(data: Dataset, config: EstimatorConfig) -> CoefMatrix:
         raise ValidationError("coefficient estimation needs at least two columns")
     k = resolve_k(data.n, config)
     psi = config.kind == "psi"
-    weights, tails = [], []
+    weights = np.empty((data.n, data.p), order="F")
+    tails = []
     for c in range(data.p):
         cdf, upper, lower = _rank_kernel(data.column(c), k)
-        weights.append(_weights(cdf, psi))
+        weights[:, c] = _weights(cdf, psi)
         tails.append(_tail_rows(upper, lower, psi))
-    rows = np.concatenate(tails)
-    bounds = np.cumsum([0] + [t.size for t in tails]).tolist()
-    values = np.empty((data.p, data.p))
-    for c, w in enumerate(weights):
-        values[:, c] = _tail_sums(w, rows, bounds, 2 * k if psi else k)
+    bounds = np.cumsum([0] + [t.size for t in tails])
+    values = _tail_sums(weights, np.concatenate(tails), bounds, 2 * k if psi else k)
     np.fill_diagonal(values, np.nan)
     return CoefMatrix(values, config.kind, data.names, estimated=True)

@@ -136,18 +136,28 @@ def _noise_from_dict(spec_doc, alpha: float) -> NoiseSpec:
     return NoiseSpec(family, alpha, **scales)
 
 
-def scm_from_dict(doc: dict) -> Scm:
+def scm_node_count(doc: dict) -> int:
+    """The node count ``p`` an SCM document declares, read before anything is built."""
     if not isinstance(doc, dict):
         raise ValidationError("SCM document must be a JSON object")
     try:
-        p = int(doc["p"])
+        return int(doc["p"])
+    except KeyError as exc:
+        raise ValidationError(f"SCM document missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"SCM 'p' must be an integer: {exc}") from exc
+
+
+def scm_from_dict(doc: dict) -> Scm:
+    p = scm_node_count(doc)
+    try:
         alpha = float(doc["alpha"])
         raw_edges = doc["edges"]
         raw_noise = doc["noise"]
     except KeyError as exc:
         raise ValidationError(f"SCM document missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"SCM 'p' must be an integer and 'alpha' a number: {exc}") from exc
+        raise ValidationError(f"SCM 'alpha' must be a number: {exc}") from exc
     if not isinstance(raw_edges, list):
         raise ValidationError("SCM 'edges' must be a list of [parent, child, beta]")
     coefficients = {}

@@ -111,7 +111,7 @@ def hill_tail_index(data, k: int) -> HillEstimate:
     values = np.asarray(data, dtype=float).ravel()
     if values.size < k + 1:
         raise DomainError(f"need at least k + 1 = {k + 1} observations, got {values.size}")
-    top = np.sort(values)[-(k + 1):]
+    top = np.sort(np.partition(values, values.size - k - 1)[-(k + 1):])
     if top[0] <= 0:
         raise DomainError("the top k + 1 order statistics must be strictly positive")
     xi = float(np.mean(np.log(top[1:] / top[0])))

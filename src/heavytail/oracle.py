@@ -69,11 +69,12 @@ class CoefMatrix:
         return CoefMatrix(self.values[np.ix_(idx, idx)], self.kind, names, self.estimated)
 
 
-def _check_capacity(scm: Scm) -> None:
-    need = 8 * _PEAK_ARRAYS * scm.p * scm.p
+def check_capacity(p: int) -> None:
+    """Raise CapacityError if the population matrices of p nodes would exceed the cap."""
+    need = 8 * _PEAK_ARRAYS * p * p
     if need > _MEMORY_CAP_BYTES:
         raise CapacityError(
-            f"the population matrix of {scm.p} nodes needs about {need} bytes, "
+            f"the population matrix of {p} nodes needs about {need} bytes, "
             f"over the memory cap of {_MEMORY_CAP_BYTES} bytes")
 
 
@@ -96,7 +97,7 @@ def gamma_population(scm: Scm) -> CoefMatrix:
     one-tailed formula assumes a common rescaling. Raises CapacityError
     before allocating when the p x p arrays would exceed 1 GiB.
     """
-    _check_capacity(scm)
+    check_capacity(scm.p)
     if scm.mode != POSITIVE:
         raise ModeError("gamma is defined for positive-coefficient SCMs; use psi_population")
     uppers = {spec.scale_upper for spec in scm.noise}
@@ -122,7 +123,7 @@ def psi_population(scm: Scm) -> CoefMatrix:
     upper and lower constants of the source noise. Raises CapacityError
     before allocating when the p x p arrays would exceed 1 GiB.
     """
-    _check_capacity(scm)
+    check_capacity(scm.p)
     weights = path_weights(scm)
     if not check_path_faithful(scm, weights):
         raise ValidationError("SCM is not path-faithful: an ancestor path weight vanishes")

@@ -141,6 +141,17 @@ def test_oracle_huge_p_exits_2_before_allocating(tmp_path, capsys, kind):
     assert "memory cap" in err and "internal error" not in err
 
 
+def test_oracle_refuses_over_cap_p_before_building_the_dag(tmp_path, capsys):
+    path = tmp_path / "scm.json"
+    path.write_text('{"p": 1000000, "alpha": 1.5, "edges": [], "noise": {"family": "student_t"}}')
+    start = time.perf_counter()
+    code = run("oracle", "--scm", path, "--kind", "psi", "--out", tmp_path / "m.json")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "memory cap" in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("broken", [
     {"noise": {"scale_upper": 1.0, "scale_lower": 1.0}},
     {"noise": {"family": 3}},

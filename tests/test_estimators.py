@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from heavytail import (ConfigError, Dataset, EstimatorConfig, NoiseSpec,
                        ValidationError, coefficient_matrix, ecdf_values,
                        empirical_cdf_column, gamma_estimate, psi_estimate,
                        resolve_k, sample_noise)
-from heavytail.estimators import _rank_kernel
+from heavytail.estimators import _BLOCK_ELEMENTS, _rank_kernel, _tail_sums
 
 from brute_oracles import brute_gamma, brute_psi
 
@@ -266,3 +268,103 @@ def test_matrix_matches_brute_oracle_on_ties(kind):
                 if j != c:
                     assert matrix[j, c] == brute(listed, j, c, k)
         assert np.isnan(np.diag(matrix)).all()
+
+
+def fsum_slices(weights, rows, bounds, divisor):
+    """Reference for _tail_sums: one math.fsum per (slice, column), then the divisor."""
+    return np.array([[math.fsum(weights[rows[a:b], c].tolist()) / divisor
+                      for c in range(weights.shape[1])]
+                     for a, b in zip(bounds, bounds[1:])]).reshape(-1, weights.shape[1])
+
+
+def draw_weights(family, n, m, rng):
+    if family == "ecdf":  # the max-rank ECDF grid r / n
+        return rng.integers(1, n + 1, size=(n, m)) / n
+    if family == "ecdf_upper":  # one binade, as in the upper tail of a dependent column:
+        # the weights' unit is then close to the total's last bit, so an inexact
+        # limb sum changes the result
+        return rng.integers(n // 2, n + 1, size=(n, m)) / n
+    if family == "sigma":  # |2u - 1| on an even grid; u = 1/2 gives exact zeros
+        u = rng.integers(1, n + 1, size=(n, m)) / n
+        u[rng.random((n, m)) < 0.2] = 0.5
+        return np.abs(2.0 * u - 1.0)
+    if family == "float":  # arbitrary floats spanning [2**-60, 1]
+        weights = 2.0 ** rng.uniform(-60.0, 0.0, size=(n, m))
+        weights.flat[:2] = [2.0 ** -60, 1.0]
+        return weights
+    return np.zeros((n, m))
+
+
+# Slice lengths: empty, single rows, and 2**b - 1, the longest slice a limb
+# width of 53 - b bits must keep exact.
+slice_sizes = st.lists(st.one_of(st.just(0), st.just(1), st.integers(0, 40),
+                                 st.sampled_from([3, 7, 31, 127])),
+                       min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["ecdf", "ecdf_upper", "sigma", "float", "zeros"]), st.integers(1, 200),
+       st.sampled_from([1, 3, 700]), slice_sizes, st.integers(0, 2**32 - 1))
+def test_tail_sums_match_fsum_reference(family, half, m, sizes, seed):
+    # m = 700 columns splits the rows into gather blocks of 93
+    rng = np.random.default_rng(seed)
+    n = 2 * half
+    weights = draw_weights(family, n, m, rng)
+    bounds = np.cumsum([0] + sizes)
+    rows = rng.integers(0, n, size=bounds[-1])
+    divisor = int(rng.integers(1, 2 * n + 1))
+    expected = fsum_slices(weights, rows, bounds, divisor)
+    assert np.array_equal(_tail_sums(weights, rows, bounds, divisor), expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tail_sums_with_three_or_more_limbs(seed):
+    # weights over 60 binades and slices of up to 4095 rows need 113 bits in
+    # limbs of 41: three limb sums per entry, combined by math.fsum
+    rng = np.random.default_rng(seed)
+    weights = draw_weights("float", 5000, 40, rng)
+    bounds = np.cumsum([0, 4095, 2047, 1, 0, 4095, 0])
+    rows = rng.integers(0, 5000, size=bounds[-1])
+    expected = fsum_slices(weights, rows, bounds, 7)
+    assert np.array_equal(_tail_sums(weights, rows, bounds, 7), expected)
+    # 1 + 2**-53 + 2**-107 lies just above the midpoint between 1 and its
+    # successor: adding the three limb sums in float, low to high, gives 1.0
+    weights = np.array([[1.0], [2.0 ** -53], [2.0 ** -107]])
+    sums = _tail_sums(weights, np.array([2, 1, 0]), [0, 3, 3], 1)
+    assert sums.tolist() == [[1.0 + 2.0 ** -52], [0.0]]
+
+
+def test_tail_sums_of_empty_and_zero_slices_are_zero():
+    weights = np.zeros((6, 2))
+    weights[5] = 1.0
+    rows = np.array([0, 1, 2, 5])
+    sums = _tail_sums(weights, rows, [0, 0, 3, 3, 4, 4], 2)
+    assert sums.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]]
+    assert _tail_sums(weights, rows[:0], [0, 0, 0], 1).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("kind", ["gamma", "psi"])
+def test_matrix_spanning_gather_blocks_matches_fsum_reference(kind):
+    # tails from sort formulas, the ECDF from searchsorted; tied data and a
+    # constant column, whose slices are empty
+    rng = np.random.default_rng(16)
+    n, p, k = 600, 40, 150
+    psi = kind == "psi"
+    values = rng.integers(0, 60, size=(n, p)).astype(float)
+    values[:, 3] = 1.0
+    weights = np.empty((n, p))
+    tails = []
+    for c in range(p):
+        column = values[:, c]
+        u = np.searchsorted(np.sort(column), column, side="right") / n
+        weights[:, c] = np.abs(2.0 * u - 1.0) if psi else u
+        signs = (1.0, -1.0) if psi else (1.0,)
+        tails.append(np.concatenate([
+            np.flatnonzero(s * column > np.sort(s * column)[n - k - 1]) for s in signs]))
+    bounds = np.cumsum([0] + [t.size for t in tails])
+    assert p * bounds[-1] > 2 * _BLOCK_ELEMENTS  # several gather blocks
+    expected = fsum_slices(weights, np.concatenate(tails), bounds, 2 * k if psi else k)
+    np.fill_diagonal(expected, np.nan)
+    matrix = coefficient_matrix(Dataset([f"x{c}" for c in range(p)], values),
+                                EstimatorConfig(k=k, kind=kind)).values
+    assert np.array_equal(matrix, expected, equal_nan=True)

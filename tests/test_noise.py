@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heavytail import (DomainError, NoiseSpec, ValidationError, hill_tail_index,
                        max_sum_tail_ratio, sample_noise, symmetric_pareto_survival)
+from heavytail.noise import HillEstimate
 
 
 def test_spec_rejects_bad_parameters():
@@ -92,6 +95,42 @@ def test_hill_consistent_for_exact_pareto():
     k = int(n ** 0.4)
     estimate = hill_tail_index(x, k=k)
     assert abs(estimate.alpha_hat - 1.0) < 0.1
+
+
+def full_sort_hill(values, k):
+    """Reference for hill_tail_index: the top k + 1 values of a full sort."""
+    top = np.sort(np.asarray(values, dtype=float))[-(k + 1):]
+    if top[0] <= 0:
+        raise DomainError("not positive")
+    xi = float(np.mean(np.log(top[1:] / top[0])))
+    if xi == 0.0:
+        raise DomainError("degenerate")
+    return HillEstimate(alpha_hat=1.0 / xi, xi_hat=xi, k=k)
+
+
+def hill_outcome(estimator, values, k):
+    try:
+        return repr(estimator(values, k))  # repr compares NaN results too
+    except DomainError:
+        return "DomainError"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.5, 1.0, 2.0, 2.0, 3.5, 8.0, -1.0, 0.0, math.nan]),
+                min_size=3, max_size=40), st.data())
+def test_hill_partial_sort_matches_full_sort_on_ties_and_nan(values, data):
+    k = data.draw(st.integers(2, len(values) - 1))  # k = n - 1 uses every value
+    assert hill_outcome(hill_tail_index, values, k) == hill_outcome(full_sort_hill, values, k)
+
+
+@pytest.mark.parametrize("values, k", [
+    ([1.0, 3.0, 3.0, 2.0, 3.0, 5.0, 5.0], 4),  # ties at and above the threshold
+    ([2.0, math.nan, 1.0, 4.0, 3.0], 3),  # NaN sorts last, into the top values
+    ([4.0, 1.0, 2.0, 9.0], 3),  # n = k + 1
+])
+def test_hill_partial_sort_examples(values, k):
+    expected = full_sort_hill(values, k)
+    assert repr(hill_tail_index(values, k)) == repr(expected)
 
 
 def test_hill_guards():
