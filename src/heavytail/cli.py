@@ -89,7 +89,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    truth = scm_from_dict(read_json(args.truth))
+    doc = read_json(args.truth)
+    check_capacity(scm_node_count(doc))  # before the Dag's per-node lists are built
+    truth = scm_from_dict(doc)
     order_names = order_names_from_dict(read_json(args.order))
     name_to_node = {truth.node_name(j): j for j in truth.observed}
     if set(order_names) != set(name_to_node):

@@ -4,17 +4,25 @@ The one-tailed estimate conditioning on column j and averaging column k is
 
     (1/k) * sum_i ecdf_k(X[i, k]) * 1{X[i, j] > jth column's (n-k)-th order stat}
 
-where the empirical CDF assigns maximal rank to ties and the divisor stays k
-even if ties at the threshold inflate the exceedance count. The two-tailed
-variant averages sigma(u) = |2u - 1| over the upper exceedances of the column
-and of its negation, each with weight 1 / (2k).
+where the empirical CDF assigns maximal rank to ties and the divisor stays k.
+Exceedances are strict, so at most k rows exceed the threshold; ties at the
+threshold can only shrink the count below k. The two-tailed variant averages
+sigma(u) = |2u - 1| over the upper exceedances of the column and of its
+negation, each with weight 1 / (2k).
 
-Each column is sorted once. Max ranks come from the run lengths of equal
-values in the sorted column, and the upper and lower tail rows are the rows
-sorted above s[n-k-1] and below s[k]; the latter are the upper exceedances of
-the negated column. The matrix concatenates every conditioning column's tail
-rows into one index array and gathers the weights of all averaged columns at
-those rows, a block of conditioning columns at a time.
+A Dataset ranks each column at most once: the first estimate that needs a
+column fills it into the Dataset's read-only n x p ECDF array (max rank over
+n), which every later estimate reads, whatever its kind or k. The array costs
+one n x p float64 copy of the data and is held as long as the Dataset is, once
+it has been estimated. Both tails are read off the ECDF column u: the max-rank
+ECDF is strictly increasing across distinct values, so the rows above the
+order statistic s[n-k-1] are those with u above its (n-k)-th smallest value,
+and the rows below s[k], the upper exceedances of the negated column, are
+those with u below its (k+1)-th smallest value; np.partition finds both in
+O(n). The matrix concatenates every conditioning column's tail rows into one
+index array and gathers the ECDF of all averaged columns at those rows, a
+block of conditioning columns at a time; psi's |2u - 1| is applied to each
+gathered block.
 
 Sums are exact: every weight is an integer multiple of a power of two, so
 cutting the weights into limbs narrow enough that no slice's limb sum reaches
@@ -42,7 +50,10 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 class Dataset:
-    """Immutable n x p numeric sample with named columns."""
+    """Immutable n x p numeric sample with named columns.
+
+    Its ECDF is computed lazily, a column at a time, and kept (see ``_ecdf``).
+    """
 
     def __init__(self, names, values):
         values = np.array(values, dtype=float)
@@ -60,6 +71,8 @@ class Dataset:
         values.setflags(write=False)
         self.names = names
         self.values = values
+        self._cdf = None  # n x p, F-order, read-only; column c valid once _ranked[c]
+        self._ranked = None
 
     @property
     def n(self) -> int:
@@ -73,6 +86,27 @@ class Dataset:
         if not (0 <= j < self.p):
             raise ValidationError(f"column {j} out of range for p={self.p}")
         return self.values[:, j]
+
+    def _ecdf(self, columns) -> np.ndarray:
+        """The read-only n x p ECDF array, with at least ``columns`` filled in.
+
+        A column is ranked the first time it is asked for; columns not yet
+        asked for hold arbitrary values.
+        """
+        for j in columns:
+            column = self.column(j)
+            if self._cdf is None:
+                self._cdf = np.empty((self.n, self.p), order="F")
+                self._cdf.setflags(write=False)
+                self._ranked = np.zeros(self.p, dtype=bool)
+            if not self._ranked[j]:
+                self._cdf.setflags(write=True)
+                try:
+                    _rank_kernel(column, self._cdf[:, j])
+                finally:
+                    self._cdf.setflags(write=False)
+                self._ranked[j] = True
+        return self._cdf
 
     def column_index(self, name: str) -> int:
         try:
@@ -119,55 +153,64 @@ def resolve_k(n: int, config: EstimatorConfig) -> int:
     return min(max(int(math.floor(n ** exponent)), 1), n - 1)
 
 
-def _rank_kernel(column: np.ndarray, k: int | None = None):
-    """One sort of a column: its ECDF and, given k, its upper and lower tail rows.
+def _rank_kernel(column: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ECDF of a column at its own entries, max rank over n, from one sort.
 
-    The ECDF is the max rank over n. The upper tail rows are those strictly
-    above the (n - k)-th order statistic s[n-k-1]; the lower tail rows those
-    strictly below s[k], which is the upper tail of the negated column.
-    Without k both are None.
+    Without ties (and NaN) the ranks are 1..n in sort order; otherwise they
+    come from the run lengths of equal values. Written to ``out`` if given.
     """
     n = column.size
     order = np.argsort(column)
     s = column[order]
+    cdf = np.empty(n) if out is None else out
     boundary = s[1:] != s[:-1]
-    if n and s[-1] != s[-1]:
+    nan = n and s[-1] != s[-1]
+    if not nan and boundary.all():
+        cdf[order] = np.arange(1, n + 1) / n
+        return cdf
+    if nan:
         # NaNs sort last and form one run, as searchsorted ranks them
         boundary[np.argmax(s != s):] = False
     run_ends = np.append(np.flatnonzero(boundary), n - 1)
-    cdf = np.empty(n)
     cdf[order] = np.repeat(run_ends + 1, np.diff(run_ends, prepend=-1)) / n
-    if k is None:
-        return cdf, None, None
-    upper = order[np.searchsorted(s, s[n - k - 1], "right"):].copy()
-    lower = order[:np.searchsorted(s, s[k], "left")].copy()
-    return cdf, upper, lower
+    return cdf
 
 
 def ecdf_values(column: np.ndarray) -> np.ndarray:
     """Empirical CDF of a column evaluated at its own entries (max rank on ties)."""
-    return _rank_kernel(np.asarray(column, dtype=float))[0]
+    return _rank_kernel(np.asarray(column, dtype=float))
 
 
 def empirical_cdf_column(data: Dataset, j: int) -> np.ndarray:
-    return ecdf_values(data.column(j))
+    """Read-only view of column j of the dataset's cached ECDF."""
+    return data._ecdf((j,))[:, j]
 
 
-def _weights(cdf: np.ndarray, psi: bool) -> np.ndarray:
-    """Per-row contribution of an averaged column: u, or sigma(u) = |2u - 1|."""
-    return np.abs(2.0 * cdf - 1.0) if psi else cdf
+def _exceedance_rows(u: np.ndarray, k: int, psi: bool) -> np.ndarray:
+    """Tail rows of a column, read off its ECDF column u.
+
+    The upper rows, those with u above its (n - k)-th smallest value, are the
+    rows strictly above the order statistic s[n-k-1]; for psi they are
+    followed by the lower rows, those with u below its (k + 1)-th smallest
+    value, i.e. strictly below s[k]. Ties are included either way, as the
+    max-rank ECDF is strictly increasing across distinct values.
+    """
+    top = u.size - k - 1
+    rows = np.flatnonzero(u > np.partition(u, top)[top])
+    if psi:
+        # one partition per threshold: numpy's partition at both indices at
+        # once measured 4x slower at n = 10**4
+        rows = np.concatenate([rows, np.flatnonzero(u < np.partition(u, k)[k])])
+    return rows
 
 
-def _tail_rows(upper: np.ndarray, lower: np.ndarray, psi: bool) -> np.ndarray:
-    """Rows a conditioning column selects: upper exceedances, and lower ones for psi."""
-    return np.concatenate([upper, lower]) if psi else upper
-
-
-def _tail_sums(weights: np.ndarray, rows: np.ndarray, bounds, divisor: int) -> np.ndarray:
+def _tail_sums(weights: np.ndarray, rows: np.ndarray, bounds, divisor: int,
+               psi: bool = False) -> np.ndarray:
     """Correctly rounded sums of weights[rows] over consecutive row slices, over divisor.
 
     ``weights`` is n x m with entries in [0, 1]; entry [i, c] of the result
-    sums column c over rows[bounds[i]:bounds[i + 1]]. Rows are gathered for
+    sums column c over rows[bounds[i]:bounds[i + 1]]. With ``psi`` each
+    gathered weight u counts as |2u - 1| instead. Rows are gathered for
     blocks of slices holding at most _BLOCK_ELEMENTS weights (a longer slice
     is gathered alone), and each block is summed exactly by _slice_sums.
     """
@@ -186,6 +229,10 @@ def _tail_sums(weights: np.ndarray, rows: np.ndarray, bounds, divisor: int) -> n
         filled = a + np.flatnonzero(sizes[a:b])
         if filled.size:
             block = weights[rows[bounds[a]:bounds[b]]]
+            if psi:
+                block *= 2.0
+                block -= 1.0
+                np.abs(block, out=block)
             whole = scratch[:block.size].reshape(block.shape)
             out[filled] = _slice_sums(block, whole, bounds[filled] - bounds[a],
                                       int(sizes[filled].max()))
@@ -231,11 +278,10 @@ def _pair_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig,
     if j == k_col:
         raise ValidationError("conditioning and averaged columns must differ")
     k = resolve_k(data.n, config)
-    cdf, _, _ = _rank_kernel(data.column(k_col))
-    _, upper, lower = _rank_kernel(data.column(j), k)
-    rows = _tail_rows(upper, lower, psi)
-    weights = _weights(cdf, psi)[:, None]
-    return float(_tail_sums(weights, rows, [0, rows.size], 2 * k if psi else k)[0, 0])
+    cdf = data._ecdf((j, k_col))
+    rows = _exceedance_rows(cdf[:, j], k, psi)
+    sums = _tail_sums(cdf[:, k_col:k_col + 1], rows, [0, rows.size], 2 * k if psi else k, psi)
+    return float(sums[0, 0])
 
 
 def gamma_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig) -> float:
@@ -251,20 +297,16 @@ def psi_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig) -> 
 def coefficient_matrix(data: Dataset, config: EstimatorConfig) -> CoefMatrix:
     """All ordered off-diagonal coefficient estimates.
 
-    Each column is ranked once and reused across the p * (p - 1) pairs;
+    Every column's cached ECDF is reused across the p * (p - 1) pairs;
     entry [j, k] conditions on column j and averages column k.
     """
     if data.p < 2:
         raise ValidationError("coefficient estimation needs at least two columns")
     k = resolve_k(data.n, config)
     psi = config.kind == "psi"
-    weights = np.empty((data.n, data.p), order="F")
-    tails = []
-    for c in range(data.p):
-        cdf, upper, lower = _rank_kernel(data.column(c), k)
-        weights[:, c] = _weights(cdf, psi)
-        tails.append(_tail_rows(upper, lower, psi))
+    cdf = data._ecdf(range(data.p))
+    tails = [_exceedance_rows(cdf[:, c], k, psi) for c in range(data.p)]
     bounds = np.cumsum([0] + [t.size for t in tails])
-    values = _tail_sums(weights, np.concatenate(tails), bounds, 2 * k if psi else k)
+    values = _tail_sums(cdf, np.concatenate(tails), bounds, 2 * k if psi else k, psi)
     np.fill_diagonal(values, np.nan)
     return CoefMatrix(values, config.kind, data.names, estimated=True)

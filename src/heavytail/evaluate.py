@@ -193,26 +193,27 @@ def k_sensitivity(exponents, *, data: Dataset | None = None, scm: Scm | None = N
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
 
+    configs = [EstimatorConfig(k_exponent=e, kind=kind) for e in exponents]
+
+    def scores(truth, sample):
+        # every exponent reads the replicate's ECDF, ranked once
+        return [score_order(truth, recover_order(sample, c, truth.observed)) for c in configs]
+
     if scm is None:
         grid = GridSpec((n,), (p,), (alpha,), (setting,))
-        replicates = [(s.truth, s.data) for s in simulate_grid(grid, reps, seed)]
+        draws = map(lambda s: (s.truth, s.data), simulate_grid(grid, reps, seed))
     else:
-        replicates = []
-        for rep in range(reps):
+        def draw(rep):
             _, data_seed = scenario_streams(seed, n, scm.p, scm.alpha, rep)
-            sample = simulate(scm, effective_setting(scm, setting), n, data_seed).data
-            replicates.append((scm, sample))
+            return scm, simulate(scm, effective_setting(scm, setting), n, data_seed).data
+        draws = map(draw, range(reps))
+    # starmap drops each replicate once scored, before the next one is drawn
+    per_rep = list(itertools.starmap(scores, draws))
 
     rows = []
-    for e in exponents:
-        config = EstimatorConfig(k_exponent=e, kind=kind)
-        fractions = []
-        valids = []
-        for truth, sample in replicates:
-            score = score_order(truth, recover_order(sample, config, truth.observed))
-            fractions.append(score.violation_fraction)
-            valids.append(score.valid)
-        mean, se, _ = _aggregate(fractions, valids)
+    for e, config, column in zip(exponents, configs, zip(*per_rep)):
+        mean, se, _ = _aggregate([s.violation_fraction for s in column],
+                                 [s.valid for s in column])
         rows.append(SensitivityRow(e, resolve_k(n, config), mean, se))
     return rows
 

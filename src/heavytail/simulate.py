@@ -45,6 +45,22 @@ class SimSetting:
             raise ValidationError("nonlinear_quantile must lie in [0, 1)")
 
 
+def _quantile_threshold(column: np.ndarray, q: float) -> float:
+    """The m-th smallest entry of a column, m the smallest rank with m / n > q.
+
+    ``column >= _quantile_threshold(column, q)`` is ``ecdf_values(column) > q``,
+    ties included, as m / n is divided in floats like the ECDF. np.partition
+    finds the entry in O(n).
+    """
+    n = column.size
+    m = min(int(q * n) + 1, n)
+    while m > 1 and (m - 1) / n > q:
+        m -= 1
+    while m / n <= q:
+        m += 1
+    return np.partition(column, m - 1)[m - 1]
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     data: Dataset
@@ -66,12 +82,15 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResu
 
     b = scm.coefficient_matrix()
     nonlinear = setting.kind == "nonlinear"
+    thresholds = {}  # parent -> _quantile_threshold of its column, computed once
     for j in scm.dag.topological_order:
         for parent in scm.dag.parents(j):
             col = x[:, parent]
             if nonlinear:
                 # threshold on the empirical CDF of the generated parent column
-                col = col * (ecdf_values(col) > setting.nonlinear_quantile)
+                if parent not in thresholds:
+                    thresholds[parent] = _quantile_threshold(col, setting.nonlinear_quantile)
+                col = col * (col >= thresholds[parent])
             x[:, j] += b[j, parent] * col
 
     observed = scm.observed
@@ -88,6 +107,8 @@ class GridSpec:
 
     ``memory_cap_bytes`` bounds :func:`simulation_bytes` of every drawn
     scenario; a replicate over it raises CapacityError before it simulates.
+    That also bounds the replicate's estimation, which holds its data and its
+    cached ECDF (see :func:`simulation_bytes`).
     """
 
     n_values: tuple[int, ...]
@@ -164,7 +185,9 @@ def simulation_bytes(scm: Scm, setting: SimSetting, n: int) -> int:
 
     These are the matrix over every node (hidden ones included), the copy of
     its observed columns and the Dataset's own copy, plus the stacked ECDF
-    columns under uniform margins.
+    columns under uniform margins. Estimating the Dataset later holds its
+    values and its cached ECDF, two n x p_observed arrays, which is no more
+    than this, so the count bounds a whole benchmark replicate.
     """
     copies = 3 if setting.kind == "uniform_margins" else 2
     return 8 * n * (scm.p + copies * len(scm.observed))

@@ -152,6 +152,20 @@ def test_oracle_refuses_over_cap_p_before_building_the_dag(tmp_path, capsys):
     assert "memory cap" in err and "internal error" not in err
 
 
+def test_evaluate_refuses_over_cap_p_before_building_the_dag(tmp_path, capsys):
+    truth_path = tmp_path / "scm.json"
+    truth_path.write_text(
+        '{"p": 1000000, "alpha": 1.5, "edges": [], "noise": {"family": "student_t"}}')
+    order_path = tmp_path / "o.json"
+    write_json(order_path, {"pi_inverse": ["x0", "x1"]})
+    start = time.perf_counter()
+    code = run("evaluate", "--order", order_path, "--truth", truth_path)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "memory cap" in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("broken", [
     {"noise": {"scale_upper": 1.0, "scale_lower": 1.0}},
     {"noise": {"family": 3}},

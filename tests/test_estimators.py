@@ -9,7 +9,8 @@ from heavytail import (ConfigError, Dataset, EstimatorConfig, NoiseSpec,
                        ValidationError, coefficient_matrix, ecdf_values,
                        empirical_cdf_column, gamma_estimate, psi_estimate,
                        resolve_k, sample_noise)
-from heavytail.estimators import _BLOCK_ELEMENTS, _rank_kernel, _tail_sums
+from heavytail import estimators
+from heavytail.estimators import _BLOCK_ELEMENTS, _exceedance_rows, _rank_kernel, _tail_sums
 
 from brute_oracles import brute_gamma, brute_psi
 
@@ -228,20 +229,93 @@ tied_columns = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]),
 
 
 @settings(max_examples=200, deadline=None)
-@given(tied_columns, st.data())
+@given(st.one_of(tied_columns, st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30)),
+       st.data())
 def test_rank_kernel_matches_sort_formulas(values, draw):
     # the reference: ECDF by searchsorted over a sorted copy, tails by masks
-    # over one sort of the column and one of its negation
+    # over one sort of the column and one of its negation; the tails under
+    # test are read off the kernel's ECDF
     column = np.array(values)
     n = column.size
     k = draw.draw(st.integers(1, n - 1))  # k >= n/2 makes the two tails overlap
-    cdf, upper, lower = _rank_kernel(column, k)
+    cdf = _rank_kernel(column)
     assert np.array_equal(cdf, np.searchsorted(np.sort(column), column, side="right") / n)
     assert np.array_equal(ecdf_values(column), cdf)
+    out = np.full(n, -1.0)
+    assert _rank_kernel(column, out) is out and np.array_equal(out, cdf)
     expected_upper = np.flatnonzero(column > np.sort(column)[n - k - 1])
     expected_lower = np.flatnonzero(-column > np.sort(-column)[n - k - 1])
-    assert np.array_equal(np.sort(upper), expected_upper)
-    assert np.array_equal(np.sort(lower), expected_lower)
+    assert np.array_equal(_exceedance_rows(cdf, k, psi=False), expected_upper)
+    both = _exceedance_rows(cdf, k, psi=True)
+    assert np.array_equal(both, np.concatenate([expected_upper, expected_lower]))
+
+
+def fresh_estimates(values, k):
+    """Every estimate of the values at k, each on a Dataset of its own."""
+    names = [f"x{c}" for c in range(values.shape[1])]
+    out = []
+    for kind, pair in (("gamma", gamma_estimate), ("psi", psi_estimate)):
+        config = EstimatorConfig(k=k, kind=kind)
+        out.append(coefficient_matrix(Dataset(names, values), config).values)
+        out.append(pair(Dataset(names, values), 2, 0, config))
+    return out
+
+
+def test_dataset_ranks_each_column_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    values = rng.standard_t(2.0, size=(300, 4))
+    values[:, 1] = np.round(values[:, 1])  # a tied column
+    ranked = []
+
+    def counting_kernel(column, out=None):
+        ranked.append(column.copy())
+        return _rank_kernel(column, out)
+
+    monkeypatch.setattr(estimators, "_rank_kernel", counting_kernel)
+    data = Dataset([f"x{c}" for c in range(4)], values)
+    column = values[:, 3]
+    assert np.array_equal(empirical_cdf_column(data, 3),
+                          np.searchsorted(np.sort(column), column, side="right") / 300)
+    assert len(ranked) == 1
+    ranked.clear()
+    # a pair estimate ranks its two columns only
+    first = gamma_estimate(data, 2, 0, EstimatorConfig(k=30))
+    assert len(ranked) == 2
+    shared = []
+    for k in (30, 11):  # gamma, then psi, then a second k
+        for kind, pair in (("gamma", gamma_estimate), ("psi", psi_estimate)):
+            config = EstimatorConfig(k=k, kind=kind)
+            shared.append(coefficient_matrix(data, config).values)
+            shared.append(pair(data, 2, 0, config))
+    # columns 0 and 2 were ranked by the pair estimate, 3 by the ECDF call
+    assert [c.tolist() for c in ranked] == [values[:, c].tolist() for c in (2, 0, 1)]
+    assert first == shared[1]
+    fresh = fresh_estimates(values, 30) + fresh_estimates(values, 11)
+    for a, b in zip(shared, fresh):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_cached_ecdf_is_read_only():
+    rng = np.random.default_rng(18)
+    data = Dataset(["a", "b", "c"], rng.standard_normal((50, 3)))
+    config = EstimatorConfig(k=5, kind="psi")
+    before = coefficient_matrix(data, config).values
+    u = empirical_cdf_column(data, 1)
+    assert np.array_equal(u, ecdf_values(data.column(1)))
+    with pytest.raises(ValueError):
+        u[0] = 0.0
+    with pytest.raises(ValueError):
+        u.setflags(write=True)
+    with pytest.raises(ValueError):
+        np.asarray(u)[:] = 0.5
+    with pytest.raises(ValidationError):
+        empirical_cdf_column(data, 3)
+    with pytest.raises(ValidationError):
+        empirical_cdf_column(data, -1)
+    # a second Dataset over the same values is ranked afresh and agrees
+    again = Dataset(data.names, data.values)
+    assert np.array_equal(coefficient_matrix(data, config).values, before, equal_nan=True)
+    assert np.array_equal(coefficient_matrix(again, config).values, before, equal_nan=True)
 
 
 def test_ecdf_ranks_nan_last_as_one_run():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heavytail import (CapacityError, DomainError, EstimatorConfig, GeneratorConfig,
                        GridSpec, NoiseSpec, SimSetting, ValidationError,
                        coefficient_matrix, gamma_estimate, random_scm, simulate,
-                       simulate_grid)
-from heavytail.simulate import check_memory, scenario_scm, simulation_bytes
+                       ecdf_values, simulate_grid)
+from heavytail.simulate import (_quantile_threshold, check_memory, scenario_scm,
+                                simulation_bytes)
 
 from conftest import make_chain
 
@@ -58,6 +61,28 @@ def test_nonlinear_quantile_zero_is_linear_bitwise():
     degenerate = simulate(scm, SimSetting("nonlinear", nonlinear_quantile=0.0),
                           1000, seed=4).data.values
     assert np.array_equal(linear, degenerate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 1.0, 5.0]), min_size=2, max_size=40),
+                 st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40)),
+       st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                 st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])),
+       st.integers(0, 40), st.sampled_from([-1, 0, 1]))
+@example([3.0, 3.0], 0.0, 0, 0)
+@example([1.0, -1.0], 0.5, 0, 0)
+@example([0.0, -0.0], 0.5, 0, 0)
+def test_quantile_threshold_mask_matches_ecdf_mask(values, q, rank, nudge):
+    # q is also drawn at the ECDF grid r / n and its float neighbours, where
+    # the comparison ecdf > q turns over
+    column = np.array(values)
+    n = column.size
+    if rank:
+        q = min(rank, n - 1) / n
+        if nudge:
+            q = max(float(np.nextafter(q, nudge * np.inf)), 0.0)
+    mask = column >= _quantile_threshold(column, q)
+    assert np.array_equal(mask, ecdf_values(column) > q)
 
 
 def test_nonlinear_threshold_changes_children_only():
