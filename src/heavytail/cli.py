@@ -90,7 +90,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_evaluate(args) -> int:
     doc = read_json(args.truth)
-    check_capacity(scm_node_count(doc))  # before the Dag's per-node lists are built
+    # before the Dag's per-node lists are built
+    check_capacity(scm_node_count(doc), "the truth graph")
     truth = scm_from_dict(doc)
     order_names = order_names_from_dict(read_json(args.order))
     name_to_node = {truth.node_name(j): j for j in truth.observed}

@@ -8,7 +8,10 @@ smallest node index so results are reproducible.
 
 The scores of a step are one masked column max: the diagonal and the rows of
 nodes already placed are set to -inf, so the max over each remaining column
-runs over the other remaining nodes only (and is -inf for the last node).
+runs over the other remaining nodes only (and is -inf for the last node). The
+columns of placed nodes are then set to +inf, so argmin over all p columns
+picks the smallest remaining index among the lowest scores. ease keeps only
+each step's choice; ease_trace, from the same loop, also records the scores.
 """
 
 from __future__ import annotations
@@ -30,27 +33,36 @@ class EaseStep:
 
 
 def _steps(coefs: CoefMatrix):
+    """Yield (placed mask, column max, chosen node) per step.
+
+    The mask is one array, updated in place when the next step is asked for.
+    """
     values = coefs.values
     p = coefs.p
     off_diagonal = ~np.eye(p, dtype=bool)
     if not np.isfinite(values[off_diagonal]).all():
         raise ValidationError("coefficient matrix has non-finite off-diagonal entries")
     masked = np.where(off_diagonal, values, -np.inf)
-    remaining = list(range(p))
-    while remaining:
-        # remaining stays ascending, so argmin's first minimum is the smallest index
-        column_max = masked.max(axis=0)[remaining]
-        chosen = remaining[int(np.argmin(column_max))]
-        yield EaseStep(tuple(remaining), dict(zip(remaining, column_max.tolist())), chosen)
-        remaining.remove(chosen)
+    placed = np.zeros(p, dtype=bool)
+    for _ in range(p):
+        column_max = masked.max(axis=0)
+        column_max[placed] = np.inf
+        chosen = int(np.argmin(column_max))
+        yield placed, column_max, chosen
+        placed[chosen] = True
         masked[chosen, :] = -np.inf
 
 
 def ease(coefs: CoefMatrix) -> CausalOrder:
     """Causal order recovered from a coefficient matrix."""
-    return CausalOrder([step.chosen for step in _steps(coefs)])
+    return CausalOrder([chosen for _, _, chosen in _steps(coefs)])
 
 
 def ease_trace(coefs: CoefMatrix) -> list[EaseStep]:
     """The same loop as :func:`ease`, keeping per-step scores for inspection."""
-    return list(_steps(coefs))
+    steps = []
+    for placed, column_max, chosen in _steps(coefs):
+        remaining = np.flatnonzero(~placed).tolist()
+        scores = dict(zip(remaining, column_max[remaining].tolist()))
+        steps.append(EaseStep(tuple(remaining), scores, chosen))
+    return steps

@@ -69,12 +69,15 @@ class CoefMatrix:
         return CoefMatrix(self.values[np.ix_(idx, idx)], self.kind, names, self.estimated)
 
 
-def check_capacity(p: int) -> None:
-    """Raise CapacityError if the population matrices of p nodes would exceed the cap."""
+def check_capacity(p: int, subject: str = "the population matrix") -> None:
+    """Raise CapacityError if the population matrices of p nodes would exceed the cap.
+
+    The error names ``subject``, the p-node object the caller was asked to build.
+    """
     need = 8 * _PEAK_ARRAYS * p * p
     if need > _MEMORY_CAP_BYTES:
         raise CapacityError(
-            f"the population matrix of {p} nodes needs about {need} bytes, "
+            f"{subject} of {p} nodes needs about {need} bytes, "
             f"over the memory cap of {_MEMORY_CAP_BYTES} bytes")
 
 

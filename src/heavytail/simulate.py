@@ -8,7 +8,8 @@ assignment step, which adds each node's parent terms into its noise column
 in place. The sample matrix is column-major (Fortran order), so every noise
 column written, every parent term added and every column the estimators
 rank is contiguous; the emitted Dataset keeps that layout. Hidden columns
-are generated but never emitted.
+are generated but never emitted. Under uniform margins each emitted column is
+its own max-rank ECDF, ranked here once and never again by the estimators.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._rng import as_rng, derived_seed
 from .errors import CapacityError, DomainError, ValidationError
-from .estimators import Dataset, ecdf_values
+from .estimators import _RANK_SCRATCH_COLUMNS, Dataset
 from .graph import GeneratorConfig, Scm, random_scm
 from .noise import sample_noise
 
@@ -67,15 +68,8 @@ class SimulationResult:
     truth: Scm
 
 
-def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResult:
-    """Simulate ``n`` observations of the SCM's observed variables."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if setting.kind == "hidden_confounders" and not scm.hidden:
-        raise ValidationError("hidden_confounders setting needs an SCM with hidden nodes")
-    if setting.kind in ("nonlinear", "uniform_margins") and n < 2:
-        raise DomainError(f"{setting.kind} needs n >= 2 for a non-degenerate empirical CDF")
-    rng = as_rng(seed)
+def _sample_matrix(scm: Scm, setting: SimSetting, n: int, rng) -> np.ndarray:
+    """The n x p sample of every node, hidden ones included, column-major."""
     x = np.empty((n, scm.p), order="F")
     for j in range(scm.p):
         x[:, j] = sample_noise(scm.noise[j], n, rng)
@@ -92,13 +86,29 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResu
                     thresholds[parent] = _quantile_threshold(col, setting.nonlinear_quantile)
                 col = col * (col >= thresholds[parent])
             x[:, j] += b[j, parent] * col
+    return x
 
+
+def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResult:
+    """Simulate ``n`` observations of the SCM's observed variables.
+
+    Under uniform margins the emitted values are the max-rank ECDF of each
+    simulated column, computed once: they are also the Dataset's cached
+    ECDF, so estimating it ranks nothing.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if setting.kind == "hidden_confounders" and not scm.hidden:
+        raise ValidationError("hidden_confounders setting needs an SCM with hidden nodes")
+    if setting.kind in ("nonlinear", "uniform_margins") and n < 2:
+        raise DomainError(f"{setting.kind} needs n >= 2 for a non-degenerate empirical CDF")
+    x = _sample_matrix(scm, setting, n, as_rng(seed))
     observed = scm.observed
-    data = x[:, observed]
+    data = Dataset([scm.node_name(j) for j in observed], x[:, observed])
     if setting.kind == "uniform_margins":
-        data = np.array([ecdf_values(data[:, c]) for c in range(data.shape[1])]).T
-    names = [scm.node_name(j) for j in observed]
-    return SimulationResult(data=Dataset(names, data), truth=scm)
+        del x  # before the columns are ranked, as simulation_bytes counts
+        data = data._ecdf_dataset()
+    return SimulationResult(data=data, truth=scm)
 
 
 @dataclass(frozen=True)
@@ -107,8 +117,8 @@ class GridSpec:
 
     ``memory_cap_bytes`` bounds :func:`simulation_bytes` of every drawn
     scenario; a replicate over it raises CapacityError before it simulates.
-    That also bounds the replicate's estimation, which holds its data and its
-    cached ECDF (see :func:`simulation_bytes`).
+    The count covers the replicate's ranks too, whether simulate or the
+    estimators compute them (see :func:`simulation_bytes`).
     """
 
     n_values: tuple[int, ...]
@@ -181,16 +191,20 @@ def scenario_streams(seed, n: int, p: int, alpha: float, rep: int):
 
 
 def simulation_bytes(scm: Scm, setting: SimSetting, n: int) -> int:
-    """Bytes of the n-row arrays :func:`simulate` holds at once for this SCM.
+    """Bytes of the n-row arrays a replicate of this SCM holds at once.
 
-    These are the matrix over every node (hidden ones included), the copy of
-    its observed columns and the Dataset's own copy, plus the stacked ECDF
-    columns under uniform margins. Estimating the Dataset later holds its
-    values and its cached ECDF, two n x p_observed arrays, which is no more
-    than this, so the count bounds a whole benchmark replicate.
+    :func:`simulate` holds the matrix over every node (hidden ones included),
+    the copy of its observed columns and the Dataset's own copy: p + 2 p_obs
+    columns of n float64 values. Ranking a Dataset's columns holds its values,
+    its ECDF and the rank kernel's scratch: 2 p_obs + _RANK_SCRATCH_COLUMNS.
+    Estimation ranks the Dataset of every setting but uniform margins, which
+    simulate ranks itself after dropping the full matrix, so the count,
+    2 p_obs + max(p, _RANK_SCRATCH_COLUMNS), is the same for every setting and
+    bounds simulate and the replicate's ranking alike. Estimation's tail
+    gathers add a scratch of at most 2**16 weights, unless one column's tails
+    alone are longer.
     """
-    copies = 3 if setting.kind == "uniform_margins" else 2
-    return 8 * n * (scm.p + copies * len(scm.observed))
+    return 8 * n * (2 * len(scm.observed) + max(scm.p, _RANK_SCRATCH_COLUMNS))
 
 
 def check_memory(scm: Scm, setting: SimSetting, n: int, cap_bytes: int) -> None:

@@ -164,6 +164,7 @@ def test_evaluate_refuses_over_cap_p_before_building_the_dag(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "memory cap" in err and "internal error" not in err
+    assert "the truth graph of 1000000 nodes" in err and "population" not in err
 
 
 @pytest.mark.parametrize("broken", [

@@ -2,9 +2,12 @@ import importlib.resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heavytail import (CoefMatrix, EstimatorConfig, ValidationError, ease,
-                       ease_trace, gamma_population, mistake_rate, validate_order)
+from heavytail import (CoefMatrix, EstimatorConfig, GeneratorConfig, ValidationError,
+                       ease, ease_trace, gamma_population, mistake_bound_margin,
+                       mistake_rate, random_scm, validate_order)
 from heavytail.ease import EaseStep
 from heavytail.formats import matrix_from_dict, read_json
 
@@ -112,6 +115,31 @@ def test_population_correctness_with_hidden_nodes():
         assert validate_order(scm.dag, order, observed_only=True).valid
         checked += 1
     assert checked > 30
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([1.0, 1.5, 2.5]),
+       st.sampled_from(["intervals", "four_point"]), st.integers(0, 2**32 - 1), st.data())
+def test_perturbation_inside_error_bound_gives_valid_order(p, alpha, law, seed, draw):
+    # the paper's bound: with M the largest coefficient over non-ancestral
+    # pairs, estimates within (1 - M) / 2 of the population matrix give a
+    # valid order
+    config = GeneratorConfig(mode="positive", coefficient_law=law)
+    scm = random_scm(p, alpha, config, seed=seed)
+    population = gamma_population(scm).values
+    # just inside the bound, so rounding the perturbed entries cannot close
+    # the gap between a root's score and a non-root's
+    scale = (1.0 - mistake_bound_margin(scm)) / 2 * (1.0 - 2.0 ** -30)
+    if draw.draw(st.booleans(), label="adversarial"):
+        # the worst case: every ancestral coefficient (exactly 1) pushed
+        # down, every other one pushed up
+        unit = np.where(population == 1.0, -1.0, 1.0)
+    else:
+        entries = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+        unit = np.array(draw.draw(st.lists(entries, min_size=p * p, max_size=p * p),
+                                  label="unit perturbation")).reshape(p, p)
+    order = ease(CoefMatrix(population + scale * unit, "gamma"))
+    assert validate_order(scm.dag, order).violations == ()
 
 
 def reference_steps(values):

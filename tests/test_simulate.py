@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +9,10 @@ from heavytail import (CapacityError, DomainError, EstimatorConfig, GeneratorCon
                        GridSpec, NoiseSpec, SimSetting, ValidationError,
                        coefficient_matrix, gamma_estimate, random_scm, simulate,
                        ecdf_values, simulate_grid)
-from heavytail.simulate import (_quantile_threshold, check_memory, scenario_scm,
-                                simulation_bytes)
+from heavytail import estimators
+from heavytail.estimators import _rank_kernel
+from heavytail.simulate import (SETTINGS, _quantile_threshold, check_memory,
+                                effective_setting, scenario_scm, simulation_bytes)
 
 from conftest import make_chain
 
@@ -170,10 +174,57 @@ def test_memory_cap_counts_hidden_nodes_and_copies():
     n = 100
     need = simulation_bytes(scm, setting, n)
     assert need == 8 * n * (scm.p + 2 * len(scm.observed))
-    assert simulation_bytes(scm, SimSetting("uniform_margins"), n) == need + 8 * n * 8
+    # the same for every setting: uniform margins ranks in simulate what the
+    # estimators rank for the others
+    assert simulation_bytes(scm, SimSetting("uniform_margins"), n) == need
+    # below 7 nodes the rank kernel's scratch, not the full matrix, sets it
+    chain = make_chain([1.0, 1.0])
+    assert simulation_bytes(chain, SimSetting("linear"), n) == 8 * n * (2 * 3 + 7)
     check_memory(scm, setting, n, need)
     with pytest.raises(CapacityError):
         check_memory(scm, setting, n, need - 1)
+
+
+@pytest.mark.parametrize("kind", SETTINGS)
+@pytest.mark.parametrize("p", [1, 2, 4, 10])
+def test_memory_cap_bounds_what_simulate_allocates(kind, p):
+    n = 20_000
+    setting = SimSetting(kind)
+    for seed in range(2):
+        scm = scenario_scm(p, 1.5, setting, seed)
+        drawn = effective_setting(scm, setting)
+        tracemalloc.start()
+        try:
+            data = simulate(scm, drawn, n, seed).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulation_bytes(scm, drawn, n) + 64 * 1024
+        assert data.n == n
+
+
+def test_uniform_margins_ranks_each_column_once(monkeypatch):
+    scm = random_scm(6, 1.5, GeneratorConfig(hidden_confounders=True), seed=2)
+    assert scm.hidden
+    ranked = []
+
+    def counting_kernel(column, out=None):
+        ranked.append(column.copy())
+        return _rank_kernel(column, out)
+
+    monkeypatch.setattr(estimators, "_rank_kernel", counting_kernel)
+    linear = simulate(scm, SimSetting("hidden_confounders"), 3000, seed=8).data
+    assert ranked == []
+    uniform = simulate(scm, SimSetting("uniform_margins"), 3000, seed=8).data
+    assert [c.tolist() for c in ranked] == [
+        linear.values[:, c].tolist() for c in range(linear.p)]
+    ranked.clear()
+    for kind in ("gamma", "psi"):
+        coefficient_matrix(uniform, EstimatorConfig(kind=kind))
+    assert ranked == []
+    for c in range(linear.p):
+        assert np.array_equal(uniform.values[:, c], ecdf_values(linear.values[:, c]))
+    assert not uniform.values.flags.writeable
 
 
 def test_mixed_noise_families_supported():
