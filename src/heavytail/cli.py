@@ -15,7 +15,7 @@ from . import __version__
 from .ease import ease
 from .errors import ValidationError
 from .estimators import EstimatorConfig, coefficient_matrix
-from .evaluate import benchmark, score_order
+from .evaluate import benchmark, check_score_capacity, score_order
 from .formats import (dataset_from_csv, dataset_to_csv, matrix_from_dict,
                       matrix_to_dict, meta_block, order_names_from_dict,
                       order_to_dict, read_json, results_to_csv, scm_from_dict,
@@ -91,7 +91,7 @@ def cmd_oracle(args) -> int:
 def cmd_evaluate(args) -> int:
     doc = read_json(args.truth)
     # before the Dag's per-node lists are built
-    check_capacity(scm_node_count(doc), "the truth graph")
+    check_score_capacity(scm_node_count(doc))
     truth = scm_from_dict(doc)
     order_names = order_names_from_dict(read_json(args.order))
     name_to_node = {truth.node_name(j): j for j in truth.observed}

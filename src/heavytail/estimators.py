@@ -10,19 +10,22 @@ threshold can only shrink the count below k. The two-tailed variant averages
 sigma(u) = |2u - 1| over the upper exceedances of the column and of its
 negation, each with weight 1 / (2k).
 
-A Dataset ranks each column at most once: the first estimate that needs a
-column fills it into the Dataset's read-only n x p ECDF array (max rank over
-n), which every later estimate reads, whatever its kind or k. The array costs
-one n x p float64 copy of the data and is held as long as the Dataset is, once
-it has been estimated. Both tails are read off the ECDF column u: the max-rank
-ECDF r / n is strictly increasing across distinct values, so the rows above
-the order statistic s[n-k-1] are those with r > n - k, less the rows tied at
-s[n-k] when s[n-k-1] ties it too, and the rows below s[k], the upper
-exceedances of the negated column, are those with r <= k; each is one
-comparison of u with a point of the rank grid. The matrix concatenates every
-conditioning column's tail rows into one index array and gathers the ECDF of
-all averaged columns at those rows, a block of conditioning columns at a
-time; psi's |2u - 1| is applied to each gathered block.
+The estimates depend on the sample only through each column's max ranks r,
+whose ECDF is r / n. A Dataset ranks each column at most once: the first
+estimate that needs a column fills it into the Dataset's read-only n x p rank
+array, which every later estimate reads, whatever its kind or k. The ranks
+are stored in np.min_scalar_type(n), the narrowest unsigned integer that
+holds n (uint8 up to n = 255, uint16 up to 65535, then uint32), so the cache
+costs 1, 2 or 4 bytes per entry and is held as long as the Dataset is, once
+it has been estimated. Both tails are read off the rank column r: the rows
+above the order statistic s[n-k-1] are those with r > n - k, less the rows
+tied at s[n-k] when s[n-k-1] ties it too, and the rows below s[k], the upper
+exceedances of the negated column, are those with r <= k; each is one integer
+comparison. The matrix concatenates every conditioning column's tail rows
+into one index array and gathers the ranks of all averaged columns at those
+rows, a block of conditioning columns at a time; only the gathered ranks are
+divided by n, in float64, which gives exactly the ECDF values fl(r / n), and
+psi's |2u - 1| is applied to each gathered block.
 
 Sums are exact: every weight is an integer multiple of a power of two, so
 cutting the weights into limbs narrow enough that no slice's limb sum reaches
@@ -52,11 +55,25 @@ _BLOCK_ELEMENTS = 1 << 16
 class Dataset:
     """Immutable n x p numeric sample with named columns.
 
-    Its ECDF is computed lazily, a column at a time, and kept (see ``_ecdf``).
+    Its max ranks are computed lazily, a column at a time, and kept (see
+    ``_ranks``).
     """
 
     def __init__(self, names, values):
-        values = np.array(values, dtype=float)
+        self._init(names, np.array(values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, names, values: np.ndarray) -> "Dataset":
+        """A Dataset over the float64 array ``values`` itself, not a copy of it.
+
+        The caller hands the array over: it is made read-only here and must
+        not be written through any other reference.
+        """
+        data = cls.__new__(cls)
+        data._init(names, values)
+        return data
+
+    def _init(self, names, values: np.ndarray) -> None:
         if values.ndim != 2:
             raise ValidationError("values must be a 2-D array")
         if values.shape[0] < 1:
@@ -73,7 +90,7 @@ class Dataset:
         values.setflags(write=False)
         self.names = names
         self.values = values
-        self._cdf = None  # n x p, F-order, read-only; column c valid once _ranked[c]
+        self._rank_cache = None  # n x p, F-order, read-only; column c valid once _ranked[c]
         self._ranked = None
 
     @property
@@ -89,37 +106,37 @@ class Dataset:
             raise ValidationError(f"column {j} out of range for p={self.p}")
         return self.values[:, j]
 
-    def _ecdf(self, columns) -> np.ndarray:
-        """The read-only n x p ECDF array, with at least ``columns`` filled in.
+    def _ranks(self, columns) -> np.ndarray:
+        """The read-only n x p max-rank array, with at least ``columns`` filled in.
 
-        A column is ranked the first time it is asked for; columns not yet
-        asked for hold arbitrary values.
+        Its dtype is _rank_dtype(n). A column is ranked the first time it is
+        asked for; columns not yet asked for hold arbitrary values.
         """
         for j in columns:
             column = self.column(j)
-            if self._cdf is None:
-                self._cdf = np.empty((self.n, self.p), order="F")
-                self._cdf.setflags(write=False)
+            if self._rank_cache is None:
+                self._rank_cache = np.empty((self.n, self.p), _rank_dtype(self.n), order="F")
+                self._rank_cache.setflags(write=False)
                 self._ranked = np.zeros(self.p, dtype=bool)
             if not self._ranked[j]:
-                self._cdf.setflags(write=True)
+                self._rank_cache.setflags(write=True)
                 try:
-                    _rank_kernel(column, self._cdf[:, j])
+                    _rank_kernel(column, self._rank_cache[:, j])
                 finally:
-                    self._cdf.setflags(write=False)
+                    self._rank_cache.setflags(write=False)
                 self._ranked[j] = True
-        return self._cdf
+        return self._rank_cache
 
     def _ecdf_dataset(self) -> "Dataset":
-        """A Dataset whose values are this one's ECDF, every column already ranked.
+        """A Dataset whose values are this one's ECDF r / n, its ranks already cached.
 
-        The max-rank ECDF of an ECDF column is that column, bit for bit (r / n
-        is strictly increasing in r), so the read-only ECDF array serves as
-        both the new values and their cache.
+        r / n is strictly increasing in r, so the max ranks of the ECDF
+        columns are the ranks of this Dataset's columns: the rank array serves
+        as the new Dataset's cache and nothing is ranked twice.
         """
-        cdf = self._ecdf(range(self.p))
-        ranked = Dataset.__new__(Dataset)
-        ranked.names, ranked.values, ranked._cdf = self.names, cdf, cdf
+        ranks = self._ranks(range(self.p))
+        ranked = Dataset._adopt(self.names, _ecdf_from_ranks(ranks, self.n))
+        ranked._rank_cache = ranks
         ranked._ranked = np.ones(self.p, dtype=bool)
         return ranked
 
@@ -169,79 +186,105 @@ def resolve_k(n: int, config: EstimatorConfig) -> int:
 
 
 # Columns of n 8-byte values that _rank_kernel's scratch can reach at once,
-# rounded up: the argsort order and the sorted copy, then on a tied column the
-# run ends, their lengths, the repeated ranks and their quotient, plus the
-# boundary mask (tracemalloc read 6.13 columns, 4.21 on a tie-free column).
-_RANK_SCRATCH_COLUMNS = 7
+# rounded up: the argsort order and the sorted copy, the tie mask and one run
+# of ranks in the rank dtype, under 5 bytes per row at n < 2**32
+# (tracemalloc read 2.63 columns, on tied and on tie-free columns).
+_RANK_SCRATCH_COLUMNS = 3
+
+
+def _rank_dtype(n: int) -> np.dtype:
+    """The dtype of the max ranks of n rows: the narrowest unsigned integer that holds n."""
+    return np.min_scalar_type(n)
 
 
 def _rank_kernel(column: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """ECDF of a column at its own entries, max rank over n, from one sort.
+    """Max ranks of a column's entries (1..n; ties share the largest), from one sort.
 
-    Without ties (and NaN) the ranks are 1..n in sort order; otherwise they
-    come from the run lengths of equal values. Written to ``out`` if given.
+    Without ties (and NaN) the ranks are 1..n in sort order. Otherwise the
+    rank of a sorted entry is one past the end of its run of equal values:
+    each run's end holds its own rank, every other entry n, and a running
+    minimum from the right carries the end's rank back over its run. Written
+    to ``out`` (an integer array that holds n) if given, else to a new array
+    of _rank_dtype(n).
     """
     n = column.size
+    ranks = np.empty(n, _rank_dtype(n)) if out is None else out
     order = np.argsort(column)
     s = column[order]
-    cdf = np.empty(n) if out is None else out
-    boundary = s[1:] != s[:-1]
-    nan = n and s[-1] != s[-1]
-    if not nan and boundary.all():
-        cdf[order] = np.arange(1, n + 1) / n
-        return cdf
-    if nan:
+    tied = s[1:] == s[:-1]
+    if n and s[-1] != s[-1]:
         # NaNs sort last and form one run, as searchsorted ranks them
-        boundary[np.argmax(s != s):] = False
-    run_ends = np.append(np.flatnonzero(boundary), n - 1)
-    cdf[order] = np.repeat(run_ends + 1, np.diff(run_ends, prepend=-1)) / n
-    return cdf
+        tied[np.argmax(s != s):] = True
+    elif not tied.any():
+        ranks[order] = np.arange(1, n + 1, dtype=ranks.dtype)
+        return ranks
+    del s
+    run = np.arange(1, n + 1, dtype=ranks.dtype)
+    run[:-1][tied] = n
+    np.minimum.accumulate(run[::-1], out=run[::-1])
+    ranks[order] = run
+    return ranks
+
+
+def _ecdf_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
+    """The ECDF r / n of max ranks r among n rows, as float64.
+
+    The ranks are converted to float64 (exactly) before the division,
+    whatever their dtype or numpy's casting rules, so each value is exactly
+    fl(r / n); converting with astype and dividing in place also spares the
+    ufunc its casting buffer.
+    """
+    u = ranks.astype(np.float64)
+    u /= n
+    return u
 
 
 def ecdf_values(column: np.ndarray) -> np.ndarray:
     """Empirical CDF of a column evaluated at its own entries (max rank on ties)."""
-    return _rank_kernel(np.asarray(column, dtype=float))
+    column = np.asarray(column, dtype=float)
+    return _ecdf_from_ranks(_rank_kernel(column), column.size)
 
 
 def empirical_cdf_column(data: Dataset, j: int) -> np.ndarray:
-    """Read-only view of column j of the dataset's cached ECDF."""
-    return data._ecdf((j,))[:, j]
+    """Read-only view of the ECDF of column j, from the dataset's cached ranks."""
+    u = _ecdf_from_ranks(data._ranks((j,))[:, j], data.n)
+    u.setflags(write=False)
+    return u.view()  # a view of a read-only array cannot be made writeable
 
 
-def _exceedance_rows(u: np.ndarray, k: int, psi: bool) -> np.ndarray:
-    """Tail rows of a column, read off its ECDF column u = r / n.
+def _exceedance_rows(r: np.ndarray, k: int, psi: bool) -> np.ndarray:
+    """Tail rows of a column, read off its max ranks r.
 
     The upper rows are those strictly above the order statistic s[n-k-1]: the
     rows with r > n - k hold the k or more entries >= s[n-k], and when they
-    are more than k, s[n-k-1] ties s[n-k], so the rows at their smallest u
+    are more than k, s[n-k-1] ties s[n-k], so the rows at their smallest r
     are dropped. For psi they are followed by the lower rows, those strictly
-    below s[k], i.e. with r <= k. Ties are included either way, and comparing
-    u with (n - k) / n or (k + 1) / n compares r with n - k or k + 1, since
-    r / n is injective and increasing in r.
+    below s[k], i.e. with r <= k. Ties are included either way.
     """
-    n = u.size
-    rows = np.flatnonzero(u > (n - k) / n)
+    n = r.size
+    rows = np.flatnonzero(r > n - k)
     if rows.size > k:
-        top = u[rows]
+        top = r[rows]
         rows = rows[top != top.min()]
     if psi:
-        rows = np.concatenate([rows, np.flatnonzero(u < (k + 1) / n)])
+        rows = np.concatenate([rows, np.flatnonzero(r <= k)])
     return rows
 
 
-def _tail_sums(weights: np.ndarray, rows: np.ndarray, bounds, divisor: int,
+def _tail_sums(ranks: np.ndarray, rows: np.ndarray, bounds, divisor: int,
                psi: bool = False) -> np.ndarray:
-    """Correctly rounded sums of weights[rows] over consecutive row slices, over divisor.
+    """Correctly rounded sums of the ECDF at ranks[rows] over consecutive row slices, over divisor.
 
-    ``weights`` is n x m with entries in [0, 1]; entry [i, c] of the result
-    sums column c over rows[bounds[i]:bounds[i + 1]]. With ``psi`` each
-    gathered weight u counts as |2u - 1| instead. Rows are gathered for
-    blocks of slices holding at most _BLOCK_ELEMENTS weights (a longer slice
-    is gathered alone), and each block is summed exactly by _slice_sums.
+    ``ranks`` is n x m, max ranks in 0..n, so each weight r / n lies in
+    [0, 1]; entry [i, c] of the result sums column c over
+    rows[bounds[i]:bounds[i + 1]]. With ``psi`` each gathered weight u counts
+    as |2u - 1| instead. Rows are gathered for blocks of slices holding at
+    most _BLOCK_ELEMENTS weights (a longer slice is gathered alone), and each
+    block is summed exactly by _slice_sums.
     """
     bounds = np.asarray(bounds)
     sizes = np.diff(bounds)
-    m = weights.shape[1]
+    m = ranks.shape[1]
     out = np.zeros((sizes.size, m))
     limit = max(_BLOCK_ELEMENTS // m, 1)  # rows per block
     longest = int(sizes.max(initial=0))
@@ -253,7 +296,7 @@ def _tail_sums(weights: np.ndarray, rows: np.ndarray, bounds, divisor: int,
         # nonempty slices are summed; the others keep their zero sum
         filled = a + np.flatnonzero(sizes[a:b])
         if filled.size:
-            block = weights[rows[bounds[a]:bounds[b]]]
+            block = _ecdf_from_ranks(ranks[rows[bounds[a]:bounds[b]]], ranks.shape[0])
             if psi:
                 block *= 2.0
                 block -= 1.0
@@ -303,9 +346,9 @@ def _pair_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig,
     if j == k_col:
         raise ValidationError("conditioning and averaged columns must differ")
     k = resolve_k(data.n, config)
-    cdf = data._ecdf((j, k_col))
-    rows = _exceedance_rows(cdf[:, j], k, psi)
-    sums = _tail_sums(cdf[:, k_col:k_col + 1], rows, [0, rows.size], 2 * k if psi else k, psi)
+    ranks = data._ranks((j, k_col))
+    rows = _exceedance_rows(ranks[:, j], k, psi)
+    sums = _tail_sums(ranks[:, k_col:k_col + 1], rows, [0, rows.size], 2 * k if psi else k, psi)
     return float(sums[0, 0])
 
 
@@ -322,16 +365,16 @@ def psi_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig) -> 
 def coefficient_matrix(data: Dataset, config: EstimatorConfig) -> CoefMatrix:
     """All ordered off-diagonal coefficient estimates.
 
-    Every column's cached ECDF is reused across the p * (p - 1) pairs;
+    Every column's cached ranks are reused across the p * (p - 1) pairs;
     entry [j, k] conditions on column j and averages column k.
     """
     if data.p < 2:
         raise ValidationError("coefficient estimation needs at least two columns")
     k = resolve_k(data.n, config)
     psi = config.kind == "psi"
-    cdf = data._ecdf(range(data.p))
-    tails = [_exceedance_rows(cdf[:, c], k, psi) for c in range(data.p)]
+    ranks = data._ranks(range(data.p))
+    tails = [_exceedance_rows(ranks[:, c], k, psi) for c in range(data.p)]
     bounds = np.cumsum([0] + [t.size for t in tails])
-    values = _tail_sums(cdf, np.concatenate(tails), bounds, 2 * k if psi else k, psi)
+    values = _tail_sums(ranks, np.concatenate(tails), bounds, 2 * k if psi else k, psi)
     np.fill_diagonal(values, np.nan)
     return CoefMatrix(values, config.kind, data.names, estimated=True)

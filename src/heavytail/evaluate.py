@@ -20,6 +20,7 @@ from .ease import ease
 from .errors import ValidationError
 from .estimators import Dataset, EstimatorConfig, coefficient_matrix, resolve_k
 from .graph import CausalOrder, Scm
+from .oracle import _check_bytes
 from .simulate import (GridSpec, Scenario, SimSetting, effective_setting, scenario_streams,
                        simulate, simulate_grid)
 
@@ -27,6 +28,18 @@ METHODS = ("ease_gamma", "ease_psi", "random_order")
 
 RESULT_HEADER = ("scenario_id", "setting", "n", "p", "alpha", "method",
                  "mean_violation_fraction", "se", "mistake_rate", "wall_ms")
+
+
+# Bytes per p**2 that score_order holds at its peak on a truth of p nodes
+# when every pair is ancestral, its worst case: the ancestor sets and the
+# list of pair tuples (tracemalloc: 54.0 to 55.2 on chains, 58.3 to 59.0 on
+# complete DAGs, p from 250 to 1000), rounded up.
+_SCORE_BYTES_PER_PAIR = 64
+
+
+def check_score_capacity(p: int) -> None:
+    """Raise CapacityError if scoring an order against a truth of p nodes would exceed the cap."""
+    _check_bytes(_SCORE_BYTES_PER_PAIR * p * p, f"the truth graph of {p} nodes")
 
 
 @dataclass(frozen=True)

@@ -69,15 +69,16 @@ class CoefMatrix:
         return CoefMatrix(self.values[np.ix_(idx, idx)], self.kind, names, self.estimated)
 
 
-def check_capacity(p: int, subject: str = "the population matrix") -> None:
-    """Raise CapacityError if the population matrices of p nodes would exceed the cap.
+def check_capacity(p: int) -> None:
+    """Raise CapacityError if the population matrices of p nodes would exceed the cap."""
+    _check_bytes(8 * _PEAK_ARRAYS * p * p, f"the population matrix of {p} nodes")
 
-    The error names ``subject``, the p-node object the caller was asked to build.
-    """
-    need = 8 * _PEAK_ARRAYS * p * p
+
+def _check_bytes(need: int, subject: str) -> None:
+    """Raise CapacityError naming ``subject`` if ``need`` bytes exceed the cap."""
     if need > _MEMORY_CAP_BYTES:
         raise CapacityError(
-            f"{subject} of {p} nodes needs about {need} bytes, "
+            f"{subject} needs about {need} bytes, "
             f"over the memory cap of {_MEMORY_CAP_BYTES} bytes")
 
 
@@ -185,19 +186,24 @@ def classify_pair(coefs: CoefMatrix, i: int, j: int, tol: float | None = None) -
     return INDETERMINATE
 
 
-def mistake_bound_margin(scm: Scm) -> float:
-    """Largest coefficient over non-ancestral ordered pairs; strictly below 1.
+def mistake_bound_margin(scm: Scm, kind: str = "gamma") -> float:
+    """Largest population coefficient over non-ancestral ordered pairs; strictly below 1.
 
-    The gap to 1 controls how accurately coefficients must be estimated before
+    The pairs run over the observed nodes, the submatrix EASE sees, with
+    ancestry taken in the full graph; ``kind`` picks gamma_population or
+    psi_population. When every estimate lies within (1 - M) / 2 of its
+    population value, M being this margin, EASE returns a valid order: the
+    gap to 1 controls how accurately coefficients must be estimated before
     greedy root extraction can be led astray.
     """
-    if scm.p < 2:
-        raise ValidationError("margin needs at least two nodes")
-    gamma = gamma_population(scm).values
-    worst = 0.0
-    for i in range(scm.p):
-        for j in range(scm.p):
-            if i == j or i in scm.dag.strict_ancestors(j):
-                continue
-            worst = max(worst, float(gamma[i, j]))
-    return worst
+    if kind not in KINDS:
+        raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
+    observed = np.array(scm.observed)
+    if observed.size < 2:
+        raise ValidationError("margin needs at least two observed nodes")
+    population = gamma_population(scm) if kind == "gamma" else psi_population(scm)
+    pairs = np.ix_(observed, observed)
+    # [i, j] conditions on i; the pair is non-ancestral unless i is in An(j),
+    # which also rules out the diagonal
+    non_ancestral = ~_ancestor_indicator(scm).T[pairs]
+    return float(population.values[pairs][non_ancestral].max())

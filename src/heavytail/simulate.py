@@ -1,15 +1,17 @@
 """Data generation from SCMs under the four experimental settings.
 
-Columns are generated in topological order. The full noise matrix is drawn
+Columns are generated in topological order. The noise of every node is drawn
 up front (one column per node in index order from a single stream), so the
 linear, nonlinear, and uniform-margins settings applied to the same SCM and
 seed share identical noise; the settings differ only in the deterministic
 assignment step, which adds each node's parent terms into its noise column
-in place. The sample matrix is column-major (Fortran order), so every noise
-column written, every parent term added and every column the estimators
-rank is contiguous; the emitted Dataset keeps that layout. Hidden columns
-are generated but never emitted. Under uniform margins each emitted column is
-its own max-rank ECDF, ranked here once and never again by the estimators.
+in place. Observed nodes are sampled straight into the column-major (Fortran
+order) array the emitted Dataset adopts without a copy, hidden nodes into a
+second array that is dropped on return; every noise column written, every
+parent term added and every column the estimators rank is contiguous. Under
+uniform margins each emitted column is its own max-rank ECDF: simulate ranks
+each column once, and the ranks become the Dataset's rank cache, so the
+estimators never rank them again.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 
 from ._rng import as_rng, derived_seed
 from .errors import CapacityError, DomainError, ValidationError
-from .estimators import _RANK_SCRATCH_COLUMNS, Dataset
+from .estimators import _RANK_SCRATCH_COLUMNS, Dataset, _rank_dtype
 from .graph import GeneratorConfig, Scm, random_scm
-from .noise import sample_noise
+from .noise import _SAMPLE_BYTES_PER_ROW, sample_noise
 
 SETTINGS = ("linear", "hidden_confounders", "nonlinear", "uniform_margins")
 
@@ -68,33 +70,44 @@ class SimulationResult:
     truth: Scm
 
 
-def _sample_matrix(scm: Scm, setting: SimSetting, n: int, rng) -> np.ndarray:
-    """The n x p sample of every node, hidden ones included, column-major."""
-    x = np.empty((n, scm.p), order="F")
+def _sample_observed(scm: Scm, setting: SimSetting, n: int, rng) -> np.ndarray:
+    """The n x p_obs sample of the observed nodes, column-major.
+
+    Hidden nodes are sampled into an array of their own, dropped on return.
+    Each node is written through its own column view, so the noise order
+    and the per-column arithmetic are those of one n x p matrix.
+    """
+    observed = np.empty((n, len(scm.observed)), order="F")
+    hidden = np.empty((n, len(scm.hidden)), order="F")
+    x = [None] * scm.p  # node -> its column
+    for array, nodes in ((observed, scm.observed), (hidden, sorted(scm.hidden))):
+        for c, j in enumerate(nodes):
+            x[j] = array[:, c]
     for j in range(scm.p):
-        x[:, j] = sample_noise(scm.noise[j], n, rng)
+        x[j][:] = sample_noise(scm.noise[j], n, rng)
 
     b = scm.coefficient_matrix()
     nonlinear = setting.kind == "nonlinear"
     thresholds = {}  # parent -> _quantile_threshold of its column, computed once
     for j in scm.dag.topological_order:
         for parent in scm.dag.parents(j):
-            col = x[:, parent]
+            col = x[parent]
             if nonlinear:
                 # threshold on the empirical CDF of the generated parent column
                 if parent not in thresholds:
                     thresholds[parent] = _quantile_threshold(col, setting.nonlinear_quantile)
                 col = col * (col >= thresholds[parent])
-            x[:, j] += b[j, parent] * col
-    return x
+            x[j] += b[j, parent] * col
+    return observed
 
 
 def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResult:
     """Simulate ``n`` observations of the SCM's observed variables.
 
-    Under uniform margins the emitted values are the max-rank ECDF of each
-    simulated column, computed once: they are also the Dataset's cached
-    ECDF, so estimating it ranks nothing.
+    The Dataset adopts the sampled array without copying it. Under uniform
+    margins the emitted values are the max-rank ECDF of each simulated
+    column, computed once from the ranks the Dataset then caches, so
+    estimating it ranks nothing.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -102,11 +115,11 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResu
         raise ValidationError("hidden_confounders setting needs an SCM with hidden nodes")
     if setting.kind in ("nonlinear", "uniform_margins") and n < 2:
         raise DomainError(f"{setting.kind} needs n >= 2 for a non-degenerate empirical CDF")
-    x = _sample_matrix(scm, setting, n, as_rng(seed))
-    observed = scm.observed
-    data = Dataset([scm.node_name(j) for j in observed], x[:, observed])
+    # no local keeps the sampled array, so under uniform margins the raw
+    # columns die with the Dataset they were ranked from
+    data = Dataset._adopt([scm.node_name(j) for j in scm.observed],
+                          _sample_observed(scm, setting, n, as_rng(seed)))
     if setting.kind == "uniform_margins":
-        del x  # before the columns are ranked, as simulation_bytes counts
         data = data._ecdf_dataset()
     return SimulationResult(data=data, truth=scm)
 
@@ -117,8 +130,10 @@ class GridSpec:
 
     ``memory_cap_bytes`` bounds :func:`simulation_bytes` of every drawn
     scenario; a replicate over it raises CapacityError before it simulates.
-    The count covers the replicate's ranks too, whether simulate or the
-    estimators compute them (see :func:`simulation_bytes`).
+    The count covers simulate's columns of every node and its temporaries,
+    and the replicate's ranking too, whether simulate or the estimators do
+    it: one float64 and one compact rank column per observed node, plus the
+    rank kernel's scratch (see :func:`simulation_bytes`).
     """
 
     n_values: tuple[int, ...]
@@ -193,18 +208,28 @@ def scenario_streams(seed, n: int, p: int, alpha: float, rep: int):
 def simulation_bytes(scm: Scm, setting: SimSetting, n: int) -> int:
     """Bytes of the n-row arrays a replicate of this SCM holds at once.
 
-    :func:`simulate` holds the matrix over every node (hidden ones included),
-    the copy of its observed columns and the Dataset's own copy: p + 2 p_obs
-    columns of n float64 values. Ranking a Dataset's columns holds its values,
-    its ECDF and the rank kernel's scratch: 2 p_obs + _RANK_SCRATCH_COLUMNS.
-    Estimation ranks the Dataset of every setting but uniform margins, which
-    simulate ranks itself after dropping the full matrix, so the count,
-    2 p_obs + max(p, _RANK_SCRATCH_COLUMNS), is the same for every setting and
-    bounds simulate and the replicate's ranking alike. Estimation's tail
-    gathers add a scratch of at most 2**16 weights, unless one column's tails
-    alone are longer.
+    :func:`simulate` holds one float64 column per node, p in all (the
+    observed ones in the array the Dataset adopts, the hidden ones in a
+    second array), plus its largest temporary: a noise draw, whose bytes per
+    row depend on the family (noise._SAMPLE_BYTES_PER_ROW), or the parent
+    term being added, one column (two under the nonlinear setting, where the
+    thresholded parent column is a second). Ranking a Dataset holds its p_obs
+    float64 columns, its p_obs rank columns of _rank_dtype(n) and the
+    rank kernel's scratch, _RANK_SCRATCH_COLUMNS float64 columns; under
+    uniform margins simulate ranks the Dataset itself and then builds its
+    ECDF, p_obs more float64 columns, before the raw columns are dropped.
+    The count is the larger of the two phases. Estimation's tail gathers add
+    a scratch of at most 2**16 weights, unless one column's tails alone are
+    longer.
     """
-    return 8 * n * (2 * len(scm.observed) + max(scm.p, _RANK_SCRATCH_COLUMNS))
+    p_obs = len(scm.observed)
+    sampling = max(_SAMPLE_BYTES_PER_ROW[spec.family] for spec in scm.noise)
+    assigning = 8 * (2 if setting.kind == "nonlinear" else 1)
+    simulating = 8 * scm.p + max(sampling, assigning)
+    ecdf = p_obs if setting.kind == "uniform_margins" else 0
+    ranking = ((8 + _rank_dtype(n).itemsize) * p_obs
+               + 8 * max(_RANK_SCRATCH_COLUMNS, ecdf))
+    return n * max(simulating, ranking)
 
 
 def check_memory(scm: Scm, setting: SimSetting, n: int, cap_bytes: int) -> None:

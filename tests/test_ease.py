@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from heavytail import (CoefMatrix, EstimatorConfig, GeneratorConfig, ValidationError,
                        ease, ease_trace, gamma_population, mistake_bound_margin,
-                       mistake_rate, random_scm, validate_order)
+                       mistake_rate, psi_population, random_scm, validate_order)
 from heavytail.ease import EaseStep
 from heavytail.formats import matrix_from_dict, read_json
 
@@ -117,19 +117,26 @@ def test_population_correctness_with_hidden_nodes():
     assert checked > 30
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(2, 8), st.sampled_from([1.0, 1.5, 2.5]),
-       st.sampled_from(["intervals", "four_point"]), st.integers(0, 2**32 - 1), st.data())
-def test_perturbation_inside_error_bound_gives_valid_order(p, alpha, law, seed, draw):
+       st.sampled_from(["intervals", "four_point"]),
+       st.sampled_from([("gamma", "positive"), ("psi", "positive"), ("psi", "real")]),
+       st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_perturbation_inside_error_bound_gives_valid_order(p, alpha, law, kind_mode, hidden,
+                                                           seed, draw):
     # the paper's bound: with M the largest coefficient over non-ancestral
     # pairs, estimates within (1 - M) / 2 of the population matrix give a
-    # valid order
-    config = GeneratorConfig(mode="positive", coefficient_law=law)
+    # valid order; with hidden confounders EASE sees the observed submatrix,
+    # and ancestry is taken in the full graph
+    kind, mode = kind_mode
+    config = GeneratorConfig(mode=mode, coefficient_law=law, hidden_confounders=hidden)
     scm = random_scm(p, alpha, config, seed=seed)
-    population = gamma_population(scm).values
+    observed = scm.observed
+    oracle = gamma_population if kind == "gamma" else psi_population
+    population = oracle(scm).submatrix(observed).values
     # just inside the bound, so rounding the perturbed entries cannot close
     # the gap between a root's score and a non-root's
-    scale = (1.0 - mistake_bound_margin(scm)) / 2 * (1.0 - 2.0 ** -30)
+    scale = (1.0 - mistake_bound_margin(scm, kind)) / 2 * (1.0 - 2.0 ** -30)
     if draw.draw(st.booleans(), label="adversarial"):
         # the worst case: every ancestral coefficient (exactly 1) pushed
         # down, every other one pushed up
@@ -138,8 +145,8 @@ def test_perturbation_inside_error_bound_gives_valid_order(p, alpha, law, seed, 
         entries = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
         unit = np.array(draw.draw(st.lists(entries, min_size=p * p, max_size=p * p),
                                   label="unit perturbation")).reshape(p, p)
-    order = ease(CoefMatrix(population + scale * unit, "gamma"))
-    assert validate_order(scm.dag, order).violations == ()
+    order = ease(CoefMatrix(population + scale * unit, kind)).relabel(observed)
+    assert validate_order(scm.dag, order, observed_only=True).violations == ()
 
 
 def reference_steps(values):

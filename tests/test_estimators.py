@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from heavytail import (ConfigError, Dataset, EstimatorConfig, NoiseSpec,
                        empirical_cdf_column, gamma_estimate, psi_estimate,
                        resolve_k, sample_noise)
 from heavytail import estimators
-from heavytail.estimators import _BLOCK_ELEMENTS, _exceedance_rows, _rank_kernel, _tail_sums
+from heavytail.estimators import (_BLOCK_ELEMENTS, _RANK_SCRATCH_COLUMNS, _exceedance_rows,
+                                  _rank_kernel, _slice_sums, _tail_sums)
 
 from brute_oracles import brute_gamma, brute_psi
 
@@ -232,21 +234,22 @@ tied_columns = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]),
 @given(st.one_of(tied_columns, st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30)),
        st.data())
 def test_rank_kernel_matches_sort_formulas(values, draw):
-    # the reference: ECDF by searchsorted over a sorted copy, tails by masks
-    # over one sort of the column and one of its negation; the tails under
-    # test are read off the kernel's ECDF
+    # the reference: max ranks as searchsorted counts over a sorted copy,
+    # tails by masks over one sort of the column and one of its negation;
+    # the tails under test are read off the kernel's ranks
     column = np.array(values)
     n = column.size
     k = draw.draw(st.integers(1, n - 1))  # k >= n/2 makes the two tails overlap
-    cdf = _rank_kernel(column)
-    assert np.array_equal(cdf, np.searchsorted(np.sort(column), column, side="right") / n)
-    assert np.array_equal(ecdf_values(column), cdf)
-    out = np.full(n, -1.0)
-    assert _rank_kernel(column, out) is out and np.array_equal(out, cdf)
+    ranks = _rank_kernel(column)
+    counts = np.searchsorted(np.sort(column), column, side="right")
+    assert ranks.dtype == np.uint8 and np.array_equal(ranks, counts)
+    assert np.array_equal(ecdf_values(column), counts / n)
+    out = np.zeros(n, dtype=np.int64)
+    assert _rank_kernel(column, out) is out and np.array_equal(out, counts)
     expected_upper = np.flatnonzero(column > np.sort(column)[n - k - 1])
     expected_lower = np.flatnonzero(-column > np.sort(-column)[n - k - 1])
-    assert np.array_equal(_exceedance_rows(cdf, k, psi=False), expected_upper)
-    both = _exceedance_rows(cdf, k, psi=True)
+    assert np.array_equal(_exceedance_rows(ranks, k, psi=False), expected_upper)
+    both = _exceedance_rows(ranks, k, psi=True)
     assert np.array_equal(both, np.concatenate([expected_upper, expected_lower]))
 
 
@@ -345,28 +348,35 @@ def test_matrix_matches_brute_oracle_on_ties(kind):
 
 
 def fsum_slices(weights, rows, bounds, divisor):
-    """Reference for _tail_sums: one math.fsum per (slice, column), then the divisor."""
+    """Reference for the tail sums: one math.fsum per (slice, column), then the divisor."""
     return np.array([[math.fsum(weights[rows[a:b], c].tolist()) / divisor
                       for c in range(weights.shape[1])]
                      for a, b in zip(bounds, bounds[1:])]).reshape(-1, weights.shape[1])
 
 
-def draw_weights(family, n, m, rng):
-    if family == "ecdf":  # the max-rank ECDF grid r / n
-        return rng.integers(1, n + 1, size=(n, m)) / n
-    if family == "ecdf_upper":  # one binade, as in the upper tail of a dependent column:
+def draw_ranks(family, n, m, rng):
+    """n x m ranks in the rank dtype of n; their weights r / n lie on the ECDF grid."""
+    if family == "ecdf":
+        ranks = rng.integers(1, n + 1, size=(n, m))
+    elif family == "ecdf_upper":  # one binade, as in the upper tail of a dependent column:
         # the weights' unit is then close to the total's last bit, so an inexact
         # limb sum changes the result
-        return rng.integers(n // 2, n + 1, size=(n, m)) / n
-    if family == "sigma":  # |2u - 1| on an even grid; u = 1/2 gives exact zeros
-        u = rng.integers(1, n + 1, size=(n, m)) / n
-        u[rng.random((n, m)) < 0.2] = 0.5
-        return np.abs(2.0 * u - 1.0)
+        ranks = rng.integers(n // 2, n + 1, size=(n, m))
+    elif family == "half":  # r = n / 2 in a fifth of the entries: psi's |2u - 1| is 0
+        ranks = rng.integers(1, n + 1, size=(n, m))
+        ranks[rng.random((n, m)) < 0.2] = n // 2
+    else:  # zero weights
+        ranks = np.zeros((n, m), dtype=int)
+    return ranks.astype(np.min_scalar_type(n))
+
+
+def draw_weights(family, n, m, rng):
     if family == "float":  # arbitrary floats spanning [2**-60, 1]
         weights = 2.0 ** rng.uniform(-60.0, 0.0, size=(n, m))
         weights.flat[:2] = [2.0 ** -60, 1.0]
         return weights
-    return np.zeros((n, m))
+    weights = draw_ranks(family, n, m, rng) / n
+    return np.abs(2.0 * weights - 1.0) if family == "half" else weights
 
 
 # Slice lengths: empty, single rows, and 2**b - 1, the longest slice a limb
@@ -377,55 +387,85 @@ slice_sizes = st.lists(st.one_of(st.just(0), st.just(1), st.integers(0, 40),
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["ecdf", "ecdf_upper", "sigma", "float", "zeros"]), st.integers(1, 200),
-       st.sampled_from([1, 3, 700]), slice_sizes, st.integers(0, 2**32 - 1))
-def test_tail_sums_match_fsum_reference(family, half, m, sizes, seed):
-    # m = 700 columns splits the rows into gather blocks of 93
+@given(st.sampled_from(["ecdf", "ecdf_upper", "half", "zeros"]), st.booleans(),
+       st.integers(1, 200), st.sampled_from([1, 3, 700]), slice_sizes,
+       st.integers(0, 2**32 - 1))
+def test_tail_sums_match_fsum_reference(family, psi, half, m, sizes, seed):
+    # m = 700 columns splits the rows into gather blocks of 93; the weights
+    # are the ECDF r / n of the gathered ranks, |2u - 1| of it for psi
     rng = np.random.default_rng(seed)
     n = 2 * half
-    weights = draw_weights(family, n, m, rng)
+    ranks = draw_ranks(family, n, m, rng)
+    weights = ranks / n
+    if psi:
+        weights = np.abs(2.0 * weights - 1.0)
     bounds = np.cumsum([0] + sizes)
     rows = rng.integers(0, n, size=bounds[-1])
     divisor = int(rng.integers(1, 2 * n + 1))
     expected = fsum_slices(weights, rows, bounds, divisor)
-    assert np.array_equal(_tail_sums(weights, rows, bounds, divisor), expected)
+    assert np.array_equal(_tail_sums(ranks, rows, bounds, divisor, psi), expected)
+
+
+def slice_sums(weights, rows, sizes):
+    """_slice_sums of weights[rows] over nonempty slices of the given sizes."""
+    block = weights[rows]
+    starts = np.cumsum([0] + sizes[:-1])
+    return _slice_sums(block, np.empty_like(block), starts, max(sizes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["float", "ecdf", "ecdf_upper", "half", "zeros"]), st.integers(1, 200),
+       st.sampled_from([1, 3, 700]),
+       st.lists(st.one_of(st.just(1), st.integers(1, 40), st.sampled_from([3, 7, 31, 127])),
+                min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_slice_sums_match_fsum_reference(family, half, m, sizes, seed):
+    # any weights in [0, 1], arbitrary floats included, not only the ECDF grid
+    rng = np.random.default_rng(seed)
+    n = 2 * half
+    weights = draw_weights(family, n, m, rng)
+    rows = rng.integers(0, n, size=sum(sizes))
+    expected = fsum_slices(weights, rows, np.cumsum([0] + sizes), 1)
+    assert np.array_equal(slice_sums(weights, rows, sizes), expected)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_tail_sums_with_three_or_more_limbs(seed):
-    # weights over 60 binades and slices of up to 4095 rows need 113 bits in
-    # limbs of 41: three limb sums per entry, combined by math.fsum
+    # the limb sums under _tail_sums, on weights over 60 binades: slices of
+    # up to 4095 rows need 113 bits in limbs of 41, so three limb sums per
+    # entry, combined by math.fsum (ECDF weights r / n need that only at
+    # n >= 2**60, so the floats go to _slice_sums directly)
     rng = np.random.default_rng(seed)
     weights = draw_weights("float", 5000, 40, rng)
-    bounds = np.cumsum([0, 4095, 2047, 1, 0, 4095, 0])
-    rows = rng.integers(0, 5000, size=bounds[-1])
-    expected = fsum_slices(weights, rows, bounds, 7)
-    assert np.array_equal(_tail_sums(weights, rows, bounds, 7), expected)
+    sizes = [4095, 2047, 1, 4095]
+    rows = rng.integers(0, 5000, size=sum(sizes))
+    expected = fsum_slices(weights, rows, np.cumsum([0] + sizes), 1)
+    assert np.array_equal(slice_sums(weights, rows, sizes), expected)
     # 1 + 2**-53 + 2**-107 lies just above the midpoint between 1 and its
     # successor: adding the three limb sums in float, low to high, gives 1.0
     weights = np.array([[1.0], [2.0 ** -53], [2.0 ** -107]])
-    sums = _tail_sums(weights, np.array([2, 1, 0]), [0, 3, 3], 1)
-    assert sums.tolist() == [[1.0 + 2.0 ** -52], [0.0]]
+    assert slice_sums(weights, np.array([2, 1, 0]), [3]).tolist() == [[1.0 + 2.0 ** -52]]
 
 
 def test_tail_sums_of_empty_and_zero_slices_are_zero():
-    weights = np.zeros((6, 2))
-    weights[5] = 1.0
+    ranks = np.zeros((6, 2), dtype=np.uint8)
+    ranks[5] = 6  # the only nonzero weight, 6 / 6
     rows = np.array([0, 1, 2, 5])
-    sums = _tail_sums(weights, rows, [0, 0, 3, 3, 4, 4], 2)
+    sums = _tail_sums(ranks, rows, [0, 0, 3, 3, 4, 4], 2)
     assert sums.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]]
-    assert _tail_sums(weights, rows[:0], [0, 0, 0], 1).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert _tail_sums(ranks, rows[:0], [0, 0, 0], 1).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    # r = n / 2 is psi's zero weight
+    ranks[:5] = 3
+    sums = _tail_sums(ranks, rows, [0, 3, 3, 4], 2, psi=True)
+    assert sums.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]]
 
 
-@pytest.mark.parametrize("kind", ["gamma", "psi"])
-def test_matrix_spanning_gather_blocks_matches_fsum_reference(kind):
-    # tails from sort formulas, the ECDF from searchsorted; tied data and a
-    # constant column, whose slices are empty
-    rng = np.random.default_rng(16)
-    n, p, k = 600, 40, 150
-    psi = kind == "psi"
-    values = rng.integers(0, 60, size=(n, p)).astype(float)
-    values[:, 3] = 1.0
+def sort_formula_matrix(values, k, psi):
+    """Reference matrix: tails from sort formulas, the ECDF from searchsorted, math.fsum sums.
+
+    Also returns the tail bounds, whose last entry is the number of tail rows.
+    """
+    n, p = values.shape
     weights = np.empty((n, p))
     tails = []
     for c in range(p):
@@ -436,9 +476,70 @@ def test_matrix_spanning_gather_blocks_matches_fsum_reference(kind):
         tails.append(np.concatenate([
             np.flatnonzero(s * column > np.sort(s * column)[n - k - 1]) for s in signs]))
     bounds = np.cumsum([0] + [t.size for t in tails])
-    assert p * bounds[-1] > 2 * _BLOCK_ELEMENTS  # several gather blocks
     expected = fsum_slices(weights, np.concatenate(tails), bounds, 2 * k if psi else k)
     np.fill_diagonal(expected, np.nan)
+    return expected, bounds
+
+
+@pytest.mark.parametrize("kind", ["gamma", "psi"])
+def test_matrix_spanning_gather_blocks_matches_fsum_reference(kind):
+    # tied data and a constant column, whose slices are empty
+    rng = np.random.default_rng(16)
+    n, p, k = 600, 40, 150
+    values = rng.integers(0, 60, size=(n, p)).astype(float)
+    values[:, 3] = 1.0
+    expected, bounds = sort_formula_matrix(values, k, kind == "psi")
+    assert p * bounds[-1] > 2 * _BLOCK_ELEMENTS  # several gather blocks
     matrix = coefficient_matrix(Dataset([f"x{c}" for c in range(p)], values),
                                 EstimatorConfig(k=k, kind=kind)).values
     assert np.array_equal(matrix, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16),
+                                      (65535, np.uint16), (65536, np.uint32)])
+def test_rank_dtype_boundaries_match_fsum_reference(n, dtype):
+    # the cached ranks take the narrowest unsigned dtype that holds n; the
+    # estimates at either side of each width change equal the reference
+    rng = np.random.default_rng(n)
+    values = np.column_stack([
+        rng.standard_t(1.5, size=n),                     # continuous
+        np.round(rng.standard_t(1.5, size=n)),           # ties
+        rng.integers(0, 4, size=n).astype(float),        # heavy ties, top run > k
+        rng.choice([-1.0, -0.0, 0.0, 1.0], size=n),      # signed zeros tie
+    ])
+    names = [f"x{c}" for c in range(values.shape[1])]
+    for k in (resolve_k(n, EstimatorConfig()), n // 3, n - 1):
+        for kind, pair in (("gamma", gamma_estimate), ("psi", psi_estimate)):
+            config = EstimatorConfig(k=k, kind=kind)
+            expected, _ = sort_formula_matrix(values, k, kind == "psi")
+            data = Dataset(names, values)
+            assert np.array_equal(coefficient_matrix(data, config).values, expected,
+                                  equal_nan=True)
+            assert data._ranks(range(4)).dtype == dtype
+            for j, c in ((0, 1), (2, 0), (1, 3)):
+                assert pair(Dataset(names, values), j, c, config) == expected[j, c]
+    for c in range(values.shape[1]):
+        u = ecdf_values(values[:, c])
+        assert u.dtype == np.float64
+        assert np.array_equal(u, empirical_cdf_column(data, c))
+        assert np.array_equal(u, np.searchsorted(np.sort(values[:, c]), values[:, c],
+                                                 side="right") / n)
+
+
+def test_estimation_holds_compact_ranks():
+    # gamma then psi on a fresh Dataset: the rank kernel's scratch and the
+    # gathers come and go, the Dataset keeps 2 bytes per entry at n = 20000
+    n, p = 20_000, 10
+    rng = np.random.default_rng(19)
+    values = rng.standard_t(2.0, size=(n, p))
+    values[:, 1] = np.round(values[:, 1])
+    data = Dataset([f"x{c}" for c in range(p)], values)
+    tracemalloc.start()
+    try:
+        for kind in ("gamma", "psi"):
+            coefficient_matrix(data, EstimatorConfig(kind=kind))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * n * p + 64 * 1024
+    assert peak <= 2 * n * p + 8 * n * _RANK_SCRATCH_COLUMNS + 2 * 8 * 2 ** 16 + 64 * 1024

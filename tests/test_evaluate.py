@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from heavytail import (CapacityError, CausalOrder, Dag, EstimatorConfig, Generat
                        benchmark, k_sensitivity, mistake_rate, random_scm, score_order,
                        sensitivity_rows_to_csv, simulate, validate_order)
 from heavytail._rng import derived_seed
-from heavytail.evaluate import RESULT_HEADER, recover_order
+from heavytail.evaluate import (_SCORE_BYTES_PER_PAIR, RESULT_HEADER, check_score_capacity,
+                                recover_order)
 
 from conftest import make_chain
 
@@ -190,3 +193,22 @@ def test_mistake_rate_on_hidden_scm_matches_observed_only_validation():
     result = mistake_rate(scm, n=300, config=config, reps=20, seed=7)
     assert result == MistakeRate(rate=mistakes / 20, mean_violations=violations / 20)
     assert 0 < result.rate < 1
+
+
+@pytest.mark.parametrize("p, complete", [(1000, False), (300, True)])
+def test_score_order_peak_stays_under_its_capacity_constant(p, complete):
+    # every pair ancestral, the worst case: a chain, or a complete DAG
+    edges = [(i, j) for i in range(p) for j in range(i + 1, p)] if complete else [
+        (j, j + 1) for j in range(p - 1)]
+    truth = Scm(Dag(p, edges), {e: 1.0 for e in edges}, NoiseSpec("student_t", 1.5))
+    tracemalloc.start()
+    try:
+        score = score_order(truth, CausalOrder(range(p)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert score.valid and score.ancestral_pairs == p * (p - 1) // 2
+    assert peak <= _SCORE_BYTES_PER_PAIR * p * p
+    check_score_capacity(4096)
+    with pytest.raises(CapacityError, match="the truth graph of 4097 nodes"):
+        check_score_capacity(4097)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heavytail import (CapacityError, DomainError, EstimatorConfig, GeneratorConfig,
-                       GridSpec, NoiseSpec, SimSetting, ValidationError,
+from heavytail import (CapacityError, Dag, DomainError, EstimatorConfig, GeneratorConfig,
+                       GridSpec, NoiseSpec, Scm, SimSetting, ValidationError,
                        coefficient_matrix, gamma_estimate, random_scm, simulate,
                        ecdf_values, simulate_grid)
 from heavytail import estimators
@@ -172,14 +172,24 @@ def test_memory_cap_counts_hidden_nodes_and_copies():
     scm = scenario_scm(8, 2.5, setting, seed=3)
     assert scm.hidden
     n = 100
+    p_obs = len(scm.observed)
     need = simulation_bytes(scm, setting, n)
-    assert need == 8 * n * (scm.p + 2 * len(scm.observed))
-    # the same for every setting: uniform margins ranks in simulate what the
-    # estimators rank for the others
-    assert simulation_bytes(scm, SimSetting("uniform_margins"), n) == need
-    # below 7 nodes the rank kernel's scratch, not the full matrix, sets it
+    # simulate's column of every node, hidden ones included, and one noise
+    # draw set it; the observed columns are not copied
+    assert need == 8 * n * (scm.p + 1)
+    # the nonlinear setting adds the thresholded parent column
+    assert simulation_bytes(scm, SimSetting("nonlinear"), n) == 8 * n * (scm.p + 2)
+    # uniform margins ranks in simulate: the raw columns, their uint8 ranks
+    # and their ECDF
+    assert simulation_bytes(scm, SimSetting("uniform_margins"), n) == n * (8 * 2 * p_obs + p_obs)
+    # below 3 nodes a Dataset's ranking sets it: its columns, its ranks and
+    # the rank kernel's 3 columns of scratch; the rank dtype widens at n = 256
     chain = make_chain([1.0, 1.0])
-    assert simulation_bytes(chain, SimSetting("linear"), n) == 8 * n * (2 * 3 + 7)
+    assert simulation_bytes(chain, SimSetting("linear"), n) == n * (9 * 3 + 8 * 3)
+    assert simulation_bytes(chain, SimSetting("linear"), 256) == 256 * (10 * 3 + 8 * 3)
+    # the noise family's draw counts: symmetric_pareto holds 34 bytes a row
+    pareto = make_chain([1.0], alpha=1.5, family="symmetric_pareto")
+    assert simulation_bytes(pareto, SimSetting("linear"), 10**5) == 10**5 * (8 * 2 + 34)
     check_memory(scm, setting, n, need)
     with pytest.raises(CapacityError):
         check_memory(scm, setting, n, need - 1)
@@ -201,6 +211,39 @@ def test_memory_cap_bounds_what_simulate_allocates(kind, p):
             tracemalloc.stop()
         assert peak <= simulation_bytes(scm, drawn, n) + 64 * 1024
         assert data.n == n
+
+
+def test_simulate_holds_one_column_per_node():
+    # the observed columns are sampled into the array the Dataset adopts:
+    # no x[:, observed] copy and no Dataset copy, only one noise draw on top
+    n = 20_000
+    setting = SimSetting("hidden_confounders")
+    scm = next(s for s in (scenario_scm(10, 1.5, setting, seed) for seed in range(50))
+               if len(s.hidden) >= 3)
+    assert len(scm.observed) == 10
+    tracemalloc.start()
+    try:
+        data = simulate(scm, setting, n, seed=1).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * (scm.p + 1) + 64 * 1024
+    assert data.values.flags.f_contiguous and not data.values.flags.writeable
+
+
+@pytest.mark.parametrize("family", ["student_t", "shifted_pareto", "symmetric_pareto"])
+def test_memory_cap_counts_the_noise_draw(family):
+    n = 20_000
+    for scm in (make_chain([1.0, 0.5], alpha=1.5, family=family),
+                Scm(Dag(2, [(0, 1)]), {(0, 1): 1.0},
+                    (NoiseSpec(family, 1.5), NoiseSpec("symmetric_pareto", 1.5, 1.0, 1e6)))):
+        tracemalloc.start()
+        try:
+            simulate(scm, SimSetting("linear"), n, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulation_bytes(scm, SimSetting("linear"), n) + 64 * 1024
 
 
 def test_uniform_margins_ranks_each_column_once(monkeypatch):
