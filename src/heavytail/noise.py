@@ -66,35 +66,59 @@ class HillEstimate:
 
 
 # Bytes per drawn value that sample_noise holds at once, the returned array
-# included, rounded up (tracemalloc: 8.0 for student_t; 24.0 for
-# shifted_pareto; 25.0 to 33.0 for symmetric_pareto, the most when one
-# tail's weight is near 0 or 1).
-_SAMPLE_BYTES_PER_ROW = {"student_t": 8, "shifted_pareto": 24, "symmetric_pareto": 34}
+# included (tracemalloc: 8.0 for student_t and shifted_pareto; 9.0 for
+# symmetric_pareto, whose tail mask is one byte a value).
+_SAMPLE_BYTES_PER_ROW = {"student_t": 8, "shifted_pareto": 8, "symmetric_pareto": 9}
 
 
-def sample_noise(spec: NoiseSpec, n: int, seed=None) -> np.ndarray:
+def sample_noise(spec: NoiseSpec, n: int, seed=None, *, columns: int | None = None) -> np.ndarray:
     """Draw ``n`` i.i.d. values from the noise distribution ``spec``.
 
     Deterministic given the seed; a Generator may be passed to continue an
-    existing stream.
+    existing stream. With ``columns`` the result is a column-major
+    ``n x columns`` array whose columns are consecutive draws of ``n``: bit
+    for bit what ``columns`` successive calls would return.
     """
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
+    if columns is not None and columns < 1:
+        raise ValidationError(f"columns must be >= 1, got {columns}")
     rng = as_rng(seed)
+    # a C-order (columns, n) draw transposed is the F-order n x columns array
+    size = n if columns is None else (columns, n)
     if spec.family == "student_t":
-        return rng.standard_t(spec.alpha, size=n)
-    u = rng.random(n)
+        x = rng.standard_t(spec.alpha, size=size)
+    else:
+        x = rng.random(size)
+        _pareto_from_uniform(spec, x)
+    return x if columns is None else x.T
+
+
+def _pareto_from_uniform(spec: NoiseSpec, u: np.ndarray) -> None:
+    """Inverse-transform uniforms into the spec's Pareto family, in place.
+
+    Every value goes through the same IEEE operations as in the textbook form
+    (one uniform each, no gathered halves), so only a one-byte tail mask is
+    held besides ``u``.
+    """
+    e = -1.0 / spec.alpha
     if spec.family == "shifted_pareto":
         # 1 - u lies in (0, 1], so the inverse transform cannot overflow to inf.
-        return spec.scale_upper ** (1.0 / spec.alpha) * (1.0 - u) ** (-1.0 / spec.alpha)
-    # symmetric_pareto via a single-uniform inverse transform
+        np.subtract(1.0, u, out=u)
+        u **= e
+        u *= spec.scale_upper ** (1.0 / spec.alpha)
+        return
+    # symmetric_pareto: -(u / w_lo)**e below w_lo, ((1 - u) / (1 - w_lo))**e above
     w_lo = spec.scale_lower / (spec.scale_lower + spec.scale_upper)
-    u = np.maximum(u, 2.0 ** -53)
-    out = np.empty(n)
-    neg = u < w_lo
-    out[neg] = -((u[neg] / w_lo) ** (-1.0 / spec.alpha))
-    out[~neg] = ((1.0 - u[~neg]) / (1.0 - w_lo)) ** (-1.0 / spec.alpha)
-    return out
+    np.maximum(u, 2.0 ** -53, out=u)
+    lower = u < w_lo
+    np.divide(u, w_lo, out=u, where=lower)
+    np.invert(lower, out=lower)
+    np.subtract(1.0, u, out=u, where=lower)
+    np.divide(u, 1.0 - w_lo, out=u, where=lower)
+    u **= e
+    np.invert(lower, out=lower)
+    np.negative(u, out=u, where=lower)
 
 
 def symmetric_pareto_survival(spec: NoiseSpec, x: float) -> float:

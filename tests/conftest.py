@@ -61,6 +61,31 @@ def fournode_dag():
     return Dag(4, [(1, 0), (1, 2), (0, 3)])
 
 
+def reference_noise(spec: NoiseSpec, n: int, rng) -> np.ndarray:
+    """One column of ``spec`` noise in the textbook form, from the Generator ``rng``.
+
+    The per-column reference the run draws of sample_noise and simulate are
+    checked against bit for bit: fresh arrays, gathered tail halves.
+    """
+    if spec.family == "student_t":
+        return rng.standard_t(spec.alpha, size=n)
+    u = rng.random(n)
+    if spec.family == "shifted_pareto":
+        return spec.scale_upper ** (1.0 / spec.alpha) * (1.0 - u) ** (-1.0 / spec.alpha)
+    w_lo = spec.scale_lower / (spec.scale_lower + spec.scale_upper)
+    u = np.maximum(u, 2.0 ** -53)
+    out = np.empty(n)
+    neg = u < w_lo
+    out[neg] = -((u[neg] / w_lo) ** (-1.0 / spec.alpha))
+    out[~neg] = ((1.0 - u[~neg]) / (1.0 - w_lo)) ** (-1.0 / spec.alpha)
+    return out
+
+
+def bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def make_chain(betas, alpha=1.0, mode="positive", family="student_t"):
     p = len(betas) + 1
     dag = Dag(p, [(j, j + 1) for j in range(p - 1)])

@@ -8,6 +8,7 @@ from heavytail import (CapacityError, CausalOrder, Dag, EstimatorConfig, Generat
                        benchmark, k_sensitivity, mistake_rate, random_scm, score_order,
                        sensitivity_rows_to_csv, simulate, validate_order)
 from heavytail._rng import derived_seed
+from heavytail.simulate import scenario_scm, scenario_streams, simulation_bytes
 from heavytail.evaluate import (_SCORE_BYTES_PER_PAIR, RESULT_HEADER, check_score_capacity,
                                 recover_order)
 
@@ -100,18 +101,32 @@ def test_benchmark_enforces_memory_cap():
         benchmark(grid, reps=1, seed=0)
 
 
-def test_benchmark_holds_one_replicate_at_a_time():
-    import tracemalloc
-
-    grid = GridSpec((50000,), (4,), (1.5,))
-    peaks = []
-    for reps in (1, 3):
-        tracemalloc.start()
+def _benchmark_peak(reps, cap_bytes):
+    grid = GridSpec((50000,), (4,), (1.5,), memory_cap_bytes=cap_bytes)
+    tracemalloc.start()
+    try:
         benchmark(grid, methods=("random_order",), reps=reps, seed=0)
-        peaks.append(tracemalloc.get_traced_memory()[1])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
         tracemalloc.stop()
+
+
+def test_benchmark_draws_the_next_replicates_noise_ahead():
+    # while one replicate is scored the next one's noise, an n x p draw, is
+    # drawn; nothing more is held
     dataset_bytes = 8 * 50000 * 4
-    assert peaks[1] < peaks[0] + dataset_bytes / 2
+    one = _benchmark_peak(1, 1 << 30)
+    assert _benchmark_peak(3, 1 << 30) < one + dataset_bytes + dataset_bytes / 2
+
+
+def test_benchmark_holds_one_replicate_at_a_time():
+    # a cap that holds a replicate but not the next one's noise besides: the
+    # next replicate is drawn only once the held one is dropped
+    scm = scenario_scm(4, 1.5, SimSetting("linear"), scenario_streams(0, 50000, 4, 1.5, 0)[0])
+    dataset_bytes = 8 * 50000 * 4
+    cap = simulation_bytes(scm, SimSetting("linear"), 50000) + dataset_bytes - 1
+    one = _benchmark_peak(1, cap)
+    assert _benchmark_peak(3, cap) < one + dataset_bytes / 2
 
 
 def test_k_sensitivity_dataset_rows():

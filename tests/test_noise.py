@@ -9,6 +9,8 @@ from heavytail import (DomainError, NoiseSpec, ValidationError, hill_tail_index,
                        max_sum_tail_ratio, sample_noise, symmetric_pareto_survival)
 from heavytail.noise import HillEstimate
 
+from conftest import bitwise_equal, reference_noise
+
 
 def test_spec_rejects_bad_parameters():
     with pytest.raises(ValidationError):
@@ -35,6 +37,34 @@ def test_seed_determinism():
     c = sample_noise(spec, 1000, seed=43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+RUN_SPECS = [
+    NoiseSpec("student_t", 1.5),
+    NoiseSpec("student_t", 0.7),
+    NoiseSpec("shifted_pareto", 1.0),
+    NoiseSpec("shifted_pareto", 2.0, 3.0, 0.5),
+    NoiseSpec("symmetric_pareto", 1.5),
+    NoiseSpec("symmetric_pareto", 2.0, 2.0, 0.5),
+    NoiseSpec("symmetric_pareto", 2.5, 1.0, 1e6),
+    NoiseSpec("symmetric_pareto", 0.5, 1e6, 1.0),
+]
+
+
+@pytest.mark.parametrize("spec", RUN_SPECS, ids=repr)
+@pytest.mark.parametrize("n", [1, 7, 31, 1001, 10**4])
+def test_run_draw_matches_per_column_draws_bitwise(spec, n):
+    seed = 1000 + n
+    assert bitwise_equal(sample_noise(spec, n, seed=seed),
+                         reference_noise(spec, n, np.random.default_rng(seed)))
+    for columns in (1, 2, 13):
+        rng = np.random.default_rng(seed + columns)
+        reference = np.column_stack([reference_noise(spec, n, rng) for _ in range(columns)])
+        run = sample_noise(spec, n, seed=seed + columns, columns=columns)
+        assert run.flags.f_contiguous
+        assert bitwise_equal(run, reference)
+    with pytest.raises(ValidationError):
+        sample_noise(spec, n, seed=seed, columns=0)
 
 
 def test_symmetric_pareto_survival_value():

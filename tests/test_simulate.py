@@ -1,3 +1,7 @@
+import importlib
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,10 +15,14 @@ from heavytail import (CapacityError, Dag, DomainError, EstimatorConfig, Generat
                        ecdf_values, simulate_grid)
 from heavytail import estimators
 from heavytail.estimators import _rank_kernel
-from heavytail.simulate import (SETTINGS, _quantile_threshold, check_memory,
-                                effective_setting, scenario_scm, simulation_bytes)
+from heavytail.formats import scm_from_dict
+from heavytail.simulate import (SETTINGS, _draw_bytes, _draw_noise, _noise_runs,
+                                _quantile_threshold, check_memory, effective_setting,
+                                scenario_scm, scenario_streams, simulation_bytes)
 
-from conftest import make_chain
+from conftest import bitwise_equal, make_chain, reference_noise
+
+simulate_module = importlib.import_module("heavytail.simulate")
 
 
 def test_setting_validation():
@@ -187,9 +195,11 @@ def test_memory_cap_counts_hidden_nodes_and_copies():
     chain = make_chain([1.0, 1.0])
     assert simulation_bytes(chain, SimSetting("linear"), n) == n * (9 * 3 + 8 * 3)
     assert simulation_bytes(chain, SimSetting("linear"), 256) == 256 * (10 * 3 + 8 * 3)
-    # the noise family's draw counts: symmetric_pareto holds 34 bytes a row
-    pareto = make_chain([1.0], alpha=1.5, family="symmetric_pareto")
-    assert simulation_bytes(pareto, SimSetting("linear"), 10**5) == 10**5 * (8 * 2 + 34)
+    # a run draw that fills its array is that array; a shorter run's draw
+    # (9 bytes a value for symmetric_pareto) is held until copied into place
+    mixed = Scm(Dag(10, []), {}, (NoiseSpec("student_t", 1.5),)
+                + (NoiseSpec("symmetric_pareto", 1.5),) * 9)
+    assert simulation_bytes(mixed, SimSetting("linear"), n) == n * (8 * 10 + 9 * 9)
     check_memory(scm, setting, n, need)
     with pytest.raises(CapacityError):
         check_memory(scm, setting, n, need - 1)
@@ -279,3 +289,217 @@ def test_mixed_noise_families_supported():
               mode="positive")
     sample = simulate(scm, SimSetting("linear"), 500, seed=0).data
     assert sample.n == 500 and sample.p == 2
+
+
+def _per_column_noise(scm, n, seed):
+    """Reference draw: one column per node in index order, each put in place."""
+    rng = np.random.default_rng(seed)
+    observed = np.empty((n, len(scm.observed)))
+    hidden = np.empty((n, len(scm.hidden)))
+    where = {j: (observed, c) for c, j in enumerate(scm.observed)}
+    where.update({j: (hidden, c) for c, j in enumerate(sorted(scm.hidden))})
+    for j in range(scm.p):
+        array, c = where[j]
+        array[:, c] = reference_noise(scm.noise[j], n, rng)
+    return observed, hidden
+
+
+def _mixed_family_scm():
+    t, sym, shifted = (NoiseSpec("student_t", 1.5), NoiseSpec("symmetric_pareto", 1.5, 1.0, 1e6),
+                       NoiseSpec("shifted_pareto", 1.5, 2.0, 0.5))
+    return Scm(make_chain([1.0] * 9, alpha=1.5).dag, {(j, j + 1): 0.5 for j in range(9)},
+               (t, t, t, sym, sym, shifted, t, t, sym, sym))
+
+
+def _interleaved_hidden_scm():
+    # hidden nodes 1 and 4 sit among the observed ones and split the runs
+    return scm_from_dict({
+        "p": 7, "alpha": 2.0, "mode": "real", "hidden": [1, 4],
+        "edges": [[1, 0, 0.5], [1, 2, -0.8], [4, 3, 1.0], [4, 5, 0.7], [3, 6, 0.9]],
+        "noise": [{"family": "student_t"}, {"family": "student_t"},
+                  {"family": "symmetric_pareto", "scale_upper": 2.0, "scale_lower": 0.5},
+                  {"family": "symmetric_pareto", "scale_upper": 2.0, "scale_lower": 0.5},
+                  {"family": "shifted_pareto"}, {"family": "shifted_pareto"},
+                  {"family": "shifted_pareto"}]})
+
+
+@pytest.mark.parametrize("n", [1, 7, 31, 1001])
+def test_run_draws_match_per_column_draws_bitwise(n):
+    confounded = next(s for s in (scenario_scm(6, 1.5, SimSetting("hidden_confounders"), seed)
+                                  for seed in range(50)) if s.hidden)
+    for scm in (_mixed_family_scm(), _interleaved_hidden_scm(), confounded):
+        observed, hidden = _draw_noise(scm, n, np.random.default_rng(5))
+        ref_observed, ref_hidden = _per_column_noise(scm, n, 5)
+        assert observed.flags.f_contiguous and hidden.flags.f_contiguous
+        assert bitwise_equal(observed, ref_observed) and bitwise_equal(hidden, ref_hidden)
+    # random_scm puts its confounders last: one run per array
+    assert [run[1:] for run in _noise_runs(confounded)] == [
+        (False, 0, len(confounded.observed), True), (True, 0, len(confounded.hidden), True)]
+    assert len(list(_noise_runs(_interleaved_hidden_scm()))) == 5
+
+
+class _RecordingDrawAhead(simulate_module._DrawAhead):
+    helpers, submitted, read = [], [], []
+
+    def __init__(self):
+        self.helpers.append(self)
+        super().__init__()
+
+    def submit(self, replicate):
+        self.submitted.append(replicate)
+        super().submit(replicate)
+
+    def result(self):
+        self.read.append(self)
+        return super().result()
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    # draw ahead however small the draw, so that small grids run the pipeline
+    _RecordingDrawAhead.helpers, _RecordingDrawAhead.submitted = [], []
+    _RecordingDrawAhead.read = []
+    monkeypatch.setattr(simulate_module, "_DrawAhead", _RecordingDrawAhead)
+    monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 0)
+    return _RecordingDrawAhead
+
+
+@pytest.mark.parametrize("kind", SETTINGS)
+def test_grid_pipeline_matches_sequential_simulate(kind, helpers):
+    grid = GridSpec((40, 300), (3, 5), (1.5, 2.0), settings=(SimSetting(kind),))
+    scenarios = list(simulate_grid(grid, reps=2, seed=4))
+    expected = [(setting, n, p, alpha, rep) for setting, n, p, alpha in grid.cells()
+                for rep in range(2)]
+    assert [(s.setting, s.n, s.p, s.alpha, s.rep) for s in scenarios] == expected
+    for s in scenarios:
+        scm_seed, data_seed = scenario_streams(4, s.n, s.p, s.alpha, s.rep)
+        scm = scenario_scm(s.p, s.alpha, s.setting, scm_seed)
+        data = simulate(scm, effective_setting(scm, s.setting), s.n, data_seed).data
+        assert s.scenario_id == f"{kind}-n{s.n}-p{s.p}-a{s.alpha:g}-r{s.rep}"
+        assert s.truth.coefficients == scm.coefficients and s.truth.hidden == scm.hidden
+        assert s.data.names == data.names and bitwise_equal(s.data.values, data.values)
+    # one helper drew every replicate but the first, and every draw was read
+    (helper,) = helpers.helpers
+    assert [(r.n, r.p, r.alpha, r.rep) for r in helpers.submitted] == [
+        key[1:] for key in expected[1:]]
+    assert len(helpers.read) == len(helpers.submitted)
+    assert not helper._thread.is_alive()
+
+
+def test_grid_pipeline_under_a_short_switch_interval(helpers, monkeypatch):
+    # threads switch after every few bytecodes: the draws handed between the
+    # helper and the caller still come out whole and in order
+    grid = GridSpec((200,), (4, 6), (1.5,), settings=("linear", "hidden_confounders"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pipelined = list(simulate_grid(grid, reps=4, seed=3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(helpers.submitted) == len(pipelined) - 1
+    monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 1 << 62)
+    sequential = list(simulate_grid(grid, reps=4, seed=3))
+    assert all(bitwise_equal(a.data.values, b.data.values)
+               for a, b in zip(pipelined, sequential, strict=True))
+
+
+def test_grid_draws_ahead_only_draws_of_enough_values(monkeypatch):
+    monkeypatch.setattr(simulate_module, "_DrawAhead", _RecordingDrawAhead)
+    for n, ahead in ((simulate_module._AHEAD_MIN_VALUES // 4 - 1, 0),
+                     (simulate_module._AHEAD_MIN_VALUES // 4, 2)):
+        _RecordingDrawAhead.submitted = []
+        list(simulate_grid(GridSpec((n,), (4,), (1.5,)), reps=3, seed=0))
+        assert len(_RecordingDrawAhead.submitted) == ahead
+
+
+def test_grid_single_replicate_starts_no_thread(helpers):
+    scenarios = list(simulate_grid(GridSpec((100,), (3,), (1.5,)), reps=1, seed=0))
+    assert len(scenarios) == 1 and helpers.helpers == []
+
+
+def _helper_draw(monkeypatch, action):
+    """Patch the draw so that on the helper thread it signals, then runs ``action``."""
+    taken = threading.Event()
+
+    def draw(scm, n, rng):
+        if threading.current_thread() is not threading.main_thread():
+            taken.set()
+            action()
+        return _draw_noise(scm, n, rng)
+
+    monkeypatch.setattr(simulate_module, "_draw_noise", draw)
+    return taken
+
+
+def test_grid_close_joins_the_helper(helpers, monkeypatch):
+    taken = _helper_draw(monkeypatch, lambda: time.sleep(0.2))
+    scenarios = simulate_grid(GridSpec((100,), (3,), (1.5,)), reps=3, seed=0)
+    next(scenarios)
+    assert taken.wait(timeout=10)
+    (helper,) = helpers.helpers
+    assert len(helpers.submitted) == 1 and helper._thread.is_alive()
+    scenarios.close()
+    helper._thread.join(timeout=10)
+    assert not helper._thread.is_alive()
+    assert helpers.read == []
+
+
+def test_grid_helper_error_surfaces_when_its_replicate_is_asked_for(helpers, monkeypatch):
+    def fail():
+        raise MemoryError("draw failed")
+
+    taken = _helper_draw(monkeypatch, fail)
+    scenarios = simulate_grid(GridSpec((100,), (3,), (1.5,)), reps=2, seed=0)
+    assert next(scenarios).rep == 0
+    assert taken.wait(timeout=10)
+    with pytest.raises(MemoryError, match="draw failed"):
+        next(scenarios)
+    assert not helpers.helpers[0]._thread.is_alive()
+
+
+def test_grid_draws_a_draw_the_helper_has_not_taken_itself(helpers, monkeypatch):
+    # a helper that cannot run: every draw is taken back and drawn inline
+    release = threading.Event()
+    serve = _RecordingDrawAhead._serve
+
+    def stalled(requests, results):
+        release.wait(timeout=10)
+        serve(requests, results)
+
+    monkeypatch.setattr(_RecordingDrawAhead, "_serve", staticmethod(stalled))
+    threads = []
+    monkeypatch.setattr(simulate_module, "_draw_noise", lambda scm, n, rng: (
+        threads.append(threading.current_thread()), _draw_noise(scm, n, rng))[1])
+    grid = GridSpec((200,), (4,), (1.5,), settings=("linear", "nonlinear"))
+    scenarios = simulate_grid(grid, reps=3, seed=2)
+    drawn = [next(scenarios) for _ in range(6)]
+    assert len(helpers.submitted) == 5 and len(helpers.read) == 5
+    assert threads == [threading.main_thread()] * 6
+    release.set()
+    assert next(scenarios, None) is None
+    assert not helpers.helpers[0]._thread.is_alive()
+    monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 1 << 62)
+    sequential = list(simulate_grid(grid, reps=3, seed=2))
+    assert all(bitwise_equal(a.data.values, b.data.values)
+               for a, b in zip(drawn, sequential, strict=True))
+
+
+def test_grid_capacity_error_surfaces_when_its_replicate_is_asked_for(helpers):
+    grid = GridSpec((100, 10**6), (4,), (1.5,), memory_cap_bytes=10**6)
+    scenarios = simulate_grid(grid, reps=1, seed=0)
+    assert next(scenarios).n == 100
+    assert helpers.submitted == []
+    with pytest.raises(CapacityError):
+        next(scenarios)
+
+
+def test_grid_draws_ahead_only_when_both_replicates_fit(helpers):
+    n, p = 1000, 4
+    scms = [scenario_scm(p, 1.5, SimSetting("linear"), scenario_streams(0, n, p, 1.5, rep)[0])
+            for rep in range(3)]
+    (need,) = {simulation_bytes(a, SimSetting("linear"), n) + _draw_bytes(b, n)
+               for a, b in zip(scms, scms[1:])}
+    for cap, ahead in ((need - 1, 0), (need, 2)):
+        helpers.submitted.clear()
+        list(simulate_grid(GridSpec((n,), (p,), (1.5,), memory_cap_bytes=cap), reps=3, seed=0))
+        assert len(helpers.submitted) == ahead
