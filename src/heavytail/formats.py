@@ -136,16 +136,21 @@ def _noise_from_dict(spec_doc, alpha: float) -> NoiseSpec:
     return NoiseSpec(family, alpha, **scales)
 
 
+def _integer(value, field: str) -> int:
+    """An int, or a float with no fractional part; booleans and other floats are refused."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValidationError(f"SCM {field} must be an integer, got {value!r}")
+
+
 def scm_node_count(doc: dict) -> int:
     """The node count ``p`` an SCM document declares, read before anything is built."""
     if not isinstance(doc, dict):
         raise ValidationError("SCM document must be a JSON object")
     try:
-        return int(doc["p"])
+        return _integer(doc["p"], "'p'")
     except KeyError as exc:
         raise ValidationError(f"SCM document missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"SCM 'p' must be an integer: {exc}") from exc
 
 
 def scm_from_dict(doc: dict) -> Scm:
@@ -164,12 +169,12 @@ def scm_from_dict(doc: dict) -> Scm:
     for entry in raw_edges:
         try:
             parent, child, beta = entry
-            coefficients[(int(parent), int(child))] = float(beta)
+            coefficients[(_integer(parent, "edge ids"), _integer(child, "edge ids"))] = float(beta)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"edge entries must be [parent, child, beta], got {entry!r}") from exc
     try:
-        hidden = [int(h) for h in doc.get("hidden", [])]
+        hidden = [_integer(h, "'hidden' entry") for h in doc.get("hidden", [])]
         names = doc.get("names")
         names = None if names is None else [str(s) for s in names]
     except (TypeError, ValueError, OverflowError) as exc:

@@ -4,12 +4,14 @@ Nodes are integers ``0 .. p-1``. An SCM assigns
 ``X_child = sum(beta[parent, child] * X_parent) + noise_child`` along a DAG;
 the path-weight matrix ``H`` collects summed products of edge coefficients
 over all directed paths, ``H[j, k]`` being the total weight from ``k`` to
-``j`` (and 1 on the diagonal), so that ``X = H @ noise``.
+``j`` (and 1 on the diagonal), so that ``X = H @ noise``. In the same index
+order, ``Dag.ancestor_matrix[j, i]`` is true when ``i`` is a strict ancestor of ``j``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +26,10 @@ FAITHFULNESS_TOL = 1e-12
 
 
 class Dag:
-    """Immutable directed acyclic graph on nodes ``0 .. p-1``."""
+    """Immutable directed acyclic graph on nodes ``0 .. p-1``.
+
+    ``ancestor_matrix[j, i]`` is true when ``i`` is a strict ancestor of ``j``.
+    """
 
     def __init__(self, p: int, edges=()):
         if p < 1:
@@ -48,7 +53,6 @@ class Dag:
         self._parents = tuple(tuple(sorted(ps)) for ps in parents)
         self._children = tuple(tuple(sorted(cs)) for cs in children)
         self._topo = self._topological_sort()
-        self._ancestor_cache: dict[int, frozenset[int]] = {}
 
     def _topological_sort(self) -> tuple[int, ...]:
         indegree = [len(self._parents[j]) for j in range(self._p)]
@@ -85,33 +89,28 @@ class Dag:
         self._check_node(j)
         return self._children[j]
 
+    @cached_property
+    def ancestor_matrix(self) -> np.ndarray:
+        """Read-only p x p booleans; ``[j, i]`` is true when i is a strict ancestor of j.
+
+        Built on first use, in topological order: row j marks each parent and
+        ORs in the parent's row, which is complete by then.
+        """
+        a = np.zeros((self._p, self._p), dtype=bool)
+        for j in self._topo:
+            for parent in self._parents[j]:
+                a[j, parent] = True
+                a[j] |= a[parent]
+        a.flags.writeable = False
+        return a
+
     def ancestors(self, j: int) -> frozenset:
         """All ancestors of ``j`` including ``j`` itself."""
-        self._check_node(j)
-        cached = self._ancestor_cache.get(j)
-        if cached is None:
-            acc = {j}
-            frontier = list(self._parents[j])
-            while frontier:
-                node = frontier.pop()
-                if node not in acc:
-                    acc.add(node)
-                    frontier.extend(self._parents[node])
-            cached = self._ancestor_cache[j] = frozenset(acc)
-        return cached
+        return self.strict_ancestors(j) | {j}
 
     def strict_ancestors(self, j: int) -> frozenset:
-        return self.ancestors(j) - {j}
-
-    def ancestral_pairs(self, nodes=None) -> list[tuple[int, int]]:
-        """Ordered pairs (i, j) with i a strict ancestor of j, both in ``nodes``."""
-        pool = range(self._p) if nodes is None else sorted(set(nodes))
-        pool_set = set(pool)
-        pairs = []
-        for j in pool:
-            for i in sorted(self.strict_ancestors(j) & pool_set):
-                pairs.append((i, j))
-        return pairs
+        self._check_node(j)
+        return frozenset(np.flatnonzero(self.ancestor_matrix[j]).tolist())
 
     def _check_node(self, j: int) -> None:
         if not (0 <= j < self._p):
@@ -288,11 +287,7 @@ def check_path_faithful(scm: Scm, weights: PathWeights | None = None) -> bool:
     coefficients assume they do not.
     """
     h = (weights if weights is not None else path_weights(scm)).matrix
-    for j in range(scm.p):
-        for k in scm.dag.strict_ancestors(j):
-            if abs(h[j, k]) <= FAITHFULNESS_TOL:
-                return False
-    return True
+    return not np.any(np.abs(h[scm.dag.ancestor_matrix]) <= FAITHFULNESS_TOL)
 
 
 @dataclass(frozen=True)
@@ -307,20 +302,35 @@ def validate_order(dag: Dag, order: CausalOrder, observed_only: bool = False) ->
     Without ``observed_only`` the order must cover every node. With it, the
     order may cover a subset; ancestry is still taken in the full graph, so an
     ancestor path through an uncovered node still constrains the pair.
-    Returns all ancestral pairs placed backwards.
+    Returns all ancestral pairs placed backwards, as (ancestor, descendant)
+    tuples sorted by descendant, then ancestor.
     """
-    covered = order.nodes
-    all_nodes = frozenset(range(dag.p))
-    if not covered <= all_nodes:
+    if any(node >= dag.p for node in order.sequence):
         raise ValidationError("order mentions nodes outside the graph")
-    if not observed_only and covered != all_nodes:
+    if not observed_only and len(order) != dag.p:
         raise ValidationError("order must cover every node (or pass observed_only=True)")
-    violations = tuple(
-        (i, j)
-        for i, j in dag.ancestral_pairs(covered)
-        if order.position(i) > order.position(j)
-    )
+    nodes, _, backward = backward_pairs(dag, order)
+    descendant, ancestor = np.nonzero(backward)
+    violations = tuple(zip(nodes[ancestor].tolist(), nodes[descendant].tolist()))
     return OrderValidation(valid=not violations, violations=violations)
+
+
+def backward_pairs(dag: Dag, order: CausalOrder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ancestral pairs among an order's nodes, and those it places backwards.
+
+    Returns the nodes ascending, the ancestor matrix restricted to them (ancestry
+    taken in the full graph; ``[j, i]`` concerns ``nodes[j]`` and its ancestor
+    ``nodes[i]``) and the mask of its pairs placed backwards.
+    """
+    sequence = np.array(order.sequence, dtype=np.intp)
+    positions = np.argsort(sequence)  # positions[s] is the place of nodes[s]
+    nodes = sequence[positions]
+    ancestors = dag.ancestor_matrix
+    if nodes.size < dag.p:
+        ancestors = ancestors[np.ix_(nodes, nodes)]
+    backward = np.less.outer(positions, positions)
+    backward &= ancestors
+    return nodes, ancestors, backward
 
 
 @dataclass(frozen=True)
@@ -427,24 +437,13 @@ def all_causal_orders(dag: Dag) -> list[CausalOrder]:
     """Exhaustive enumeration of the DAG's causal orders (small graphs only)."""
     if dag.p > 10:
         raise CapacityError(f"exhaustive enumeration is limited to p <= 10, got {dag.p}")
-    remaining_parents = {j: set(dag.parents(j)) for j in range(dag.p)}
-    out: list[CausalOrder] = []
-    prefix: list[int] = []
 
-    def extend():
+    def extend(prefix: list[int]):
         if len(prefix) == dag.p:
-            out.append(CausalOrder(prefix))
-            return
+            yield CausalOrder(prefix)
+        placed = set(prefix)
         for node in range(dag.p):
-            if node not in prefix and not remaining_parents[node]:
-                removed = [c for c in range(dag.p) if node in remaining_parents[c]]
-                for c in removed:
-                    remaining_parents[c].discard(node)
-                prefix.append(node)
-                extend()
-                prefix.pop()
-                for c in removed:
-                    remaining_parents[c].add(node)
+            if node not in placed and placed.issuperset(dag.parents(node)):
+                yield from extend(prefix + [node])
 
-    extend()
-    return out
+    return list(extend([]))

@@ -82,13 +82,6 @@ def _check_bytes(need: int, subject: str) -> None:
             f"over the memory cap of {_MEMORY_CAP_BYTES} bytes")
 
 
-def _ancestor_indicator(scm: Scm) -> np.ndarray:
-    a = np.zeros((scm.p, scm.p), dtype=bool)
-    for j in range(scm.p):
-        a[j, list(scm.dag.ancestors(j))] = True
-    return a
-
-
 def _names(scm: Scm) -> tuple[str, ...]:
     return tuple(scm.node_name(j) for j in range(scm.p))
 
@@ -110,7 +103,7 @@ def gamma_population(scm: Scm) -> CoefMatrix:
             "gamma assumes equal noise scales across nodes; "
             "use psi_population for heterogeneous scales")
     h = path_weights(scm).matrix
-    anc = _ancestor_indicator(scm)
+    anc = scm.dag.ancestor_matrix | np.eye(scm.p, dtype=bool)
     w = np.where(anc, h, 0.0) ** scm.alpha
     shared = w @ anc.T.astype(float)  # shared[j, k] = sum over An(j) & An(k)
     denom = w.sum(axis=1)
@@ -132,7 +125,7 @@ def psi_population(scm: Scm) -> CoefMatrix:
     if not check_path_faithful(scm, weights):
         raise ValidationError("SCM is not path-faithful: an ancestor path weight vanishes")
     h = weights.matrix
-    anc = _ancestor_indicator(scm)
+    anc = scm.dag.ancestor_matrix | np.eye(scm.p, dtype=bool)
     c_up = np.array([spec.scale_upper for spec in scm.noise])
     c_lo = np.array([spec.scale_lower for spec in scm.noise])
     pos = h > 0
@@ -205,5 +198,5 @@ def mistake_bound_margin(scm: Scm, kind: str = "gamma") -> float:
     pairs = np.ix_(observed, observed)
     # [i, j] conditions on i; the pair is non-ancestral unless i is in An(j),
     # which also rules out the diagonal
-    non_ancestral = ~_ancestor_indicator(scm).T[pairs]
+    non_ancestral = ~(scm.dag.ancestor_matrix | np.eye(scm.p, dtype=bool)).T[pairs]
     return float(population.values[pairs][non_ancestral].max())

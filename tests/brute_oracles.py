@@ -1,9 +1,11 @@
-"""Independent exhaustive implementations of the coefficient estimators.
+"""Independent exhaustive implementations of the coefficient estimators and of ancestry.
 
 These avoid the library's rank machinery entirely: order statistics come from
 a full sort, CDF values from quadratic counting, and sums are exact
 (Fraction) with a single rounding at the end, which equals a correctly
 rounded float sum. Used to pin the estimators bit-for-bit on small inputs.
+Ancestry comes from Warshall's transitive closure over the edge list, which
+needs no topological order.
 """
 
 from fractions import Fraction
@@ -36,3 +38,17 @@ def brute_psi(values, j, k_col, k):
             if column[i] > threshold:
                 total += Fraction(abs(2.0 * brute_cdf(col_k, col_k[i]) - 1.0))
     return float(total) / (2 * k)
+
+
+def brute_ancestors(p, edges):
+    """Strict-ancestor lists of lists: ``reach[j][i]`` when a directed path runs i -> j."""
+    reach = [[False] * p for _ in range(p)]
+    for parent, child in edges:
+        reach[child][parent] = True
+    for via in range(p):
+        for j in range(p):
+            if reach[j][via]:
+                for i in range(p):
+                    if reach[via][i]:
+                        reach[j][i] = True
+    return reach

@@ -176,6 +176,12 @@ def test_evaluate_refuses_over_cap_p_before_building_the_dag(tmp_path, capsys):
     {"p": None},
     {"edges": [5]},
     {"edges": [[0, 1]]},
+    {"p": 2.9},
+    {"p": True, "edges": []},
+    {"edges": [[0.7, 1.2, 0.5]]},
+    {"edges": [[False, 1, 0.5]]},
+    {"hidden": [0.5]},
+    {"hidden": [False]},
 ])
 def test_oracle_malformed_scm_exits_2(tmp_path, capsys, broken):
     doc = scm_to_dict(make_chain([0.5]))
@@ -184,6 +190,18 @@ def test_oracle_malformed_scm_exits_2(tmp_path, capsys, broken):
     write_json(path, doc)
     assert run("oracle", "--scm", path, "--kind", "psi", "--out", tmp_path / "m.json") == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_oracle_reads_integral_float_node_ids_as_ints(tmp_path):
+    outputs = []
+    for p, parent, child, hidden in [(2, 0, 1, 1), (2.0, 0.0, 1.0, 1.0)]:
+        doc = scm_to_dict(make_chain([0.5]))
+        doc.update(p=p, edges=[[parent, child, 0.5]], hidden=[hidden])
+        write_json(tmp_path / "scm.json", doc)
+        assert run("oracle", "--scm", tmp_path / "scm.json", "--kind", "psi",
+                   "--out", tmp_path / "m.json") == 0
+        outputs.append(json.loads((tmp_path / "m.json").read_text()))
+    assert outputs[0] == outputs[1]
 
 
 def test_evaluate_round_trip(tmp_path, capsys):

@@ -210,20 +210,26 @@ def test_mistake_rate_on_hidden_scm_matches_observed_only_validation():
     assert 0 < result.rate < 1
 
 
-@pytest.mark.parametrize("p, complete", [(1000, False), (300, True)])
-def test_score_order_peak_stays_under_its_capacity_constant(p, complete):
-    # every pair ancestral, the worst case: a chain, or a complete DAG
+@pytest.mark.parametrize("hidden", [(), (0,)], ids=["all-observed", "one-hidden"])
+@pytest.mark.parametrize("p, complete", [(1000, False), (500, True)], ids=["chain", "complete"])
+def test_score_order_peak_stays_under_its_capacity_constant(p, complete, hidden):
+    # every pair ancestral and placed backwards: a chain, or a complete DAG; a
+    # hidden node adds the restricted copy of the ancestor matrix. p is large
+    # enough that numpy's fixed ufunc buffer is small against p**2 bytes.
     edges = [(i, j) for i in range(p) for j in range(i + 1, p)] if complete else [
         (j, j + 1) for j in range(p - 1)]
-    truth = Scm(Dag(p, edges), {e: 1.0 for e in edges}, NoiseSpec("student_t", 1.5))
+    truth = Scm(Dag(p, edges), {e: 1.0 for e in edges}, NoiseSpec("student_t", 1.5),
+                hidden=hidden)
+    order = CausalOrder(truth.observed[::-1])
     tracemalloc.start()
     try:
-        score = score_order(truth, CausalOrder(range(p)))
+        score = score_order(truth, order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert score.valid and score.ancestral_pairs == p * (p - 1) // 2
+    observed = p - len(hidden)
+    assert score.violations == score.ancestral_pairs == observed * (observed - 1) // 2
     assert peak <= _SCORE_BYTES_PER_PAIR * p * p
-    check_score_capacity(4096)
-    with pytest.raises(CapacityError, match="the truth graph of 4097 nodes"):
-        check_score_capacity(4097)
+    check_score_capacity(16384)
+    with pytest.raises(CapacityError, match="the truth graph of 16385 nodes"):
+        check_score_capacity(16385)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from heavytail import (CapacityError, CausalOrder, Dag, GeneratorConfig, NoiseSp
                        Scm, ValidationError, all_causal_orders, check_path_faithful,
                        path_weights, random_scm, validate_order)
 
+from brute_oracles import brute_ancestors
 from conftest import make_chain
 
 
@@ -37,6 +39,53 @@ def test_ancestors_chain_and_isolated():
     assert isolated.ancestors(2) == frozenset({2})
     with pytest.raises(ValidationError):
         chain.ancestors(5)
+
+
+def _shuffled_dag(seed):
+    """A random DAG whose topological order is a random permutation of the node ids."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 16))
+    order = rng.permutation(p).tolist()
+    density = rng.uniform(0.1, 0.6)
+    return Dag(p, [(order[a], order[b]) for a in range(p) for b in range(a + 1, p)
+                   if rng.random() < density])
+
+
+def test_ancestor_matrix_matches_warshall_closure():
+    for seed in range(200):
+        dag = _shuffled_dag(seed)
+        expected = np.array(brute_ancestors(dag.p, dag.edges), dtype=bool)
+        assert np.array_equal(dag.ancestor_matrix, expected), dag
+
+
+def test_validate_order_matches_a_double_loop_over_pairs():
+    rng = np.random.default_rng(1)
+    for seed in range(200):
+        dag = _shuffled_dag(seed)
+        reach = brute_ancestors(dag.p, dag.edges)
+        covered = rng.permutation(dag.p)[:rng.integers(1, dag.p + 1)].tolist()
+        order = CausalOrder(covered)
+        expected = tuple((i, j) for j in sorted(covered) for i in sorted(covered)
+                         if reach[j][i] and order.position(i) > order.position(j))
+        assert validate_order(dag, order, observed_only=True).violations == expected, dag
+
+
+def test_ancestor_matrix_is_built_once_on_first_use_and_read_only():
+    p = 10**5
+    tracemalloc.start()
+    try:
+        Dag(p, [(j, j + 1) for j in range(p - 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * p // 100
+    dag = Dag(4, [(0, 1), (1, 2)])
+    assert dag.ancestors(2) == frozenset({0, 1, 2})
+    matrix = dag.ancestor_matrix
+    assert dag.strict_ancestors(3) == frozenset() and dag.ancestor_matrix is matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[3, 0] = True
 
 
 def test_topological_order_respects_edges():
