@@ -8,6 +8,8 @@ depend on evaluation order or thread schedule.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -37,6 +39,8 @@ def derived_seed(*parts) -> np.random.SeedSequence:
         if isinstance(part, (int, np.integer)):
             entropy.append(int(part))
         elif isinstance(part, float):
+            if not math.isfinite(part):
+                raise ValidationError(f"seed key parts must be finite, got {part}")
             entropy.append(int(round(part * 1_000_000)))
         else:
             raise ValidationError(f"seed key parts must be numeric, got {type(part).__name__}")

@@ -139,6 +139,8 @@ def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None) -> lis
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"unknown method {m!r}; expected subset of {METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ValidationError(f"methods must not repeat, got {methods}")
 
     scenarios = simulate_grid(grid, reps, seed)
     score = functools.partial(_score_methods, methods, seed)

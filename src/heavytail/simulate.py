@@ -14,16 +14,18 @@ estimators rank is contiguous. Under uniform margins each emitted column is
 its own max-rank ECDF: the columns are ranked once, and the ranks become the
 Dataset's rank cache, so the estimators never rank them again.
 
-:func:`simulate_grid` draws replicate r + 1's noise on a helper thread while
-the caller holds replicate r. The draw spends its time in numpy's C loops,
-which release the GIL; the streams, and so every output, are those of
-drawing each replicate in turn.
+:func:`simulate_grid` draws replicate r + 1's noise on the one worker of a
+``concurrent.futures.ThreadPoolExecutor`` while the caller holds replicate r;
+a draw the worker has not started when r + 1 is asked for is cancelled and
+drawn by the caller. The draw spends its time in numpy's C loops, which
+release the GIL; the streams, and so every output, are those of drawing each
+replicate in turn.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,18 +189,31 @@ def _check_simulation(scm: Scm, setting: SimSetting, n: int) -> None:
         raise DomainError(f"{setting.kind} needs n >= 2 for a non-degenerate empirical CDF")
 
 
+def _whole(values, axis: str) -> tuple[int, ...]:
+    """The values as ints; integral floats such as 1e6 pass, a fractional part is refused."""
+    values = tuple(values)
+    whole = tuple(int(v) for v in values)
+    if any(w != v for w, v in zip(whole, values)):
+        raise ValidationError(f"grid {axis} values must be whole numbers, got {list(values)}")
+    return whole
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Cartesian scenario grid over sample sizes, dimensions, tail indices, settings.
 
-    ``memory_cap_bytes`` bounds :func:`simulation_bytes` of every drawn
-    scenario; a replicate over it raises CapacityError before it simulates.
-    The count covers simulate's columns of every node and its temporaries,
-    and the replicate's ranking too, whether simulate or the estimators do
-    it: one float64 and one compact rank column per observed node, plus the
-    rank kernel's scratch (see :func:`simulation_bytes`). :func:`simulate_grid`
-    draws the next replicate's noise while a replicate is held only when
-    the held replicate's count plus that draw's bytes fit under the cap too.
+    ``memory_cap_bytes`` is checked twice for every replicate, and a
+    replicate over it raises CapacityError. Before its SCM is drawn,
+    :func:`_check_scm_memory` bounds the draw's p x p arrays from p and the
+    setting alone, since with confounders the total node count is known
+    only after the draw. After the draw, and before anything is simulated,
+    :func:`check_memory` bounds :func:`simulation_bytes` of the drawn SCM:
+    simulate's columns of every node, hidden ones included, and its
+    temporaries, and the replicate's ranking too, whether simulate or the
+    estimators do it: one float64 and one compact rank column per observed
+    node, plus the rank kernel's scratch. :func:`simulate_grid` draws the
+    next replicate's noise while a replicate is held only when the held
+    replicate's count plus that draw's bytes fit under the cap too.
     """
 
     n_values: tuple[int, ...]
@@ -208,8 +223,8 @@ class GridSpec:
     memory_cap_bytes: int = 1 << 30
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
-        object.__setattr__(self, "p_values", tuple(int(v) for v in self.p_values))
+        object.__setattr__(self, "n_values", _whole(self.n_values, "n"))
+        object.__setattr__(self, "p_values", _whole(self.p_values, "p"))
         object.__setattr__(self, "alpha_values", tuple(float(v) for v in self.alpha_values))
         settings = tuple(
             s if isinstance(s, SimSetting) else SimSetting(str(s)) for s in self.settings)
@@ -218,8 +233,8 @@ class GridSpec:
             raise ValidationError("grid must have at least one value on every axis")
         if any(n < 1 for n in self.n_values) or any(p < 1 for p in self.p_values):
             raise ValidationError("grid n and p values must be positive")
-        if any(a <= 0 for a in self.alpha_values):
-            raise ValidationError("grid alpha values must be positive")
+        if not all(0 < a < math.inf for a in self.alpha_values):
+            raise ValidationError("grid alpha values must be positive and finite")
 
     def cells(self):
         return itertools.product(self.settings, self.n_values, self.p_values, self.alpha_values)
@@ -301,6 +316,25 @@ def _draw_bytes(scm: Scm, n: int) -> int:
     return n * (8 * scm.p + _draw_scratch(scm))
 
 
+# Bytes per p**2 that scenario_scm holds at its peak drawing an SCM of p
+# observed nodes: path_weights' p x p float64 coefficient and path-weight
+# matrices, and with confounders the nodes they add and the list of all
+# observed pairs they are drawn from (tracemalloc, p from 250 to 2000: 16.4 to
+# 19.2 without confounders, 36.4 to 48.8 with them), rounded up.
+_SCM_BYTES_PER_P2 = 20
+_CONFOUNDED_SCM_BYTES_PER_P2 = 50
+
+
+def _check_scm_memory(p: int, setting: SimSetting, cap_bytes: int) -> None:
+    """Raise CapacityError if drawing the SCM of p observed nodes would exceed the cap."""
+    confounded = setting.kind == "hidden_confounders"
+    need = (_CONFOUNDED_SCM_BYTES_PER_P2 if confounded else _SCM_BYTES_PER_P2) * p * p
+    if need > cap_bytes:
+        raise CapacityError(
+            f"drawing an SCM of {p} nodes needs about {need} bytes, "
+            f"over the memory cap of {cap_bytes} bytes")
+
+
 def check_memory(scm: Scm, setting: SimSetting, n: int, cap_bytes: int) -> None:
     """Raise CapacityError if simulating n rows of the SCM would exceed the cap."""
     need = simulation_bytes(scm, setting, n)
@@ -341,6 +375,7 @@ def _set_up(seed, cap_bytes: int, setting, n, p, alpha, rep):
     caller asks for this replicate.
     """
     try:
+        _check_scm_memory(p, setting, cap_bytes)
         scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
         scm = scenario_scm(p, alpha, setting, scm_seed)
         drawn = effective_setting(scm, setting)
@@ -359,61 +394,6 @@ def _set_up(seed, cap_bytes: int, setting, n, p, alpha, rep):
 _AHEAD_MIN_VALUES = 8000
 
 
-class _DrawAhead:
-    """One helper thread that draws replicates' noise, one at a time.
-
-    ``submit`` queues a replicate's draw and ``result`` returns it: drawn on
-    the calling thread if the helper has not taken it yet, so that a helper
-    starved of the GIL or of a CPU costs no waiting; else waited for, and
-    what the draw raised is raised again. The draw spends its time in
-    numpy's C loops, which release the GIL, so it overlaps whatever the
-    calling thread does meanwhile. ``close`` drops a draw not yet taken,
-    lets one in flight finish, and joins the thread.
-    """
-
-    def __init__(self):
-        import queue  # only a grid call that draws ahead needs it
-
-        self._empty = queue.Empty
-        self._requests = queue.SimpleQueue()
-        self._results = queue.SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._serve, name="heavytail-draw-ahead", daemon=True,
-            args=(self._requests, self._results))
-        self._thread.start()
-
-    @staticmethod
-    def _serve(requests, results):
-        for replicate in iter(requests.get, None):
-            try:
-                results.put(replicate.draw())
-            except BaseException as exc:  # raised again by result, on the caller's thread
-                results.put(exc)
-
-    def _take_back(self):
-        try:
-            return self._requests.get_nowait()
-        except self._empty:
-            return None
-
-    def submit(self, replicate: _Replicate) -> None:
-        self._requests.put(replicate)
-
-    def result(self) -> list:
-        replicate = self._take_back()
-        if replicate is not None:
-            return replicate.draw()
-        outcome = self._results.get()
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return outcome
-
-    def close(self) -> None:
-        self._take_back()
-        self._requests.put(None)
-        self._thread.join()
-
-
 def simulate_grid(grid: GridSpec, reps: int, seed=None):
     """Yield one Scenario per (setting, n, p, alpha, replicate), lazily.
 
@@ -421,11 +401,17 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
     Each replicate is set up (its SCM drawn, its memory checked) and
     assigned on the calling thread; an error setting up a replicate is
     raised when that replicate is asked for. While the caller holds
-    replicate r, one helper thread draws replicate r + 1's noise, if the
-    draw has at least _AHEAD_MIN_VALUES values and simulation_bytes of r
-    plus the draw's bytes fit under ``grid.memory_cap_bytes``; otherwise
-    r + 1 is drawn when it is asked for, as is the first replicate. Closing
-    the generator joins the helper.
+    replicate r, the one worker of a thread pool executor draws replicate
+    r + 1's noise, if the draw has at least _AHEAD_MIN_VALUES values and
+    simulation_bytes of r plus the draw's bytes fit under
+    ``grid.memory_cap_bytes``; otherwise r + 1 is drawn when it is asked
+    for, as is the first replicate. A draw the worker has not started when
+    r + 1 is asked for is cancelled and drawn on the calling thread, so a
+    worker starved of the GIL or of a CPU costs no waiting; what a draw
+    raised is raised again when its replicate is asked for. The executor is
+    started with the first draw ahead, and closing the generator shuts it
+    down: a draw not started is cancelled, one in flight finishes, and the
+    worker is joined.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -434,7 +420,7 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
             for setting, n, p, alpha in grid.cells() for rep in range(reps))
     following = _set_up(seed, cap, *next(keys))
     helper = None  # started with the first replicate drawn ahead
-    ahead = False  # whether the helper is drawing the next replicate
+    ahead = None  # the helper's draw of the next replicate, if it has one
     try:
         while following is not None:
             if isinstance(following, HeavytailError):
@@ -444,14 +430,18 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
             # this one, so that the helper can start the next draw at once
             key = next(keys, None)
             following = None if key is None else _set_up(seed, cap, *key)
-            noise = helper.result() if ahead else current.draw()
-            ahead = (isinstance(following, _Replicate)
-                     and following.n * following.scm.p >= _AHEAD_MIN_VALUES
-                     and simulation_bytes(current.scm, current.drawn, current.n)
-                     + _draw_bytes(following.scm, following.n) <= cap)
-            if ahead:
-                helper = helper or _DrawAhead()
-                helper.submit(following)
+            # a draw the helper has not started is cancelled and drawn here
+            noise = current.draw() if ahead is None or ahead.cancel() else ahead.result()
+            ahead = None
+            if (isinstance(following, _Replicate)
+                    and following.n * following.scm.p >= _AHEAD_MIN_VALUES
+                    and simulation_bytes(current.scm, current.drawn, current.n)
+                    + _draw_bytes(following.scm, following.n) <= cap):
+                if helper is None:
+                    import concurrent.futures  # only a grid call that draws ahead needs it
+
+                    helper = concurrent.futures.ThreadPoolExecutor(1, "heavytail-draw-ahead")
+                ahead = helper.submit(following.draw)
             # the scenario empties noise and no local keeps the data across
             # the yield, so a consumer that drops each scenario holds one
             # replicate's data, plus the next one's noise being drawn
@@ -459,4 +449,4 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
     finally:
         if helper is not None:
             # a draw still in flight is of a replicate nobody asked for
-            helper.close()
+            helper.shutdown(wait=True, cancel_futures=True)

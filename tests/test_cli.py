@@ -264,6 +264,9 @@ def test_benchmark_command(tmp_path):
                         "mean_violation_fraction,se,mistake_rate,wall_ms")
     assert len(lines) == 3  # header + one row per method
 
+    # a repeated method would write its rows twice
+    assert run("benchmark", "--grid", grid_path, "--reps", 1,
+               "--methods", "ease_psi,ease_psi", "--out", out) == 2
     grid_path.write_text(json.dumps({"n": [200]}))
     assert run("benchmark", "--grid", grid_path, "--out", out) == 2
     grid_path.write_text("not json{")
@@ -315,6 +318,36 @@ def test_benchmark_memory_cap_exits_2(tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert run("benchmark", "--grid", grid_path, "--reps", 1, "--out", out) == 2
     assert "memory cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_simulate_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
+    assert run("simulate", "--p", 3, "--n", 10, "--alpha", alpha,
+               "--out", tmp_path / "d.csv", "--truth", tmp_path / "t.json") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_NO_TOML = importlib.util.find_spec("tomllib") is None and importlib.util.find_spec("tomli") is None
+
+
+@pytest.mark.parametrize("name, text", [
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [NaN]}'),
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [Infinity]}'),
+    pytest.param("grid.toml", "n = [50]\np = [2]\nalpha = [nan]\n",
+                 marks=pytest.mark.skipif(_NO_TOML, reason="no TOML parser")),
+    pytest.param("grid.toml", "n = [50]\np = [2]\nalpha = [inf]\n",
+                 marks=pytest.mark.skipif(_NO_TOML, reason="no TOML parser")),
+    ("grid.json", '{"n": [40.9], "p": [3], "alpha": [2.5]}'),
+    ("grid.json", '{"n": [40], "p": [3.7], "alpha": [2.5]}'),
+    ("grid.json", '{"n": [50], "p": [1e300], "alpha": [2.5]}'),
+], ids=["json-nan", "json-inf", "toml-nan", "toml-inf", "fractional-n", "fractional-p",
+        "p-over-the-cap"])
+def test_benchmark_grid_values_exit_2(tmp_path, capsys, name, text):
+    grid_path = tmp_path / name
+    grid_path.write_text(text)
+    assert run("benchmark", "--grid", grid_path, "--reps", 1, "--methods", "random_order",
+               "--out", tmp_path / "results.csv") == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_tail_index_command(tmp_path, capsys):

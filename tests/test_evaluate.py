@@ -93,6 +93,8 @@ def test_benchmark_header_and_validation():
         benchmark(grid, methods=("pc_rank",), reps=1, seed=0)
     with pytest.raises(ValidationError):
         benchmark(grid, reps=0, seed=0)
+    with pytest.raises(ValidationError, match="repeat"):
+        benchmark(grid, methods=("ease_psi", "random_order", "ease_psi"), reps=1, seed=0)
 
 
 def test_benchmark_enforces_memory_cap():

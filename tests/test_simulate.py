@@ -1,8 +1,10 @@
+import concurrent.futures
 import importlib
 import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -149,6 +151,50 @@ def test_grid_validation_and_counts():
     desk = GridSpec((100, 200), (3, 4, 5), (1.5, 2.5, 3.5),
                     settings=("linear", "hidden_confounders", "nonlinear", "uniform_margins"))
     assert sum(1 for _ in simulate_grid(desk, reps=2, seed=0)) == 2 * 3 * 3 * 4 * 2
+
+
+@pytest.mark.parametrize("n, p, alpha", [
+    ((40.9,), (3,), (1.5,)), ((40,), (3.7,), (1.5,)),
+    ((40,), (3,), (float("nan"),)), ((40,), (3,), (float("inf"),))])
+def test_grid_refuses_fractional_sizes_and_non_finite_alpha(n, p, alpha):
+    with pytest.raises(ValidationError):
+        GridSpec(n, p, alpha)
+
+
+def test_grid_keeps_integral_float_sizes():
+    grid = GridSpec((1e6,), (4.0,), (1.5,))
+    assert (grid.n_values, grid.p_values) == ((10**6,), (4,))
+    assert all(type(v) is int for v in grid.n_values + grid.p_values)
+
+
+def test_grid_memory_cap_is_checked_before_the_scm_draw():
+    # the SCM draw alone holds p x p float64 arrays, 64 MB at p = 2000
+    grid = GridSpec((10,), (2000,), (1.5,), memory_cap_bytes=10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="memory cap"):
+            next(simulate_grid(grid, reps=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+
+
+@pytest.mark.parametrize("kind", ["linear", "hidden_confounders"])
+def test_scm_memory_bound_covers_the_scm_draw(kind):
+    setting = SimSetting(kind)
+    check = simulate_module._check_scm_memory
+    for p in (300, 600):
+        seed = scenario_streams(0, 10, p, 1.5, 0)[0]
+        tracemalloc.start()
+        try:
+            scenario_scm(p, 1.5, setting, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(CapacityError):
+            check(p, setting, peak - 1)  # the bound is at least what the draw held
+        check(p, setting, 2 * peak)  # and not far above it
 
 
 def test_grid_stream_determinism():
@@ -338,30 +384,48 @@ def test_run_draws_match_per_column_draws_bitwise(n):
     assert len(list(_noise_runs(_interleaved_hidden_scm()))) == 5
 
 
-class _RecordingDrawAhead(simulate_module._DrawAhead):
-    helpers, submitted, read = [], [], []
+class _RecordedDraw:
+    """A future of the draw-ahead executor that records each read of it."""
 
-    def __init__(self):
-        self.helpers.append(self)
-        super().__init__()
+    def __init__(self, future, read):
+        self._future, self._read = future, read
 
-    def submit(self, replicate):
-        self.submitted.append(replicate)
-        super().submit(replicate)
+    def cancel(self):
+        # every read of a draw starts by trying to cancel it
+        self._read.append(self._future)
+        return self._future.cancel()
 
     def result(self):
-        self.read.append(self)
-        return super().result()
+        return self._future.result()
+
+
+class _RecordingExecutor(ThreadPoolExecutor):
+    """The draw-ahead executor, recording itself, each replicate whose draw is
+    submitted, and each draw read back."""
+
+    helpers, submitted, read = [], [], []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.helpers.append(self)
+
+    def submit(self, draw):
+        self.submitted.append(draw.__self__)
+        return _RecordedDraw(super().submit(draw), self.read)
+
+
+def _alive(helper):
+    return any(thread.is_alive() for thread in helper._threads)
 
 
 @pytest.fixture
 def helpers(monkeypatch):
     # draw ahead however small the draw, so that small grids run the pipeline
-    _RecordingDrawAhead.helpers, _RecordingDrawAhead.submitted = [], []
-    _RecordingDrawAhead.read = []
-    monkeypatch.setattr(simulate_module, "_DrawAhead", _RecordingDrawAhead)
+    _RecordingExecutor.helpers, _RecordingExecutor.submitted = [], []
+    _RecordingExecutor.read = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 0)
-    return _RecordingDrawAhead
+    return _RecordingExecutor
 
 
 @pytest.mark.parametrize("kind", SETTINGS)
@@ -383,7 +447,7 @@ def test_grid_pipeline_matches_sequential_simulate(kind, helpers):
     assert [(r.n, r.p, r.alpha, r.rep) for r in helpers.submitted] == [
         key[1:] for key in expected[1:]]
     assert len(helpers.read) == len(helpers.submitted)
-    assert not helper._thread.is_alive()
+    assert not _alive(helper)
 
 
 def test_grid_pipeline_under_a_short_switch_interval(helpers, monkeypatch):
@@ -404,12 +468,12 @@ def test_grid_pipeline_under_a_short_switch_interval(helpers, monkeypatch):
 
 
 def test_grid_draws_ahead_only_draws_of_enough_values(monkeypatch):
-    monkeypatch.setattr(simulate_module, "_DrawAhead", _RecordingDrawAhead)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
     for n, ahead in ((simulate_module._AHEAD_MIN_VALUES // 4 - 1, 0),
                      (simulate_module._AHEAD_MIN_VALUES // 4, 2)):
-        _RecordingDrawAhead.submitted = []
+        _RecordingExecutor.submitted = []
         list(simulate_grid(GridSpec((n,), (4,), (1.5,)), reps=3, seed=0))
-        assert len(_RecordingDrawAhead.submitted) == ahead
+        assert len(_RecordingExecutor.submitted) == ahead
 
 
 def test_grid_single_replicate_starts_no_thread(helpers):
@@ -437,10 +501,10 @@ def test_grid_close_joins_the_helper(helpers, monkeypatch):
     next(scenarios)
     assert taken.wait(timeout=10)
     (helper,) = helpers.helpers
-    assert len(helpers.submitted) == 1 and helper._thread.is_alive()
+    assert len(helpers.submitted) == 1 and _alive(helper)
     scenarios.close()
-    helper._thread.join(timeout=10)
-    assert not helper._thread.is_alive()
+    # the draw in flight finished and close returned only once it had joined
+    assert not _alive(helper)
     assert helpers.read == []
 
 
@@ -454,19 +518,21 @@ def test_grid_helper_error_surfaces_when_its_replicate_is_asked_for(helpers, mon
     assert taken.wait(timeout=10)
     with pytest.raises(MemoryError, match="draw failed"):
         next(scenarios)
-    assert not helpers.helpers[0]._thread.is_alive()
+    assert not _alive(helpers.helpers[0])
 
 
 def test_grid_draws_a_draw_the_helper_has_not_taken_itself(helpers, monkeypatch):
-    # a helper that cannot run: every draw is taken back and drawn inline
+    # a worker kept busy by a first job it cannot finish: every draw is
+    # cancelled and drawn inline
     release = threading.Event()
-    serve = _RecordingDrawAhead._serve
+    started = []
 
-    def stalled(requests, results):
-        release.wait(timeout=10)
-        serve(requests, results)
+    def stalled(*args):
+        helper = helpers(*args)
+        started.append(ThreadPoolExecutor.submit(helper, release.wait, 10))
+        return helper
 
-    monkeypatch.setattr(_RecordingDrawAhead, "_serve", staticmethod(stalled))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", stalled)
     threads = []
     monkeypatch.setattr(simulate_module, "_draw_noise", lambda scm, n, rng: (
         threads.append(threading.current_thread()), _draw_noise(scm, n, rng))[1])
@@ -474,10 +540,12 @@ def test_grid_draws_a_draw_the_helper_has_not_taken_itself(helpers, monkeypatch)
     scenarios = simulate_grid(grid, reps=3, seed=2)
     drawn = [next(scenarios) for _ in range(6)]
     assert len(helpers.submitted) == 5 and len(helpers.read) == 5
+    assert all(future.cancelled() for future in helpers.read)
     assert threads == [threading.main_thread()] * 6
     release.set()
     assert next(scenarios, None) is None
-    assert not helpers.helpers[0]._thread.is_alive()
+    (blocker,) = started
+    assert blocker.result(timeout=10) and not _alive(helpers.helpers[0])
     monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 1 << 62)
     sequential = list(simulate_grid(grid, reps=3, seed=2))
     assert all(bitwise_equal(a.data.values, b.data.values)
