@@ -13,18 +13,17 @@ import sys
 
 from . import __version__
 from .ease import ease
-from .errors import ValidationError
+from .errors import MEMORY_CAP_BYTES, ValidationError
 from .estimators import EstimatorConfig, coefficient_matrix
 from .evaluate import benchmark, check_score_capacity, score_order
 from .formats import (dataset_from_csv, dataset_to_csv, matrix_from_dict,
                       matrix_to_dict, meta_block, order_names_from_dict,
                       order_to_dict, read_json, results_to_csv, scm_from_dict,
                       scm_node_count, scm_to_dict, score_to_dict, write_json)
-from .graph import CausalOrder, GeneratorConfig, random_scm
+from .graph import CausalOrder
 from .noise import hill_tail_index
 from .oracle import check_capacity, gamma_population, psi_population
-from .simulate import (GridSpec, SimSetting, effective_setting, scenario_streams,
-                       simulate)
+from .simulate import GridSpec, SimSetting, set_up_replicate, simulate
 
 
 def _estimator_config(args) -> EstimatorConfig:
@@ -38,12 +37,9 @@ def _config_meta(args) -> dict:
 
 def cmd_simulate(args) -> int:
     setting = SimSetting(args.setting, nonlinear_quantile=args.nonlinear_quantile)
-    generator = GeneratorConfig(
-        mode=args.mode, coefficient_law=args.coefficient_law,
-        hidden_confounders=setting.kind == "hidden_confounders")
-    scm_seed, data_seed = scenario_streams(args.seed, args.n, args.p, args.alpha, 0)
-    scm = random_scm(args.p, args.alpha, generator, scm_seed)
-    result = simulate(scm, effective_setting(scm, setting), args.n, data_seed)
+    replicate = set_up_replicate(args.seed, MEMORY_CAP_BYTES, setting, args.n, args.p,
+                                 args.alpha, 0, args.mode, args.coefficient_law)
+    result = simulate(replicate.scm, replicate.drawn, args.n, replicate.data_seed)
     dataset_to_csv(result.data, args.out)
     truth_doc = scm_to_dict(result.truth)
     truth_doc["meta"] = meta_block(args.seed, _config_meta(args))
@@ -125,13 +121,13 @@ def _load_grid(path) -> GridSpec:
             raise ValidationError(f"malformed TOML in {path}: {exc}") from exc
     else:
         doc = read_json(path)
-    try:
-        return GridSpec(
-            n_values=doc["n"], p_values=doc["p"], alpha_values=doc["alpha"],
-            settings=tuple(doc.get("settings", ["linear"])),
-            memory_cap_bytes=int(doc.get("memory_cap_bytes", 1 << 30)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"grid file needs 'n', 'p', and 'alpha' arrays: {exc}") from exc
+    arrays = isinstance(doc, dict) and all(isinstance(doc.get(key), list)
+                                           for key in ("n", "p", "alpha"))
+    if not arrays or not isinstance(doc.get("settings", []), list):
+        raise ValidationError(
+            "grid file needs 'n', 'p', and 'alpha' arrays, and 'settings', if given, an array")
+    return GridSpec(doc["n"], doc["p"], doc["alpha"], settings=doc.get("settings", ["linear"]),
+                    memory_cap_bytes=doc.get("memory_cap_bytes", MEMORY_CAP_BYTES))
 
 
 def cmd_benchmark(args) -> int:

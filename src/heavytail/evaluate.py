@@ -19,10 +19,9 @@ import numpy as np
 
 from ._rng import as_rng, derived_seed
 from .ease import ease
-from .errors import ValidationError
+from .errors import ValidationError, check_bytes
 from .estimators import Dataset, EstimatorConfig, coefficient_matrix, resolve_k
 from .graph import CausalOrder, Scm, backward_pairs
-from .oracle import _check_bytes
 from .simulate import (GridSpec, Scenario, SimSetting, effective_setting, scenario_streams,
                        simulate, simulate_grid)
 
@@ -41,7 +40,7 @@ _SCORE_BYTES_PER_PAIR = 4
 
 def check_score_capacity(p: int) -> None:
     """Raise CapacityError if scoring an order against a truth of p nodes would exceed the cap."""
-    _check_bytes(_SCORE_BYTES_PER_PAIR * p * p, f"the truth graph of {p} nodes")
+    check_bytes(_SCORE_BYTES_PER_PAIR * p * p, f"the truth graph of {p} nodes")
 
 
 @dataclass(frozen=True)

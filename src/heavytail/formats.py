@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import ValidationError, whole_number
 from .estimators import Dataset
 from .evaluate import RESULT_HEADER, OrderScore
 from .graph import CausalOrder, Dag, Scm
@@ -136,19 +136,12 @@ def _noise_from_dict(spec_doc, alpha: float) -> NoiseSpec:
     return NoiseSpec(family, alpha, **scales)
 
 
-def _integer(value, field: str) -> int:
-    """An int, or a float with no fractional part; booleans and other floats are refused."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise ValidationError(f"SCM {field} must be an integer, got {value!r}")
-
-
 def scm_node_count(doc: dict) -> int:
     """The node count ``p`` an SCM document declares, read before anything is built."""
     if not isinstance(doc, dict):
         raise ValidationError("SCM document must be a JSON object")
     try:
-        return _integer(doc["p"], "'p'")
+        return whole_number(doc["p"], "SCM 'p'")
     except KeyError as exc:
         raise ValidationError(f"SCM document missing field {exc}") from exc
 
@@ -169,12 +162,13 @@ def scm_from_dict(doc: dict) -> Scm:
     for entry in raw_edges:
         try:
             parent, child, beta = entry
-            coefficients[(_integer(parent, "edge ids"), _integer(child, "edge ids"))] = float(beta)
+            edge = whole_number(parent, "SCM edge id"), whole_number(child, "SCM edge id")
+            coefficients[edge] = float(beta)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"edge entries must be [parent, child, beta], got {entry!r}") from exc
     try:
-        hidden = [_integer(h, "'hidden' entry") for h in doc.get("hidden", [])]
+        hidden = [whole_number(h, "SCM 'hidden' entry") for h in doc.get("hidden", [])]
         names = doc.get("names")
         names = None if names is None else [str(s) for s in names]
     except (TypeError, ValueError, OverflowError) as exc:

@@ -347,10 +347,6 @@ class GeneratorConfig:
     mode: str = REAL
     coefficient_law: str = "intervals"
     hidden_confounders: bool = False
-    noise_family: str = "student_t"
-    scale_upper: float = 1.0
-    scale_lower: float = 1.0
-    max_resamples: int = 100
 
     def __post_init__(self):
         if self.mode not in (POSITIVE, REAL):
@@ -378,8 +374,9 @@ def random_scm(p: int, alpha: float, config: GeneratorConfig | None = None, seed
     per node once p > 10. With ``hidden_confounders`` the number of
     confounded pairs is binomial over all unordered pairs with success
     probability 2 / (3p - 3), one confounder per three nodes on average.
-    Real-coefficient draws violating path-faithfulness are rejected and
-    resampled.
+    Every node's noise is Student-t with ``alpha`` degrees of freedom and unit
+    scales. Real-coefficient draws violating path-faithfulness are rejected and
+    resampled, up to 100 draws in all.
     """
     if p < 1:
         raise ValidationError(f"p must be >= 1, got {p}")
@@ -387,11 +384,23 @@ def random_scm(p: int, alpha: float, config: GeneratorConfig | None = None, seed
         raise ValidationError(f"alpha must be positive, got {alpha}")
     config = config or GeneratorConfig()
     rng = as_rng(seed)
-    for _ in range(config.max_resamples):
+    for _ in range(100):
         scm = _draw_scm(p, alpha, config, rng)
         if config.mode == POSITIVE or check_path_faithful(scm):
             return scm
     raise ValidationError("could not draw a path-faithful SCM within the resample budget")
+
+
+def _node_pairs(indices: np.ndarray, p: int) -> tuple[list, list]:
+    """The pairs (i, j), i < j < p, at ``indices`` of their row-major list (firsts, seconds).
+
+    Row i holds the p - 1 - i pairs (i, i + 1) .. (i, p - 1) from index i * (2p - 1 - i) / 2.
+    """
+    rows = np.arange(p - 1)
+    row_start = rows * (2 * p - 1 - rows) // 2
+    first = np.searchsorted(row_start, indices, side="right") - 1
+    second = first + 1 + indices - row_start[first]
+    return first.tolist(), second.tolist()
 
 
 def _draw_scm(p: int, alpha: float, config: GeneratorConfig, rng) -> Scm:
@@ -417,10 +426,8 @@ def _draw_scm(p: int, alpha: float, config: GeneratorConfig, rng) -> Scm:
         q_conf = 2.0 / (3.0 * p - 3.0)
         n_conf = rng.binomial(n_pairs, q_conf)
         if n_conf > 0:
-            all_pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-            chosen = rng.choice(len(all_pairs), size=n_conf, replace=False)
-            for idx in sorted(int(v) for v in chosen):
-                i, j = all_pairs[idx]
+            chosen = np.sort(rng.choice(n_pairs, size=n_conf, replace=False))
+            for i, j in zip(*_node_pairs(chosen, p)):
                 conf = total
                 total += 1
                 hidden.append(conf)
@@ -428,9 +435,7 @@ def _draw_scm(p: int, alpha: float, config: GeneratorConfig, rng) -> Scm:
                 edges[(conf, j)] = _draw_coefficient(rng, config)
 
     dag = Dag(total, edges.keys())
-    spec = NoiseSpec(config.noise_family, alpha,
-                     scale_upper=config.scale_upper, scale_lower=config.scale_lower)
-    return Scm(dag, edges, spec, mode=config.mode, hidden=hidden)
+    return Scm(dag, edges, NoiseSpec("student_t", alpha), mode=config.mode, hidden=hidden)
 
 
 def all_causal_orders(dag: Dag) -> list[CausalOrder]:

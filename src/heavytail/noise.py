@@ -53,10 +53,6 @@ class NoiseSpec:
         if self.family == "student_t" and self.scale_upper != self.scale_lower:
             raise ValidationError("student_t is symmetric: scale_upper must equal scale_lower")
 
-    @property
-    def symmetric(self) -> bool:
-        return self.scale_upper == self.scale_lower and self.family != "shifted_pareto"
-
 
 @dataclass(frozen=True)
 class HillEstimate:

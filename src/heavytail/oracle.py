@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ModeError, ValidationError
+from .errors import ModeError, ValidationError, check_bytes
 from .graph import POSITIVE, Scm, check_path_faithful, path_weights
 
 KINDS = ("gamma", "psi")
@@ -29,10 +29,9 @@ COMMON_CAUSE = "common_cause"
 NO_CAUSAL_LINK = "no_causal_link"
 INDETERMINATE = "indeterminate"
 
-# Bytes one population matrix may allocate, counted as _PEAK_ARRAYS p x p
-# float64 arrays: the traced peak at p=600 is 9.5 such arrays for
-# psi_population and 5.1 for gamma_population.
-_MEMORY_CAP_BYTES = 1 << 30
+# p x p float64 arrays a population matrix holds at its peak, rounded up: the
+# traced peak at p=600 is 9.5 such arrays for psi_population and 5.1 for
+# gamma_population.
 _PEAK_ARRAYS = 10
 
 
@@ -71,15 +70,7 @@ class CoefMatrix:
 
 def check_capacity(p: int) -> None:
     """Raise CapacityError if the population matrices of p nodes would exceed the cap."""
-    _check_bytes(8 * _PEAK_ARRAYS * p * p, f"the population matrix of {p} nodes")
-
-
-def _check_bytes(need: int, subject: str) -> None:
-    """Raise CapacityError naming ``subject`` if ``need`` bytes exceed the cap."""
-    if need > _MEMORY_CAP_BYTES:
-        raise CapacityError(
-            f"{subject} needs about {need} bytes, "
-            f"over the memory cap of {_MEMORY_CAP_BYTES} bytes")
+    check_bytes(8 * _PEAK_ARRAYS * p * p, f"the population matrix of {p} nodes")
 
 
 def _names(scm: Scm) -> tuple[str, ...]:

@@ -25,16 +25,18 @@ replicate in turn.
 from __future__ import annotations
 
 import itertools
-import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._rng import as_rng, derived_seed
-from .errors import CapacityError, DomainError, HeavytailError, ValidationError
+from .errors import (MEMORY_CAP_BYTES, DomainError, HeavytailError, ValidationError,
+                     check_bytes, whole_number)
 from .estimators import _RANK_SCRATCH_COLUMNS, Dataset, _rank_dtype
-from .graph import GeneratorConfig, Scm, random_scm
+from .graph import REAL, GeneratorConfig, Scm, random_scm
 from .noise import _SAMPLE_BYTES_PER_ROW, sample_noise
 
 SETTINGS = ("linear", "hidden_confounders", "nonlinear", "uniform_margins")
@@ -189,52 +191,43 @@ def _check_simulation(scm: Scm, setting: SimSetting, n: int) -> None:
         raise DomainError(f"{setting.kind} needs n >= 2 for a non-degenerate empirical CDF")
 
 
-def _whole(values, axis: str) -> tuple[int, ...]:
-    """The values as ints; integral floats such as 1e6 pass, a fractional part is refused."""
-    values = tuple(values)
-    whole = tuple(int(v) for v in values)
-    if any(w != v for w, v in zip(whole, values)):
-        raise ValidationError(f"grid {axis} values must be whole numbers, got {list(values)}")
-    return whole
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Cartesian scenario grid over sample sizes, dimensions, tail indices, settings.
 
-    ``memory_cap_bytes`` is checked twice for every replicate, and a
-    replicate over it raises CapacityError. Before its SCM is drawn,
-    :func:`_check_scm_memory` bounds the draw's p x p arrays from p and the
-    setting alone, since with confounders the total node count is known
-    only after the draw. After the draw, and before anything is simulated,
-    :func:`check_memory` bounds :func:`simulation_bytes` of the drawn SCM:
-    simulate's columns of every node, hidden ones included, and its
-    temporaries, and the replicate's ranking too, whether simulate or the
-    estimators do it: one float64 and one compact rank column per observed
-    node, plus the rank kernel's scratch. :func:`simulate_grid` draws the
-    next replicate's noise while a replicate is held only when the held
-    replicate's count plus that draw's bytes fit under the cap too.
+    n, p and ``memory_cap_bytes`` are whole numbers of at least 1, and alpha
+    values are positive and finite. Every replicate is checked against the
+    cap by :func:`set_up_replicate`, and the next replicate is drawn ahead
+    only when the held one's :func:`simulation_bytes` plus that draw's bytes
+    fit under it too.
     """
 
     n_values: tuple[int, ...]
     p_values: tuple[int, ...]
     alpha_values: tuple[float, ...]
     settings: tuple[SimSetting, ...] = (SimSetting("linear"),)
-    memory_cap_bytes: int = 1 << 30
+    memory_cap_bytes: int = MEMORY_CAP_BYTES
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", _whole(self.n_values, "n"))
-        object.__setattr__(self, "p_values", _whole(self.p_values, "p"))
-        object.__setattr__(self, "alpha_values", tuple(float(v) for v in self.alpha_values))
+        for field, what in (("n_values", "grid n value"), ("p_values", "grid p value")):
+            values = tuple(whole_number(v, what) for v in getattr(self, field))
+            object.__setattr__(self, field, values)
+        alphas = tuple(self.alpha_values)
+        if not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
+                   and 0 < a <= sys.float_info.max for a in alphas):
+            raise ValidationError(f"grid alpha values must be positive and finite, got {alphas}")
+        object.__setattr__(self, "alpha_values", tuple(float(a) for a in alphas))
         settings = tuple(
             s if isinstance(s, SimSetting) else SimSetting(str(s)) for s in self.settings)
         object.__setattr__(self, "settings", settings)
+        cap = whole_number(self.memory_cap_bytes, "grid memory_cap_bytes")
+        object.__setattr__(self, "memory_cap_bytes", cap)
         if not (self.n_values and self.p_values and self.alpha_values and self.settings):
             raise ValidationError("grid must have at least one value on every axis")
         if any(n < 1 for n in self.n_values) or any(p < 1 for p in self.p_values):
             raise ValidationError("grid n and p values must be positive")
-        if not all(0 < a < math.inf for a in self.alpha_values):
-            raise ValidationError("grid alpha values must be positive and finite")
+        if cap < 1:
+            raise ValidationError(f"grid memory_cap_bytes must be positive, got {cap}")
 
     def cells(self):
         return itertools.product(self.settings, self.n_values, self.p_values, self.alpha_values)
@@ -252,9 +245,11 @@ class Scenario:
     truth: Scm
 
 
-def scenario_scm(p: int, alpha: float, setting: SimSetting, seed) -> Scm:
+def scenario_scm(p: int, alpha: float, setting: SimSetting, seed, mode: str = REAL,
+                 coefficient_law: str = "intervals") -> Scm:
     """Random SCM for one scenario; confounders only under that setting."""
-    config = GeneratorConfig(hidden_confounders=setting.kind == "hidden_confounders")
+    config = GeneratorConfig(mode=mode, coefficient_law=coefficient_law,
+                             hidden_confounders=setting.kind == "hidden_confounders")
     return random_scm(p, alpha, config, seed)
 
 
@@ -317,35 +312,16 @@ def _draw_bytes(scm: Scm, n: int) -> int:
 
 
 # Bytes per p**2 that scenario_scm holds at its peak drawing an SCM of p
-# observed nodes: path_weights' p x p float64 coefficient and path-weight
-# matrices, and with confounders the nodes they add and the list of all
-# observed pairs they are drawn from (tracemalloc, p from 250 to 2000: 16.4 to
-# 19.2 without confounders, 36.4 to 48.8 with them), rounded up.
+# observed nodes: path_weights' float64 coefficient and path-weight matrices
+# over every node, the confounders included (tracemalloc, p from 150 to 2000,
+# up to 40 seeds each: 16.4 to 19.2 without confounders, 27.0 to 37.3 with
+# them), rounded up.
 _SCM_BYTES_PER_P2 = 20
-_CONFOUNDED_SCM_BYTES_PER_P2 = 50
-
-
-def _check_scm_memory(p: int, setting: SimSetting, cap_bytes: int) -> None:
-    """Raise CapacityError if drawing the SCM of p observed nodes would exceed the cap."""
-    confounded = setting.kind == "hidden_confounders"
-    need = (_CONFOUNDED_SCM_BYTES_PER_P2 if confounded else _SCM_BYTES_PER_P2) * p * p
-    if need > cap_bytes:
-        raise CapacityError(
-            f"drawing an SCM of {p} nodes needs about {need} bytes, "
-            f"over the memory cap of {cap_bytes} bytes")
-
-
-def check_memory(scm: Scm, setting: SimSetting, n: int, cap_bytes: int) -> None:
-    """Raise CapacityError if simulating n rows of the SCM would exceed the cap."""
-    need = simulation_bytes(scm, setting, n)
-    if need > cap_bytes:
-        raise CapacityError(
-            f"simulating n={n} rows of {scm.p} nodes needs {need} bytes, "
-            f"over the memory cap of {cap_bytes} bytes")
+_CONFOUNDED_SCM_BYTES_PER_P2 = 40
 
 
 class _Replicate(NamedTuple):
-    """One grid replicate, its SCM drawn and checked against the memory cap."""
+    """One replicate, its SCM drawn and checked against the memory cap."""
 
     setting: SimSetting
     n: int
@@ -368,21 +344,27 @@ class _Replicate(NamedTuple):
             data=_dataset(self.scm, self.drawn, observed), truth=self.scm)
 
 
-def _set_up(seed, cap_bytes: int, setting, n, p, alpha, rep):
-    """The replicate, set up; or the package error setting it up raised.
+def set_up_replicate(seed, cap_bytes: int, setting: SimSetting, n: int, p: int, alpha: float,
+                     rep: int, mode: str = REAL, coefficient_law: str = "intervals"):
+    """Replicate ``rep`` of the cell (setting, n, p, alpha), its SCM drawn by scenario_scm.
 
-    The error is returned, not raised, so that it surfaces only when the
-    caller asks for this replicate.
+    Raises CapacityError if the replicate would exceed ``cap_bytes``: the
+    SCM draw is bounded from p and the setting before it is made (with
+    confounders the total node count is known only after it), and
+    :func:`simulation_bytes` of the drawn SCM before anything is simulated.
+    Raises ValidationError for a p or an n that cannot be simulated.
     """
-    try:
-        _check_scm_memory(p, setting, cap_bytes)
-        scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
-        scm = scenario_scm(p, alpha, setting, scm_seed)
-        drawn = effective_setting(scm, setting)
-        check_memory(scm, drawn, n, cap_bytes)
-        _check_simulation(scm, drawn, n)
-    except HeavytailError as exc:
-        return exc
+    if p < 1:  # before p * p is taken as a size
+        raise ValidationError(f"p must be >= 1, got {p}")
+    confounded = setting.kind == "hidden_confounders"
+    scm_bytes = (_CONFOUNDED_SCM_BYTES_PER_P2 if confounded else _SCM_BYTES_PER_P2) * p * p
+    check_bytes(scm_bytes, f"drawing an SCM of {p} nodes", cap_bytes)
+    scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
+    scm = scenario_scm(p, alpha, setting, scm_seed, mode, coefficient_law)
+    drawn = effective_setting(scm, setting)
+    check_bytes(simulation_bytes(scm, drawn, n), f"simulating n={n} rows of {scm.p} nodes",
+                cap_bytes)
+    _check_simulation(scm, drawn, n)
     return _Replicate(setting, n, p, alpha, rep, scm, drawn, data_seed)
 
 
@@ -418,7 +400,15 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
     cap = grid.memory_cap_bytes
     keys = ((setting, n, p, alpha, rep)
             for setting, n, p, alpha in grid.cells() for rep in range(reps))
-    following = _set_up(seed, cap, *next(keys))
+
+    def set_up(key):
+        # an error is returned, to be raised when its replicate is asked for
+        try:
+            return set_up_replicate(seed, cap, *key)
+        except HeavytailError as exc:
+            return exc
+
+    following = set_up(next(keys))
     helper = None  # started with the first replicate drawn ahead
     ahead = None  # the helper's draw of the next replicate, if it has one
     try:
@@ -429,7 +419,7 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
             # the next replicate is set up while the helper may still draw
             # this one, so that the helper can start the next draw at once
             key = next(keys, None)
-            following = None if key is None else _set_up(seed, cap, *key)
+            following = None if key is None else set_up(key)
             # a draw the helper has not started is cancelled and drawn here
             noise = current.draw() if ahead is None or ahead.cancel() else ahead.result()
             ahead = None

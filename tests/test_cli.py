@@ -167,6 +167,21 @@ def test_evaluate_refuses_over_cap_p_before_building_the_dag(tmp_path, capsys):
     assert "the truth graph of 1000000 nodes" in err and "population" not in err
 
 
+@pytest.mark.parametrize("p, n, subject", [
+    (8000, 10, "drawing an SCM of 8000 nodes"),  # 20 p**2 bytes, refused before the draw
+    (6, 10**12, "simulating n=1000000000000 rows of 6 nodes"),  # refused after the draw
+], ids=["p-over-the-scm-bound", "n-over-the-simulation-bound"])
+def test_simulate_over_the_memory_cap_exits_2(tmp_path, capsys, p, n, subject):
+    start = time.perf_counter()
+    code = run("simulate", "--p", p, "--n", n, "--alpha", 1.5,
+               "--out", tmp_path / "d.csv", "--truth", tmp_path / "t.json")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    err = capsys.readouterr().err
+    assert subject in err and "memory cap" in err and "internal error" not in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 @pytest.mark.parametrize("broken", [
     {"noise": {"scale_upper": 1.0, "scale_lower": 1.0}},
     {"noise": {"family": 3}},
@@ -327,27 +342,59 @@ def test_simulate_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("p", [-100000, -3, 0])
+def test_simulate_non_positive_p_exits_2(tmp_path, capsys, p):
+    assert run("simulate", "--p", p, "--n", 10, "--alpha", 1.5,
+               "--out", tmp_path / "d.csv", "--truth", tmp_path / "t.json") == 2
+    assert f"error: p must be >= 1, got {p}" in capsys.readouterr().err
+
+
 _NO_TOML = importlib.util.find_spec("tomllib") is None and importlib.util.find_spec("tomli") is None
 
 
-@pytest.mark.parametrize("name, text", [
-    ("grid.json", '{"n": [50], "p": [2], "alpha": [NaN]}'),
-    ("grid.json", '{"n": [50], "p": [2], "alpha": [Infinity]}'),
-    pytest.param("grid.toml", "n = [50]\np = [2]\nalpha = [nan]\n",
+_ALPHA = "grid alpha values must be positive and finite"
+_ARRAYS = "grid file needs 'n', 'p', and 'alpha' arrays"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [NaN]}', _ALPHA),
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [Infinity]}', _ALPHA),
+    pytest.param("grid.toml", "n = [50]\np = [2]\nalpha = [nan]\n", _ALPHA,
                  marks=pytest.mark.skipif(_NO_TOML, reason="no TOML parser")),
-    pytest.param("grid.toml", "n = [50]\np = [2]\nalpha = [inf]\n",
+    pytest.param("grid.toml", "n = [50]\np = [2]\nalpha = [inf]\n", _ALPHA,
                  marks=pytest.mark.skipif(_NO_TOML, reason="no TOML parser")),
-    ("grid.json", '{"n": [40.9], "p": [3], "alpha": [2.5]}'),
-    ("grid.json", '{"n": [40], "p": [3.7], "alpha": [2.5]}'),
-    ("grid.json", '{"n": [50], "p": [1e300], "alpha": [2.5]}'),
+    ("grid.json", '{"n": [40.9], "p": [3], "alpha": [2.5]}',
+     "grid n value must be a whole number, got 40.9"),
+    ("grid.json", '{"n": [40], "p": [3.7], "alpha": [2.5]}',
+     "grid p value must be a whole number, got 3.7"),
+    ("grid.json", '{"n": [50], "p": [1e300], "alpha": [2.5]}', "memory cap"),
+    ("grid.json", '{"n": [NaN], "p": [2], "alpha": [2.5]}',
+     "grid n value must be a whole number, got nan"),
+    ("grid.json", '{"n": [true], "p": [2], "alpha": [2.5]}',
+     "grid n value must be a whole number, got True"),
+    ("grid.json", '{"n": [50], "p": [2], "alpha": ["2.5"]}', _ALPHA),
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [2.5], "memory_cap_bytes": 5.7}',
+     "grid memory_cap_bytes must be a whole number, got 5.7"),
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [2.5], "memory_cap_bytes": true}',
+     "grid memory_cap_bytes must be a whole number, got True"),
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [2.5], "memory_cap_bytes": -5}',
+     "grid memory_cap_bytes must be positive, got -5"),
+    ("grid.json", '{"n": [50], "p": [2]}', _ARRAYS),
+    ("grid.json", '{"n": 50, "p": [2], "alpha": [2.5]}', _ARRAYS),
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [2.5], "settings": "linear"}', _ARRAYS),
+    ("grid.json", '[50, 2, 2.5]', _ARRAYS),
 ], ids=["json-nan", "json-inf", "toml-nan", "toml-inf", "fractional-n", "fractional-p",
-        "p-over-the-cap"])
-def test_benchmark_grid_values_exit_2(tmp_path, capsys, name, text):
+        "p-over-the-cap", "nan-n", "bool-n", "string-alpha", "fractional-cap", "bool-cap",
+        "negative-cap", "missing-alpha", "scalar-n", "scalar-settings", "not-an-object"])
+def test_benchmark_grid_values_exit_2(tmp_path, capsys, name, text, message):
     grid_path = tmp_path / name
     grid_path.write_text(text)
     assert run("benchmark", "--grid", grid_path, "--reps", 1, "--methods", "random_order",
                "--out", tmp_path / "results.csv") == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    if message != _ARRAYS:
+        assert _ARRAYS not in err
 
 
 def test_tail_index_command(tmp_path, capsys):

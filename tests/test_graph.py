@@ -8,6 +8,8 @@ from heavytail import (CapacityError, CausalOrder, Dag, GeneratorConfig, NoiseSp
                        Scm, ValidationError, all_causal_orders, check_path_faithful,
                        path_weights, random_scm, validate_order)
 
+from heavytail.graph import _node_pairs
+
 from brute_oracles import brute_ancestors
 from conftest import make_chain
 
@@ -240,6 +242,13 @@ def test_random_scm_confounders_are_parentless_extra_nodes():
         assert h >= 8
         assert scm.dag.parents(h) == ()
         assert len(scm.dag.children(h)) == 2
+
+
+def test_confounded_pairs_index_the_row_major_pair_list():
+    for p in (2, 3, 4, 7, 30):
+        pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        first, second = _node_pairs(np.arange(len(pairs)), p)
+        assert list(zip(first, second)) == pairs
 
 
 def test_generated_scms_are_path_faithful():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import importlib
+import re
 import sys
 import threading
 import time
@@ -16,11 +17,12 @@ from heavytail import (CapacityError, Dag, DomainError, EstimatorConfig, Generat
                        coefficient_matrix, gamma_estimate, random_scm, simulate,
                        ecdf_values, simulate_grid)
 from heavytail import estimators
+from heavytail.errors import MEMORY_CAP_BYTES
 from heavytail.estimators import _rank_kernel
 from heavytail.formats import scm_from_dict
 from heavytail.simulate import (SETTINGS, _draw_bytes, _draw_noise, _noise_runs,
-                                _quantile_threshold, check_memory, effective_setting,
-                                scenario_scm, scenario_streams, simulation_bytes)
+                                _quantile_threshold, effective_setting, scenario_scm,
+                                scenario_streams, set_up_replicate, simulation_bytes)
 
 from conftest import bitwise_equal, make_chain, reference_noise
 
@@ -153,18 +155,33 @@ def test_grid_validation_and_counts():
     assert sum(1 for _ in simulate_grid(desk, reps=2, seed=0)) == 2 * 3 * 3 * 4 * 2
 
 
-@pytest.mark.parametrize("n, p, alpha", [
-    ((40.9,), (3,), (1.5,)), ((40,), (3.7,), (1.5,)),
-    ((40,), (3,), (float("nan"),)), ((40,), (3,), (float("inf"),))])
-def test_grid_refuses_fractional_sizes_and_non_finite_alpha(n, p, alpha):
-    with pytest.raises(ValidationError):
-        GridSpec(n, p, alpha)
+_CAP = MEMORY_CAP_BYTES
+
+
+@pytest.mark.parametrize("n, p, alpha, cap, message", [
+    ((40.9,), (3,), (1.5,), _CAP, "grid n value must be a whole number, got 40.9"),
+    ((40,), (3.7,), (1.5,), _CAP, "grid p value must be a whole number, got 3.7"),
+    ((float("nan"),), (3,), (1.5,), _CAP, "grid n value must be a whole number, got nan"),
+    ((True,), (3,), (2.5,), _CAP, "grid n value must be a whole number, got True"),
+    ((40,), (3,), (float("nan"),), _CAP, "grid alpha values must be positive and finite"),
+    ((40,), (3,), (float("inf"),), _CAP, "grid alpha values must be positive and finite"),
+    ((40,), (3,), ("2.5",), _CAP, "grid alpha values must be positive and finite"),
+    ((40,), (3,), (10 ** 400,), _CAP, "grid alpha values must be positive and finite"),
+    ((40,), (3,), (1.5,), 5.7, "grid memory_cap_bytes must be a whole number, got 5.7"),
+    ((40,), (3,), (1.5,), True, "grid memory_cap_bytes must be a whole number, got True"),
+    ((40,), (3,), (1.5,), -5, "grid memory_cap_bytes must be positive, got -5"),
+    ((40,), (3,), (1.5,), 0, "grid memory_cap_bytes must be positive, got 0"),
+], ids=["fractional-n", "fractional-p", "nan-n", "bool-n", "nan-alpha", "inf-alpha",
+        "string-alpha", "huge-alpha", "fractional-cap", "bool-cap", "negative-cap", "zero-cap"])
+def test_grid_refuses_fractional_sizes_and_non_finite_alpha(n, p, alpha, cap, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        GridSpec(n, p, alpha, memory_cap_bytes=cap)
 
 
 def test_grid_keeps_integral_float_sizes():
-    grid = GridSpec((1e6,), (4.0,), (1.5,))
-    assert (grid.n_values, grid.p_values) == ((10**6,), (4,))
-    assert all(type(v) is int for v in grid.n_values + grid.p_values)
+    grid = GridSpec((1e6,), (4.0,), (1.5,), memory_cap_bytes=1e6)
+    assert (grid.n_values, grid.p_values, grid.memory_cap_bytes) == ((10**6,), (4,), 10**6)
+    assert all(type(v) is int for v in grid.n_values + grid.p_values + (grid.memory_cap_bytes,))
 
 
 def test_grid_memory_cap_is_checked_before_the_scm_draw():
@@ -183,7 +200,6 @@ def test_grid_memory_cap_is_checked_before_the_scm_draw():
 @pytest.mark.parametrize("kind", ["linear", "hidden_confounders"])
 def test_scm_memory_bound_covers_the_scm_draw(kind):
     setting = SimSetting(kind)
-    check = simulate_module._check_scm_memory
     for p in (300, 600):
         seed = scenario_streams(0, 10, p, 1.5, 0)[0]
         tracemalloc.start()
@@ -192,9 +208,10 @@ def test_scm_memory_bound_covers_the_scm_draw(kind):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        with pytest.raises(CapacityError):
-            check(p, setting, peak - 1)  # the bound is at least what the draw held
-        check(p, setting, 2 * peak)  # and not far above it
+        # the bound is at least what the draw held
+        with pytest.raises(CapacityError, match=f"drawing an SCM of {p} nodes"):
+            set_up_replicate(0, peak - 1, setting, 10, p, 1.5, 0)
+        set_up_replicate(0, 2 * peak, setting, 10, p, 1.5, 0)  # and not far above it
 
 
 def test_grid_stream_determinism():
@@ -246,9 +263,12 @@ def test_memory_cap_counts_hidden_nodes_and_copies():
     mixed = Scm(Dag(10, []), {}, (NoiseSpec("student_t", 1.5),)
                 + (NoiseSpec("symmetric_pareto", 1.5),) * 9)
     assert simulation_bytes(mixed, SimSetting("linear"), n) == n * (8 * 10 + 9 * 9)
-    check_memory(scm, setting, n, need)
-    with pytest.raises(CapacityError):
-        check_memory(scm, setting, n, need - 1)
+    # set_up_replicate passes a cap of exactly this count and refuses one byte less
+    replicate = set_up_replicate(3, MEMORY_CAP_BYTES, setting, n, 8, 2.5, 0)
+    need = simulation_bytes(replicate.scm, replicate.drawn, n)
+    set_up_replicate(3, need, setting, n, 8, 2.5, 0)
+    with pytest.raises(CapacityError, match=f"simulating n={n} rows .* needs about {need} bytes"):
+        set_up_replicate(3, need - 1, setting, n, 8, 2.5, 0)
 
 
 @pytest.mark.parametrize("kind", SETTINGS)
