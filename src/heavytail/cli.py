@@ -20,19 +20,35 @@ from .formats import (dataset_from_csv, dataset_to_csv, matrix_from_dict,
                       matrix_to_dict, meta_block, order_names_from_dict,
                       order_to_dict, read_json, results_to_csv, scm_from_dict,
                       scm_node_count, scm_to_dict, score_to_dict, write_json)
-from .graph import CausalOrder
+from .graph import CausalOrder, Scm
 from .noise import hill_tail_index
-from .oracle import check_capacity, gamma_population, psi_population
+from .oracle import CoefMatrix, check_capacity, gamma_population, psi_population
 from .simulate import GridSpec, SimSetting, set_up_replicate, simulate
 
 
-def _estimator_config(args) -> EstimatorConfig:
-    return EstimatorConfig(k=args.k, k_exponent=args.k_exponent, kind=args.kind)
+def _emit(args, doc: dict, path=None, seed=None) -> int:
+    """Attach the meta block (seed, resolved flags); write ``doc`` to ``path``, or stdout."""
+    config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
+    doc["meta"] = meta_block(seed, config)
+    if path is None:
+        json.dump(doc, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        write_json(path, doc)
+    return 0
 
 
-def _config_meta(args) -> dict:
-    skip = {"func"}
-    return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
+def _estimate(args) -> CoefMatrix:
+    """The coefficient matrix of the ``--data`` CSV, estimated per the estimator flags."""
+    config = EstimatorConfig(k=args.k, k_exponent=args.k_exponent, kind=args.kind)
+    return coefficient_matrix(dataset_from_csv(args.data), config)
+
+
+def _read_scm(path, check) -> Scm:
+    """The SCM document at ``path``; ``check`` refuses its node count before the Dag is built."""
+    doc = read_json(path)
+    check(scm_node_count(doc))
+    return scm_from_dict(doc)
 
 
 def cmd_simulate(args) -> int:
@@ -41,65 +57,35 @@ def cmd_simulate(args) -> int:
                                  args.alpha, 0, args.mode, args.coefficient_law)
     result = simulate(replicate.scm, replicate.drawn, args.n, replicate.data_seed)
     dataset_to_csv(result.data, args.out)
-    truth_doc = scm_to_dict(result.truth)
-    truth_doc["meta"] = meta_block(args.seed, _config_meta(args))
-    write_json(args.truth, truth_doc)
-    return 0
+    return _emit(args, scm_to_dict(result.truth), args.truth, args.seed)
 
 
 def cmd_coefficients(args) -> int:
-    data = dataset_from_csv(args.data)
-    matrix = coefficient_matrix(data, _estimator_config(args))
-    doc = matrix_to_dict(matrix)
-    doc["meta"] = meta_block(None, _config_meta(args))
-    write_json(args.out, doc)
-    return 0
+    return _emit(args, matrix_to_dict(_estimate(args)), args.out)
 
 
 def cmd_discover(args) -> int:
     if (args.matrix is None) == (args.data is None):
         raise ValidationError("give exactly one of --matrix or --data")
-    if args.matrix is not None:
-        matrix = matrix_from_dict(read_json(args.matrix))
-    else:
-        data = dataset_from_csv(args.data)
-        matrix = coefficient_matrix(data, _estimator_config(args))
-    order = ease(matrix)
-    names = matrix.names if matrix.names is not None else tuple(
-        f"x{j}" for j in range(matrix.p))
-    doc = order_to_dict(order, names)
-    doc["meta"] = meta_block(None, _config_meta(args))
-    write_json(args.out, doc)
-    return 0
+    matrix = (_estimate(args) if args.matrix is None
+              else matrix_from_dict(read_json(args.matrix)))
+    return _emit(args, order_to_dict(ease(matrix), matrix.names), args.out)
 
 
 def cmd_oracle(args) -> int:
-    doc = read_json(args.scm)
-    check_capacity(scm_node_count(doc))  # before the Dag's per-node lists are built
-    scm = scm_from_dict(doc)
+    scm = _read_scm(args.scm, check_capacity)
     matrix = gamma_population(scm) if args.kind == "gamma" else psi_population(scm)
-    doc = matrix_to_dict(matrix)
-    doc["meta"] = meta_block(None, _config_meta(args))
-    write_json(args.out, doc)
-    return 0
+    return _emit(args, matrix_to_dict(matrix), args.out)
 
 
 def cmd_evaluate(args) -> int:
-    doc = read_json(args.truth)
-    # before the Dag's per-node lists are built
-    check_score_capacity(scm_node_count(doc))
-    truth = scm_from_dict(doc)
+    truth = _read_scm(args.truth, check_score_capacity)
     order_names = order_names_from_dict(read_json(args.order))
     name_to_node = {truth.node_name(j): j for j in truth.observed}
     if set(order_names) != set(name_to_node):
         raise ValidationError("order names do not match the truth's observed variables")
     order = CausalOrder([name_to_node[name] for name in order_names])
-    score = score_order(truth, order)
-    doc = score_to_dict(score)
-    doc["meta"] = meta_block(None, _config_meta(args))
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0
+    return _emit(args, score_to_dict(score_order(truth, order)))
 
 
 def _load_grid(path) -> GridSpec:
@@ -144,12 +130,8 @@ def cmd_tail_index(args) -> int:
     if args.tail == "lower":
         column = -column
     estimate = hill_tail_index(column, args.k)
-    doc = {"alpha_hat": estimate.alpha_hat, "xi_hat": estimate.xi_hat,
-           "k": estimate.k, "tail": args.tail,
-           "meta": meta_block(None, _config_meta(args))}
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0
+    return _emit(args, {"alpha_hat": estimate.alpha_hat, "xi_hat": estimate.xi_hat,
+                        "k": estimate.k, "tail": args.tail})
 
 
 def _add_estimator_flags(parser, kind_required=False):

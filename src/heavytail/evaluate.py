@@ -9,6 +9,7 @@ to be an intervention distance.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -26,9 +27,6 @@ from .simulate import (GridSpec, Scenario, SimSetting, effective_setting, scenar
                        simulate, simulate_grid)
 
 METHODS = ("ease_gamma", "ease_psi", "random_order")
-
-RESULT_HEADER = ("scenario_id", "setting", "n", "p", "alpha", "method",
-                 "mean_violation_fraction", "se", "mistake_rate", "wall_ms")
 
 
 # Bytes per p**2 that score_order holds at its peak on a truth of p nodes: the
@@ -77,8 +75,10 @@ class BenchmarkRow:
     wall_ms: float
 
     def as_csv_values(self) -> tuple:
-        return (self.scenario_id, self.setting, self.n, self.p, self.alpha, self.method,
-                self.mean_violation_fraction, self.se, self.mistake_rate, self.wall_ms)
+        return dataclasses.astuple(self)
+
+
+RESULT_HEADER = tuple(f.name for f in dataclasses.fields(BenchmarkRow))
 
 
 def recover_order(data: Dataset, config: EstimatorConfig, observed) -> CausalOrder:
@@ -91,37 +91,48 @@ def recover_order(data: Dataset, config: EstimatorConfig, observed) -> CausalOrd
     return ease(coefficient_matrix(data, config)).relabel(observed)
 
 
-def _method_order(method: str, data: Dataset, truth: Scm, seed_key) -> CausalOrder:
+def _ease_order(config: EstimatorConfig, replicate) -> CausalOrder:
+    return recover_order(replicate.data, config, replicate.truth.observed)
+
+
+def _method_order(method: str, seed, scenario: Scenario) -> CausalOrder:
     if method == "random_order":
-        rng = as_rng(derived_seed(*seed_key, 2))
-        return CausalOrder(rng.permutation(truth.observed).tolist())
-    kind = "gamma" if method == "ease_gamma" else "psi"
-    return recover_order(data, EstimatorConfig(kind=kind), truth.observed)
+        key = (0 if seed is None else seed, scenario.n, scenario.p, scenario.alpha, scenario.rep)
+        rng = as_rng(derived_seed(*key, 2))
+        return CausalOrder(rng.permutation(scenario.truth.observed).tolist())
+    return _ease_order(EstimatorConfig(kind="gamma" if method == "ease_gamma" else "psi"),
+                       scenario)
 
 
-def _aggregate(fractions, valids) -> tuple[float, float, float]:
-    reps = len(fractions)
+def _scores(orderers, replicates) -> list[tuple[tuple[OrderScore, float], ...]]:
+    """Per orderer, the (OrderScore, wall ms) of its order of each replicate.
+
+    A replicate is anything with ``truth`` and ``data``: a Scenario or a SimulationResult.
+    """
+    def score(replicate):
+        out = []
+        for order_of in orderers:
+            start = time.perf_counter()
+            result = score_order(replicate.truth, order_of(replicate))
+            out.append((result, (time.perf_counter() - start) * 1000.0))
+        return out
+
+    # map drops each replicate once scored, before the next one is drawn
+    return list(zip(*map(score, replicates)))
+
+
+def _aggregate(results) -> tuple[float, float, float]:
+    """Mean and standard error of the violation fractions, and the share of invalid orders."""
+    reps = len(results)
+    fractions = [s.violation_fraction for s, _ in results]
     mean = math.fsum(fractions) / reps
     if reps > 1:
         var = math.fsum((f - mean) ** 2 for f in fractions) / (reps - 1)
         se = math.sqrt(var / reps)
     else:
         se = 0.0
-    mistake = sum(1 for v in valids if not v) / reps
+    mistake = sum(1 for s, _ in results if not s.valid) / reps
     return mean, se, mistake
-
-
-def _score_methods(methods, seed, scenario: Scenario) -> dict[str, tuple[float, bool, float]]:
-    """Violation fraction, validity and wall milliseconds of each method on a scenario."""
-    key = (0 if seed is None else seed, scenario.n, scenario.p, scenario.alpha, scenario.rep)
-    out = {}
-    for method in methods:
-        start = time.perf_counter()
-        score = score_order(scenario.truth,
-                            _method_order(method, scenario.data, scenario.truth, key))
-        elapsed = (time.perf_counter() - start) * 1000.0
-        out[method] = (score.violation_fraction, score.valid, elapsed)
-    return out
 
 
 def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None) -> list[BenchmarkRow]:
@@ -142,21 +153,17 @@ def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None) -> lis
         raise ValidationError(f"methods must not repeat, got {methods}")
 
     scenarios = simulate_grid(grid, reps, seed)
-    score = functools.partial(_score_methods, methods, seed)
+    orderers = [functools.partial(_method_order, method, seed) for method in methods]
     rows = []
     for setting, n, p, alpha in grid.cells():
-        # map drops each scenario once scored, before the next one is drawn
-        results = list(map(score, itertools.islice(scenarios, reps)))
-        for method in methods:
-            fractions = [r[method][0] for r in results]
-            valids = [r[method][1] for r in results]
-            wall = math.fsum(r[method][2] for r in results)
-            mean, se, mistake = _aggregate(fractions, valids)
+        per_method = _scores(orderers, itertools.islice(scenarios, reps))
+        for method, results in zip(methods, per_method):
+            mean, se, mistake = _aggregate(results)
             rows.append(BenchmarkRow(
                 scenario_id=f"{setting.kind}-n{n}-p{p}-a{alpha:g}",
                 setting=setting.kind, n=n, p=p, alpha=alpha, method=method,
                 mean_violation_fraction=mean, se=se, mistake_rate=mistake,
-                wall_ms=wall))
+                wall_ms=math.fsum(ms for _, ms in results)))
     return rows
 
 
@@ -210,26 +217,18 @@ def k_sensitivity(exponents, *, data: Dataset | None = None, scm: Scm | None = N
         raise ValidationError(f"reps must be >= 1, got {reps}")
 
     configs = [EstimatorConfig(k_exponent=e, kind=kind) for e in exponents]
-
-    def scores(truth, sample):
-        # every exponent reads the replicate's ECDF, ranked once
-        return [score_order(truth, recover_order(sample, c, truth.observed)) for c in configs]
-
     if scm is None:
-        grid = GridSpec((n,), (p,), (alpha,), (setting,))
-        draws = map(lambda s: (s.truth, s.data), simulate_grid(grid, reps, seed))
+        replicates = simulate_grid(GridSpec((n,), (p,), (alpha,), (setting,)), reps, seed)
     else:
-        def draw(rep):
-            _, data_seed = scenario_streams(seed, n, scm.p, scm.alpha, rep)
-            return scm, simulate(scm, effective_setting(scm, setting), n, data_seed).data
-        draws = map(draw, range(reps))
-    # starmap drops each replicate once scored, before the next one is drawn
-    per_rep = list(itertools.starmap(scores, draws))
+        drawn = effective_setting(scm, setting)
+        replicates = (simulate(scm, drawn, n, scenario_streams(seed, n, scm.p, scm.alpha, rep)[1])
+                      for rep in range(reps))
+    # every exponent reads the replicate's ECDF, ranked once
+    per_config = _scores([functools.partial(_ease_order, c) for c in configs], replicates)
 
     rows = []
-    for e, config, column in zip(exponents, configs, zip(*per_rep)):
-        mean, se, _ = _aggregate([s.violation_fraction for s in column],
-                                 [s.valid for s in column])
+    for e, config, results in zip(exponents, configs, per_config):
+        mean, se, _ = _aggregate(results)
         rows.append(SensitivityRow(e, resolve_k(n, config), mean, se))
     return rows
 
@@ -253,14 +252,10 @@ def mistake_rate(scm: Scm, n: int, config, reps: int, seed=None) -> MistakeRate:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     base = 0 if seed is None else seed
     setting = SimSetting("hidden_confounders" if scm.hidden else "linear")
-    mistakes = 0
-    violation_total = 0
-    for rep in range(reps):
-        result = simulate(scm, setting, n, derived_seed(base, rep))
-        score = score_order(scm, recover_order(result.data, config, scm.observed))
-        mistakes += 0 if score.valid else 1
-        violation_total += score.violations
-    return MistakeRate(rate=mistakes / reps, mean_violations=violation_total / reps)
+    replicates = (simulate(scm, setting, n, derived_seed(base, rep)) for rep in range(reps))
+    [results] = _scores([functools.partial(_ease_order, config)], replicates)
+    _, _, rate = _aggregate(results)
+    return MistakeRate(rate=rate, mean_violations=sum(s.violations for s, _ in results) / reps)
 
 
 def sensitivity_rows_to_csv(rows: list[SensitivityRow]) -> str:

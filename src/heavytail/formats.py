@@ -14,6 +14,7 @@ document of the wrong shape or type.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -230,10 +231,4 @@ def order_names_from_dict(doc: dict) -> list[str]:
 
 
 def score_to_dict(score: OrderScore) -> dict:
-    return {
-        "metric": "ancestral-violation",
-        "valid": score.valid,
-        "violations": score.violations,
-        "violation_fraction": score.violation_fraction,
-        "ancestral_pairs": score.ancestral_pairs,
-    }
+    return {"metric": "ancestral-violation", **dataclasses.asdict(score)}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeError, ValidationError, check_bytes
+from .errors import DomainError, ModeError, ValidationError, check_bytes
 from .graph import POSITIVE, Scm, check_path_faithful, path_weights
 
 KINDS = ("gamma", "psi")
@@ -73,8 +73,17 @@ def check_capacity(p: int) -> None:
     check_bytes(8 * _PEAK_ARRAYS * p * p, f"the population matrix of {p} nodes")
 
 
-def _names(scm: Scm) -> tuple[str, ...]:
-    return tuple(scm.node_name(j) for j in range(scm.p))
+def _population_matrix(values: np.ndarray, kind: str, scm: Scm, *weight_sums) -> CoefMatrix:
+    """The CoefMatrix of ``values``, its diagonal NaN; DomainError if anything overflowed.
+
+    A row whose weight sum overflowed reads NaN where its shared sum did too
+    and 0.5 where it did not, so the sums are checked with the entries. The
+    entries lie in [0.5, 1]: their total is finite exactly when each one is.
+    """
+    if not (all(np.isfinite(s).all() for s in weight_sums) and np.isfinite(values.sum())):
+        raise DomainError(f"the {kind} population weights of the SCM overflow float64")
+    np.fill_diagonal(values, np.nan)
+    return CoefMatrix(values, kind, tuple(scm.node_name(j) for j in range(scm.p)))
 
 
 def gamma_population(scm: Scm) -> CoefMatrix:
@@ -83,7 +92,8 @@ def gamma_population(scm: Scm) -> CoefMatrix:
     Raises ModeError for real coefficients (use psi_population) and rejects
     SCMs whose noise scale constants differ across nodes, since the
     one-tailed formula assumes a common rescaling. Raises CapacityError
-    before allocating when the p x p arrays would exceed 1 GiB.
+    before allocating when the p x p arrays would exceed 1 GiB, and
+    DomainError when the path weights overflow float64.
     """
     check_capacity(scm.p)
     if scm.mode != POSITIVE:
@@ -93,14 +103,14 @@ def gamma_population(scm: Scm) -> CoefMatrix:
         raise ValidationError(
             "gamma assumes equal noise scales across nodes; "
             "use psi_population for heterogeneous scales")
-    h = path_weights(scm).matrix
-    anc = scm.dag.ancestor_matrix | np.eye(scm.p, dtype=bool)
-    w = np.where(anc, h, 0.0) ** scm.alpha
-    shared = w @ anc.T.astype(float)  # shared[j, k] = sum over An(j) & An(k)
-    denom = w.sum(axis=1)
-    values = 0.5 + 0.5 * shared / denom[:, None]
-    np.fill_diagonal(values, np.nan)
-    return CoefMatrix(values, "gamma", _names(scm))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        h = path_weights(scm).matrix
+        anc = scm.dag.ancestor_matrix | np.eye(scm.p, dtype=bool)
+        w = np.where(anc, h, 0.0) ** scm.alpha
+        shared = w @ anc.T.astype(float)  # shared[j, k] = sum over An(j) & An(k)
+        denom = w.sum(axis=1)
+        values = 0.5 + 0.5 * shared / denom[:, None]
+    return _population_matrix(values, "gamma", scm, denom)
 
 
 def psi_population(scm: Scm) -> CoefMatrix:
@@ -109,27 +119,30 @@ def psi_population(scm: Scm) -> CoefMatrix:
     Each tail term weights ``|beta(h -> j)| ** alpha`` by the noise scale
     constant of the tail the path maps into: a negative path weight swaps the
     upper and lower constants of the source noise. Raises CapacityError
-    before allocating when the p x p arrays would exceed 1 GiB.
+    before allocating when the p x p arrays would exceed 1 GiB, and
+    DomainError when the path weights overflow float64.
     """
     check_capacity(scm.p)
-    weights = path_weights(scm)
-    if not check_path_faithful(scm, weights):
-        raise ValidationError("SCM is not path-faithful: an ancestor path weight vanishes")
-    h = weights.matrix
-    anc = scm.dag.ancestor_matrix | np.eye(scm.p, dtype=bool)
-    c_up = np.array([spec.scale_upper for spec in scm.noise])
-    c_lo = np.array([spec.scale_lower for spec in scm.noise])
-    pos = h > 0
-    c_plus = np.where(pos, c_up[None, :], c_lo[None, :])
-    c_minus = np.where(pos, c_lo[None, :], c_up[None, :])
-    base = np.where(anc, np.abs(h), 0.0) ** scm.alpha
-    anc_t = anc.T.astype(float)
-    values = np.full((scm.p, scm.p), 0.5)
-    for c_eff in (c_plus, c_minus):
-        w = c_eff * base
-        values += 0.25 * (w @ anc_t) / w.sum(axis=1)[:, None]
-    np.fill_diagonal(values, np.nan)
-    return CoefMatrix(values, "psi", _names(scm))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        weights = path_weights(scm)
+        if not check_path_faithful(scm, weights):
+            raise ValidationError("SCM is not path-faithful: an ancestor path weight vanishes")
+        h = weights.matrix
+        anc = scm.dag.ancestor_matrix | np.eye(scm.p, dtype=bool)
+        c_up = np.array([spec.scale_upper for spec in scm.noise])
+        c_lo = np.array([spec.scale_lower for spec in scm.noise])
+        pos = h > 0
+        c_plus = np.where(pos, c_up[None, :], c_lo[None, :])
+        c_minus = np.where(pos, c_lo[None, :], c_up[None, :])
+        base = np.where(anc, np.abs(h), 0.0) ** scm.alpha
+        anc_t = anc.T.astype(float)
+        values = np.full((scm.p, scm.p), 0.5)
+        sums = []
+        for c_eff in (c_plus, c_minus):
+            w = c_eff * base
+            sums.append(w.sum(axis=1))
+            values += 0.25 * (w @ anc_t) / sums[-1][:, None]
+    return _population_matrix(values, "psi", scm, *sums)
 
 
 def _bin(value: float, tol: float) -> str:

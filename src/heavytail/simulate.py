@@ -145,15 +145,17 @@ def _assign(scm: Scm, setting: SimSetting, noise: list) -> np.ndarray:
     b = scm.coefficient_matrix()
     nonlinear = setting.kind == "nonlinear"
     thresholds = {}  # parent -> _quantile_threshold of its column, computed once
-    for j in scm.dag.topological_order:
-        for parent in scm.dag.parents(j):
-            col = x[parent]
-            if nonlinear:
-                # threshold on the empirical CDF of the generated parent column
-                if parent not in thresholds:
-                    thresholds[parent] = _quantile_threshold(col, setting.nonlinear_quantile)
-                col = col * (col >= thresholds[parent])
-            x[j] += b[j, parent] * col
+    # a column that overflows is refused by the Dataset, not warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in scm.dag.topological_order:
+            for parent in scm.dag.parents(j):
+                col = x[parent]
+                if nonlinear:
+                    # threshold on the empirical CDF of the generated parent column
+                    if parent not in thresholds:
+                        thresholds[parent] = _quantile_threshold(col, setting.nonlinear_quantile)
+                    col = col * (col >= thresholds[parent])
+                x[j] += b[j, parent] * col
     return observed
 
 
@@ -315,9 +317,12 @@ def _draw_bytes(scm: Scm, n: int) -> int:
 # observed nodes: path_weights' float64 coefficient and path-weight matrices
 # over every node, the confounders included (tracemalloc, p from 150 to 2000,
 # up to 40 seeds each: 16.4 to 19.2 without confounders, 27.0 to 37.3 with
-# them), rounded up.
+# them), rounded up. A small SCM's Dag, dicts and per-node tuples cost a few
+# KB besides: below p = 150 the peaks exceed the p**2 term by up to 16.4 KB
+# (40 seeds, p = 1 to 100), which _SCM_FIXED_BYTES covers.
 _SCM_BYTES_PER_P2 = 20
 _CONFOUNDED_SCM_BYTES_PER_P2 = 40
+_SCM_FIXED_BYTES = 1 << 15
 
 
 class _Replicate(NamedTuple):
@@ -357,7 +362,8 @@ def set_up_replicate(seed, cap_bytes: int, setting: SimSetting, n: int, p: int, 
     if p < 1:  # before p * p is taken as a size
         raise ValidationError(f"p must be >= 1, got {p}")
     confounded = setting.kind == "hidden_confounders"
-    scm_bytes = (_CONFOUNDED_SCM_BYTES_PER_P2 if confounded else _SCM_BYTES_PER_P2) * p * p
+    per_p2 = _CONFOUNDED_SCM_BYTES_PER_P2 if confounded else _SCM_BYTES_PER_P2
+    scm_bytes = per_p2 * p * p + _SCM_FIXED_BYTES
     check_bytes(scm_bytes, f"drawing an SCM of {p} nodes", cap_bytes)
     scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
     scm = scenario_scm(p, alpha, setting, scm_seed, mode, coefficient_law)

@@ -182,6 +182,28 @@ def test_simulate_over_the_memory_cap_exits_2(tmp_path, capsys, p, n, subject):
     assert not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["gamma", "psi"])
+def test_oracle_overflowing_weights_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "scm.json"
+    path.write_text('{"p": 3, "alpha": 2.0, "edges": [[0, 1, 1e200], [1, 2, 1e200]], '
+                    '"noise": {"family": "student_t"}, "mode": "positive"}')
+    out = tmp_path / "m.json"
+    assert run("oracle", "--scm", path, "--kind", kind, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: the {kind} population weights of the SCM overflow float64\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_overflowing_alpha_is_one_error_line(tmp_path, capsys):
+    out, truth = tmp_path / "d.csv", tmp_path / "t.json"
+    code = run("simulate", "--p", 4, "--n", 100, "--alpha", 0.001, "--out", out, "--truth", truth)
+    assert code == 2
+    assert capsys.readouterr().err == "error: dataset contains non-finite entries\n"
+    assert not out.exists() and not truth.exists()
+
+
 @pytest.mark.parametrize("broken", [
     {"noise": {"scale_upper": 1.0, "scale_lower": 1.0}},
     {"noise": {"family": 3}},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heavytail import (COMMON_CAUSE, I_CAUSES_J, INDETERMINATE, J_CAUSES_I,
-                       NO_CAUSAL_LINK, CoefMatrix, Dag, ModeError, NoiseSpec, Scm,
+                       NO_CAUSAL_LINK, CoefMatrix, Dag, DomainError, ModeError, NoiseSpec, Scm,
                        ValidationError, classify_pair, gamma_population,
                        mistake_bound_margin, psi_population)
 
@@ -144,6 +144,29 @@ def test_margin_needs_two_nodes():
     scm = Scm(Dag(1), {}, NoiseSpec("student_t", 1.5), mode="positive")
     with pytest.raises(ValidationError):
         mistake_bound_margin(scm)
+
+
+# path weights up to 2**11, raised to alpha = 100, overflow float64
+OVERFLOWING_CHAIN = make_chain([2.0] * 11, alpha=100.0)
+# two roots whose weights into the child are finite, 1e308 each, but whose sum
+# is not: the child's row read 0.5, finite and wrong, before the sums were checked
+OVERFLOWING_SUM = Scm(Dag(3, [(0, 2), (1, 2)]), {(0, 2): 1e154, (1, 2): 1e154},
+                      NoiseSpec("student_t", 2.0), mode="positive")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("population", [gamma_population, psi_population])
+@pytest.mark.parametrize("scm", [OVERFLOWING_CHAIN, OVERFLOWING_SUM], ids=["chain", "sum"])
+def test_population_overflow_is_a_domain_error(population, scm):
+    with pytest.raises(DomainError, match="overflow float64"):
+        population(scm)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["gamma", "psi"])
+def test_margin_refuses_overflowing_weights(kind):
+    with pytest.raises(DomainError, match="overflow float64"):
+        mistake_bound_margin(OVERFLOWING_CHAIN, kind)
 
 
 def test_coefmatrix_validation_and_submatrix():

@@ -214,6 +214,24 @@ def test_scm_memory_bound_covers_the_scm_draw(kind):
         set_up_replicate(0, 2 * peak, setting, 10, p, 1.5, 0)  # and not far above it
 
 
+@pytest.mark.parametrize("kind", ["linear", "hidden_confounders"])
+@pytest.mark.parametrize("p", [1, 2, 4, 10, 30, 60, 100])
+def test_scm_memory_bound_covers_small_scm_draws(kind, p):
+    # a small SCM's Dag, dicts and per-node tuples cost a few KB beyond p**2
+    setting = SimSetting(kind)
+    peak = 0
+    for rep in range(10):
+        seed = scenario_streams(0, 10, p, 1.5, rep)[0]
+        tracemalloc.start()
+        try:
+            scenario_scm(p, 1.5, setting, seed)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    with pytest.raises(CapacityError, match=f"drawing an SCM of {p} nodes"):
+        set_up_replicate(0, peak - 1, setting, 10, p, 1.5, 0)
+
+
 def test_grid_stream_determinism():
     grid = GridSpec((150,), (4,), (2.5,), settings=("linear", "uniform_margins"))
     first = [s.data.values for s in simulate_grid(grid, reps=2, seed=9)]
@@ -263,7 +281,9 @@ def test_memory_cap_counts_hidden_nodes_and_copies():
     mixed = Scm(Dag(10, []), {}, (NoiseSpec("student_t", 1.5),)
                 + (NoiseSpec("symmetric_pareto", 1.5),) * 9)
     assert simulation_bytes(mixed, SimSetting("linear"), n) == n * (8 * 10 + 9 * 9)
-    # set_up_replicate passes a cap of exactly this count and refuses one byte less
+    # set_up_replicate passes a cap of exactly this count and refuses one byte
+    # less; at n = 1000, where the count is over the bound of the SCM draw
+    n = 1000
     replicate = set_up_replicate(3, MEMORY_CAP_BYTES, setting, n, 8, 2.5, 0)
     need = simulation_bytes(replicate.scm, replicate.drawn, n)
     set_up_replicate(3, need, setting, n, 8, 2.5, 0)
