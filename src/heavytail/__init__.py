@@ -14,15 +14,35 @@ from .noise import (HillEstimate, NoiseSpec, hill_tail_index, max_sum_tail_ratio
 from .graph import (CausalOrder, Dag, GeneratorConfig, OrderValidation, PathWeights,
                     Scm, all_causal_orders, check_path_faithful, path_weights,
                     random_scm, validate_order)
+from .data import Dataset
+from .simulate import (GridSpec, Scenario, SimSetting, SimulationResult,
+                       simulate, simulate_grid)
 from .oracle import (COMMON_CAUSE, I_CAUSES_J, INDETERMINATE, J_CAUSES_I,
                      NO_CAUSAL_LINK, CoefMatrix, classify_pair, gamma_population,
                      mistake_bound_margin, psi_population)
-from .estimators import (Dataset, EstimatorConfig, coefficient_matrix, ecdf_values,
+from .estimators import (EstimatorConfig, coefficient_matrix, ecdf_values,
                          empirical_cdf_column, gamma_estimate, psi_estimate, resolve_k)
 from .ease import EaseStep, ease, ease_trace
-from .simulate import (GridSpec, Scenario, SimSetting, SimulationResult,
-                       simulate, simulate_grid)
 from .evaluate import (BenchmarkRow, MistakeRate, OrderScore, SensitivityRow, benchmark,
                        k_sensitivity, mistake_rate, score_order, sensitivity_rows_to_csv)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names, not the submodules: "from heavytail import *" binds no module
+__all__ = [
+    "CapacityError", "ConfigError", "DomainError", "HeavytailError", "ModeError",
+    "ValidationError",
+    "HillEstimate", "NoiseSpec", "hill_tail_index", "max_sum_tail_ratio", "sample_noise",
+    "symmetric_pareto_survival",
+    "CausalOrder", "Dag", "GeneratorConfig", "OrderValidation", "PathWeights", "Scm",
+    "all_causal_orders", "check_path_faithful", "path_weights", "random_scm",
+    "validate_order",
+    "Dataset",
+    "GridSpec", "Scenario", "SimSetting", "SimulationResult", "simulate", "simulate_grid",
+    "COMMON_CAUSE", "I_CAUSES_J", "INDETERMINATE", "J_CAUSES_I", "NO_CAUSAL_LINK",
+    "CoefMatrix", "classify_pair", "gamma_population", "mistake_bound_margin",
+    "psi_population",
+    "EstimatorConfig", "coefficient_matrix", "ecdf_values", "empirical_cdf_column",
+    "gamma_estimate", "psi_estimate", "resolve_k",
+    "EaseStep", "ease", "ease_trace",
+    "BenchmarkRow", "MistakeRate", "OrderScore", "SensitivityRow", "benchmark",
+    "k_sensitivity", "mistake_rate", "score_order", "sensitivity_rows_to_csv",
+]

@@ -11,21 +11,17 @@ sigma(u) = |2u - 1| over the upper exceedances of the column and of its
 negation, each with weight 1 / (2k).
 
 The estimates depend on the sample only through each column's max ranks r,
-whose ECDF is r / n. A Dataset ranks each column at most once: the first
-estimate that needs a column fills it into the Dataset's read-only n x p rank
-array, which every later estimate reads, whatever its kind or k. The ranks
-are stored in np.min_scalar_type(n), the narrowest unsigned integer that
-holds n (uint8 up to n = 255, uint16 up to 65535, then uint32), so the cache
-costs 1, 2 or 4 bytes per entry and is held as long as the Dataset is, once
-it has been estimated. Both tails are read off the rank column r: the rows
-above the order statistic s[n-k-1] are those with r > n - k, less the rows
-tied at s[n-k] when s[n-k-1] ties it too, and the rows below s[k], the upper
-exceedances of the negated column, are those with r <= k; each is one integer
-comparison. The matrix concatenates every conditioning column's tail rows
-into one index array and gathers the ranks of all averaged columns at those
-rows, a block of conditioning columns at a time; only the gathered ranks are
-divided by n, in float64, which gives exactly the ECDF values fl(r / n), and
-psi's |2u - 1| is applied to each gathered block.
+whose ECDF is r / n: every estimate, whatever its kind or k, reads them from
+the Dataset's rank cache (see heavytail.data). Both tails are read off the
+rank column r: the rows above the order statistic s[n-k-1] are those with
+r > n - k, less the rows tied at s[n-k] when s[n-k-1] ties it too, and the
+rows below s[k], the upper exceedances of the negated column, are those with
+r <= k; each is one integer comparison. The matrix concatenates every
+conditioning column's tail rows into one index array and gathers the ranks
+of all averaged columns at those rows, a block of conditioning columns at a
+time; only the gathered ranks are divided by n, in float64, which gives
+exactly the ECDF values fl(r / n), and psi's |2u - 1| is applied to each
+gathered block.
 
 Sums are exact: every weight is an integer multiple of a power of two, so
 cutting the weights into limbs narrow enough that no slice's limb sum reaches
@@ -44,110 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Dataset, ecdf_from_ranks, rank_kernel
 from .errors import ConfigError, ValidationError
 from .oracle import CoefMatrix
 
 # Weights _tail_sums gathers at a time: its scratch memory stays bounded
 # whatever p and k are.
 _BLOCK_ELEMENTS = 1 << 16
-
-
-class Dataset:
-    """Immutable n x p numeric sample with named columns.
-
-    Its max ranks are computed lazily, a column at a time, and kept (see
-    ``_ranks``).
-    """
-
-    def __init__(self, names, values):
-        self._init(names, np.array(values, dtype=float))
-
-    @classmethod
-    def _adopt(cls, names, values: np.ndarray) -> "Dataset":
-        """A Dataset over the float64 array ``values`` itself, not a copy of it.
-
-        The caller hands the array over: it is made read-only here and must
-        not be written through any other reference.
-        """
-        data = cls.__new__(cls)
-        data._init(names, values)
-        return data
-
-    def _init(self, names, values: np.ndarray) -> None:
-        if values.ndim != 2:
-            raise ValidationError("values must be a 2-D array")
-        if values.shape[0] < 1:
-            raise ValidationError("dataset needs at least one observation")
-        # min and max propagate NaN and +-inf, and unlike an isfinite mask
-        # allocate nothing
-        if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            raise ValidationError("dataset contains non-finite entries")
-        names = tuple(str(s) for s in names)
-        if len(names) != values.shape[1]:
-            raise ValidationError(f"{len(names)} names for {values.shape[1]} columns")
-        if len(set(names)) != len(names):
-            raise ValidationError("column names must be unique")
-        values.setflags(write=False)
-        self.names = names
-        self.values = values
-        self._rank_cache = None  # n x p, F-order, read-only; column c valid once _ranked[c]
-        self._ranked = None
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        if not (0 <= j < self.p):
-            raise ValidationError(f"column {j} out of range for p={self.p}")
-        return self.values[:, j]
-
-    def _ranks(self, columns) -> np.ndarray:
-        """The read-only n x p max-rank array, with at least ``columns`` filled in.
-
-        Its dtype is _rank_dtype(n). A column is ranked the first time it is
-        asked for; columns not yet asked for hold arbitrary values.
-        """
-        for j in columns:
-            column = self.column(j)
-            if self._rank_cache is None:
-                self._rank_cache = np.empty((self.n, self.p), _rank_dtype(self.n), order="F")
-                self._rank_cache.setflags(write=False)
-                self._ranked = np.zeros(self.p, dtype=bool)
-            if not self._ranked[j]:
-                self._rank_cache.setflags(write=True)
-                try:
-                    _rank_kernel(column, self._rank_cache[:, j])
-                finally:
-                    self._rank_cache.setflags(write=False)
-                self._ranked[j] = True
-        return self._rank_cache
-
-    def _ecdf_dataset(self) -> "Dataset":
-        """A Dataset whose values are this one's ECDF r / n, its ranks already cached.
-
-        r / n is strictly increasing in r, so the max ranks of the ECDF
-        columns are the ranks of this Dataset's columns: the rank array serves
-        as the new Dataset's cache and nothing is ranked twice.
-        """
-        ranks = self._ranks(range(self.p))
-        ranked = Dataset._adopt(self.names, _ecdf_from_ranks(ranks, self.n))
-        ranked._rank_cache = ranks
-        ranked._ranked = np.ones(self.p, dtype=bool)
-        return ranked
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValidationError(f"no column named {name!r}") from None
-
-    def __repr__(self):
-        return f"Dataset(n={self.n}, p={self.p}, names={self.names})"
 
 
 @dataclass(frozen=True)
@@ -185,69 +84,15 @@ def resolve_k(n: int, config: EstimatorConfig) -> int:
     return min(max(int(math.floor(n ** exponent)), 1), n - 1)
 
 
-# Columns of n 8-byte values that _rank_kernel's scratch can reach at once,
-# rounded up: the argsort order and the sorted copy, the tie mask and one run
-# of ranks in the rank dtype, under 5 bytes per row at n < 2**32
-# (tracemalloc read 2.63 columns, on tied and on tie-free columns).
-_RANK_SCRATCH_COLUMNS = 3
-
-
-def _rank_dtype(n: int) -> np.dtype:
-    """The dtype of the max ranks of n rows: the narrowest unsigned integer that holds n."""
-    return np.min_scalar_type(n)
-
-
-def _rank_kernel(column: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Max ranks of a column's entries (1..n; ties share the largest), from one sort.
-
-    Without ties (and NaN) the ranks are 1..n in sort order. Otherwise the
-    rank of a sorted entry is one past the end of its run of equal values:
-    each run's end holds its own rank, every other entry n, and a running
-    minimum from the right carries the end's rank back over its run. Written
-    to ``out`` (an integer array that holds n) if given, else to a new array
-    of _rank_dtype(n).
-    """
-    n = column.size
-    ranks = np.empty(n, _rank_dtype(n)) if out is None else out
-    order = np.argsort(column)
-    s = column[order]
-    tied = s[1:] == s[:-1]
-    if n and s[-1] != s[-1]:
-        # NaNs sort last and form one run, as searchsorted ranks them
-        tied[np.argmax(s != s):] = True
-    elif not tied.any():
-        ranks[order] = np.arange(1, n + 1, dtype=ranks.dtype)
-        return ranks
-    del s
-    run = np.arange(1, n + 1, dtype=ranks.dtype)
-    run[:-1][tied] = n
-    np.minimum.accumulate(run[::-1], out=run[::-1])
-    ranks[order] = run
-    return ranks
-
-
-def _ecdf_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
-    """The ECDF r / n of max ranks r among n rows, as float64.
-
-    The ranks are converted to float64 (exactly) before the division,
-    whatever their dtype or numpy's casting rules, so each value is exactly
-    fl(r / n); converting with astype and dividing in place also spares the
-    ufunc its casting buffer.
-    """
-    u = ranks.astype(np.float64)
-    u /= n
-    return u
-
-
 def ecdf_values(column: np.ndarray) -> np.ndarray:
     """Empirical CDF of a column evaluated at its own entries (max rank on ties)."""
     column = np.asarray(column, dtype=float)
-    return _ecdf_from_ranks(_rank_kernel(column), column.size)
+    return ecdf_from_ranks(rank_kernel(column), column.size)
 
 
 def empirical_cdf_column(data: Dataset, j: int) -> np.ndarray:
     """Read-only view of the ECDF of column j, from the dataset's cached ranks."""
-    u = _ecdf_from_ranks(data._ranks((j,))[:, j], data.n)
+    u = ecdf_from_ranks(data.ranks((j,))[:, j], data.n)
     u.setflags(write=False)
     return u.view()  # a view of a read-only array cannot be made writeable
 
@@ -296,7 +141,7 @@ def _tail_sums(ranks: np.ndarray, rows: np.ndarray, bounds, divisor: int,
         # nonempty slices are summed; the others keep their zero sum
         filled = a + np.flatnonzero(sizes[a:b])
         if filled.size:
-            block = _ecdf_from_ranks(ranks[rows[bounds[a]:bounds[b]]], ranks.shape[0])
+            block = ecdf_from_ranks(ranks[rows[bounds[a]:bounds[b]]], ranks.shape[0])
             if psi:
                 block *= 2.0
                 block -= 1.0
@@ -346,7 +191,7 @@ def _pair_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig,
     if j == k_col:
         raise ValidationError("conditioning and averaged columns must differ")
     k = resolve_k(data.n, config)
-    ranks = data._ranks((j, k_col))
+    ranks = data.ranks((j, k_col))
     rows = _exceedance_rows(ranks[:, j], k, psi)
     sums = _tail_sums(ranks[:, k_col:k_col + 1], rows, [0, rows.size], 2 * k if psi else k, psi)
     return float(sums[0, 0])
@@ -372,7 +217,7 @@ def coefficient_matrix(data: Dataset, config: EstimatorConfig) -> CoefMatrix:
         raise ValidationError("coefficient estimation needs at least two columns")
     k = resolve_k(data.n, config)
     psi = config.kind == "psi"
-    ranks = data._ranks(range(data.p))
+    ranks = data.ranks(range(data.p))
     tails = [_exceedance_rows(ranks[:, c], k, psi) for c in range(data.p)]
     bounds = np.cumsum([0] + [t.size for t in tails])
     values = _tail_sums(ranks, np.concatenate(tails), bounds, 2 * k if psi else k, psi)

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import as_rng, derived_seed
+from .data import Dataset
 from .ease import ease
 from .errors import ValidationError, check_bytes
-from .estimators import Dataset, EstimatorConfig, coefficient_matrix, resolve_k
+from .estimators import EstimatorConfig, coefficient_matrix, resolve_k
 from .graph import CausalOrder, Scm, backward_pairs
 from .simulate import (GridSpec, Scenario, SimSetting, effective_setting, scenario_streams,
                        simulate, simulate_grid)

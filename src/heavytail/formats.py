@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ValidationError, whole_number
-from .estimators import Dataset
+from .data import Dataset
 from .evaluate import RESULT_HEADER, OrderScore
 from .graph import CausalOrder, Dag, Scm
 from .noise import NoiseSpec

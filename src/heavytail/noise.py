@@ -64,7 +64,7 @@ class HillEstimate:
 # Bytes per drawn value that sample_noise holds at once, the returned array
 # included (tracemalloc: 8.0 for student_t and shifted_pareto; 9.0 for
 # symmetric_pareto, whose tail mask is one byte a value).
-_SAMPLE_BYTES_PER_ROW = {"student_t": 8, "shifted_pareto": 8, "symmetric_pareto": 9}
+SAMPLE_BYTES_PER_VALUE = {"student_t": 8, "shifted_pareto": 8, "symmetric_pareto": 9}
 
 
 def sample_noise(spec: NoiseSpec, n: int, seed=None, *, columns: int | None = None) -> np.ndarray:
@@ -86,7 +86,8 @@ def sample_noise(spec: NoiseSpec, n: int, seed=None, *, columns: int | None = No
         x = rng.standard_t(spec.alpha, size=size)
     else:
         x = rng.random(size)
-        _pareto_from_uniform(spec, x)
+        with np.errstate(over="ignore"):  # a tiny alpha overflows to inf; a Dataset refuses it
+            _pareto_from_uniform(spec, x)
     return x if columns is None else x.T
 
 
@@ -99,7 +100,7 @@ def _pareto_from_uniform(spec: NoiseSpec, u: np.ndarray) -> None:
     """
     e = -1.0 / spec.alpha
     if spec.family == "shifted_pareto":
-        # 1 - u lies in (0, 1], so the inverse transform cannot overflow to inf.
+        # 1 - u lies in (0, 1], so (1 - u)**e is at least 1, or inf if it overflows
         np.subtract(1.0, u, out=u)
         u **= e
         u *= spec.scale_upper ** (1.0 / spec.alpha)

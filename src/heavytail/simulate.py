@@ -33,11 +33,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import as_rng, derived_seed
+from .data import Dataset, ranking_bytes
 from .errors import (MEMORY_CAP_BYTES, DomainError, HeavytailError, ValidationError,
                      check_bytes, whole_number)
-from .estimators import _RANK_SCRATCH_COLUMNS, Dataset, _rank_dtype
 from .graph import REAL, GeneratorConfig, Scm, random_scm
-from .noise import _SAMPLE_BYTES_PER_ROW, sample_noise
+from .noise import SAMPLE_BYTES_PER_VALUE, sample_noise
 
 SETTINGS = ("linear", "hidden_confounders", "nonlinear", "uniform_margins")
 
@@ -122,10 +122,10 @@ def _draw_noise(scm: Scm, n: int, rng) -> list:
 def _draw_scratch(scm: Scm) -> int:
     """Bytes per row a run draw holds beyond the arrays _draw_noise returns.
 
-    A run's draw holds _SAMPLE_BYTES_PER_ROW of its family per value; a
+    A run's draw holds SAMPLE_BYTES_PER_VALUE of its family per value; a
     whole run's draw is its array, a shorter one's is copied into it.
     """
-    return max(length * (_SAMPLE_BYTES_PER_ROW[spec.family] - (8 if whole else 0))
+    return max(length * (SAMPLE_BYTES_PER_VALUE[spec.family] - (8 if whole else 0))
                for spec, _, _, length, whole in _noise_runs(scm))
 
 
@@ -166,8 +166,8 @@ def _dataset(scm: Scm, setting: SimSetting, observed: np.ndarray) -> Dataset:
     computed once from the ranks it then caches; the raw columns die with
     the Dataset they were ranked from.
     """
-    data = Dataset._adopt([scm.node_name(j) for j in scm.observed], observed)
-    return data._ecdf_dataset() if setting.kind == "uniform_margins" else data
+    data = Dataset.adopt([scm.node_name(j) for j in scm.observed], observed)
+    return data.ecdf_dataset() if setting.kind == "uniform_margins" else data
 
 
 def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResult:
@@ -289,23 +289,18 @@ def simulation_bytes(scm: Scm, setting: SimSetting, n: int) -> int:
     observed ones in the array the Dataset adopts, the hidden ones in a
     second array), plus its largest temporary: a run draw not yet in place
     (see :func:`_draw_scratch`; its bytes per row depend on the family,
-    noise._SAMPLE_BYTES_PER_ROW), or the parent term being added, one column
+    noise.SAMPLE_BYTES_PER_VALUE), or the parent term being added, one column
     (two under the nonlinear setting, where the thresholded parent column is
-    a second). Ranking a Dataset holds its p_obs float64 columns, its p_obs
-    rank columns of _rank_dtype(n) and the rank kernel's scratch,
-    _RANK_SCRATCH_COLUMNS float64 columns; under uniform margins simulate
-    ranks the Dataset itself and then builds its ECDF, p_obs more float64
-    columns, before the raw columns are dropped. The count is the larger of
-    the two phases. Estimation's tail gathers add a scratch of at most 2**16
-    weights, unless one column's tails alone are longer.
+    a second). Ranking the emitted Dataset holds data.ranking_bytes: under
+    uniform margins simulate ranks it and builds its ECDF before the raw
+    columns are dropped. The count is the larger of the two phases.
+    Estimation's tail gathers add a scratch of at most 2**16 weights, unless
+    one column's tails alone are longer.
     """
-    p_obs = len(scm.observed)
     assigning = 8 * (2 if setting.kind == "nonlinear" else 1)
-    simulating = 8 * scm.p + max(_draw_scratch(scm), assigning)
-    ecdf = p_obs if setting.kind == "uniform_margins" else 0
-    ranking = ((8 + _rank_dtype(n).itemsize) * p_obs
-               + 8 * max(_RANK_SCRATCH_COLUMNS, ecdf))
-    return n * max(simulating, ranking)
+    simulating = n * (8 * scm.p + max(_draw_scratch(scm), assigning))
+    ranking = ranking_bytes(n, len(scm.observed), ecdf=setting.kind == "uniform_margins")
+    return max(simulating, ranking)
 
 
 def _draw_bytes(scm: Scm, n: int) -> int:

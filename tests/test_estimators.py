@@ -10,9 +10,8 @@ from heavytail import (ConfigError, Dataset, EstimatorConfig, NoiseSpec,
                        ValidationError, coefficient_matrix, ecdf_values,
                        empirical_cdf_column, gamma_estimate, psi_estimate,
                        resolve_k, sample_noise)
-from heavytail import estimators
-from heavytail.estimators import (_BLOCK_ELEMENTS, _RANK_SCRATCH_COLUMNS, _exceedance_rows,
-                                  _rank_kernel, _slice_sums, _tail_sums)
+from heavytail.data import _RANK_SCRATCH_COLUMNS, rank_kernel
+from heavytail.estimators import _BLOCK_ELEMENTS, _exceedance_rows, _slice_sums, _tail_sums
 
 from brute_oracles import brute_gamma, brute_psi
 
@@ -240,12 +239,12 @@ def test_rank_kernel_matches_sort_formulas(values, draw):
     column = np.array(values)
     n = column.size
     k = draw.draw(st.integers(1, n - 1))  # k >= n/2 makes the two tails overlap
-    ranks = _rank_kernel(column)
+    ranks = rank_kernel(column)
     counts = np.searchsorted(np.sort(column), column, side="right")
     assert ranks.dtype == np.uint8 and np.array_equal(ranks, counts)
     assert np.array_equal(ecdf_values(column), counts / n)
     out = np.zeros(n, dtype=np.int64)
-    assert _rank_kernel(column, out) is out and np.array_equal(out, counts)
+    assert rank_kernel(column, out) is out and np.array_equal(out, counts)
     expected_upper = np.flatnonzero(column > np.sort(column)[n - k - 1])
     expected_lower = np.flatnonzero(-column > np.sort(-column)[n - k - 1])
     assert np.array_equal(_exceedance_rows(ranks, k, psi=False), expected_upper)
@@ -272,9 +271,9 @@ def test_dataset_ranks_each_column_once(monkeypatch):
 
     def counting_kernel(column, out=None):
         ranked.append(column.copy())
-        return _rank_kernel(column, out)
+        return rank_kernel(column, out)
 
-    monkeypatch.setattr(estimators, "_rank_kernel", counting_kernel)
+    monkeypatch.setattr("heavytail.data.rank_kernel", counting_kernel)
     data = Dataset([f"x{c}" for c in range(4)], values)
     column = values[:, 3]
     assert np.array_equal(empirical_cdf_column(data, 3),
@@ -515,7 +514,7 @@ def test_rank_dtype_boundaries_match_fsum_reference(n, dtype):
             data = Dataset(names, values)
             assert np.array_equal(coefficient_matrix(data, config).values, expected,
                                   equal_nan=True)
-            assert data._ranks(range(4)).dtype == dtype
+            assert data.ranks(range(4)).dtype == dtype
             for j, c in ((0, 1), (2, 0), (1, 3)):
                 assert pair(Dataset(names, values), j, c, config) == expected[j, c]
     for c in range(values.shape[1]):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,9 +17,8 @@ from heavytail import (CapacityError, Dag, DomainError, EstimatorConfig, Generat
                        GridSpec, NoiseSpec, Scm, SimSetting, ValidationError,
                        coefficient_matrix, gamma_estimate, random_scm, simulate,
                        ecdf_values, simulate_grid)
-from heavytail import estimators
+from heavytail.data import rank_kernel
 from heavytail.errors import MEMORY_CAP_BYTES
-from heavytail.estimators import _rank_kernel
 from heavytail.formats import scm_from_dict
 from heavytail.simulate import (SETTINGS, _draw_bytes, _draw_noise, _noise_runs,
                                 _quantile_threshold, effective_setting, scenario_scm,
@@ -47,6 +47,17 @@ def test_simulate_guards():
         simulate(scm, SimSetting("nonlinear"), 1, seed=0)
     with pytest.raises(DomainError):
         simulate(scm, SimSetting("uniform_margins"), 1, seed=0)
+
+
+@pytest.mark.parametrize("family", ["symmetric_pareto", "shifted_pareto"])
+def test_pareto_overflow_is_refused_without_a_warning(family):
+    # at alpha = 0.001 the inverse transform overflows to inf for most
+    # uniforms; the Dataset refuses the sample, and numpy does not warn
+    scm = Scm(Dag(2, [(0, 1)]), {(0, 1): 1.0}, NoiseSpec(family, 0.001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            simulate(scm, SimSetting("linear"), 1000, seed=0)
 
 
 def test_simulate_determinism():
@@ -349,9 +360,9 @@ def test_uniform_margins_ranks_each_column_once(monkeypatch):
 
     def counting_kernel(column, out=None):
         ranked.append(column.copy())
-        return _rank_kernel(column, out)
+        return rank_kernel(column, out)
 
-    monkeypatch.setattr(estimators, "_rank_kernel", counting_kernel)
+    monkeypatch.setattr("heavytail.data.rank_kernel", counting_kernel)
     linear = simulate(scm, SimSetting("hidden_confounders"), 3000, seed=8).data
     assert ranked == []
     uniform = simulate(scm, SimSetting("uniform_margins"), 3000, seed=8).data
