@@ -9,19 +9,17 @@ __version__ = "0.1.0"
 
 from .errors import (CapacityError, ConfigError, DomainError, HeavytailError,
                      ModeError, ValidationError)
-from .noise import (HillEstimate, NoiseSpec, hill_tail_index, max_sum_tail_ratio,
-                    sample_noise, symmetric_pareto_survival)
-from .graph import (CausalOrder, Dag, GeneratorConfig, OrderValidation, PathWeights,
-                    Scm, all_causal_orders, check_path_faithful, path_weights,
-                    random_scm, validate_order)
+from .noise import HillEstimate, NoiseSpec, hill_tail_index, sample_noise
+from .graph import (CausalOrder, Dag, GeneratorConfig, OrderValidation, Scm,
+                    check_path_faithful, path_weights, random_scm, validate_order)
 from .data import Dataset
 from .simulate import (GridSpec, Scenario, SimSetting, SimulationResult,
                        simulate, simulate_grid)
 from .oracle import (COMMON_CAUSE, I_CAUSES_J, INDETERMINATE, J_CAUSES_I,
                      NO_CAUSAL_LINK, CoefMatrix, classify_pair, gamma_population,
                      mistake_bound_margin, psi_population)
-from .estimators import (EstimatorConfig, coefficient_matrix, ecdf_values,
-                         empirical_cdf_column, gamma_estimate, psi_estimate, resolve_k)
+from .estimators import (EstimatorConfig, coefficient_matrix, ecdf_values, gamma_estimate,
+                         psi_estimate, resolve_k)
 from .ease import EaseStep, ease, ease_trace
 from .evaluate import (BenchmarkRow, MistakeRate, OrderScore, SensitivityRow, benchmark,
                        k_sensitivity, mistake_rate, score_order, sensitivity_rows_to_csv)
@@ -30,18 +28,16 @@ from .evaluate import (BenchmarkRow, MistakeRate, OrderScore, SensitivityRow, be
 __all__ = [
     "CapacityError", "ConfigError", "DomainError", "HeavytailError", "ModeError",
     "ValidationError",
-    "HillEstimate", "NoiseSpec", "hill_tail_index", "max_sum_tail_ratio", "sample_noise",
-    "symmetric_pareto_survival",
-    "CausalOrder", "Dag", "GeneratorConfig", "OrderValidation", "PathWeights", "Scm",
-    "all_causal_orders", "check_path_faithful", "path_weights", "random_scm",
-    "validate_order",
+    "HillEstimate", "NoiseSpec", "hill_tail_index", "sample_noise",
+    "CausalOrder", "Dag", "GeneratorConfig", "OrderValidation", "Scm",
+    "check_path_faithful", "path_weights", "random_scm", "validate_order",
     "Dataset",
     "GridSpec", "Scenario", "SimSetting", "SimulationResult", "simulate", "simulate_grid",
     "COMMON_CAUSE", "I_CAUSES_J", "INDETERMINATE", "J_CAUSES_I", "NO_CAUSAL_LINK",
     "CoefMatrix", "classify_pair", "gamma_population", "mistake_bound_margin",
     "psi_population",
-    "EstimatorConfig", "coefficient_matrix", "ecdf_values", "empirical_cdf_column",
-    "gamma_estimate", "psi_estimate", "resolve_k",
+    "EstimatorConfig", "coefficient_matrix", "ecdf_values", "gamma_estimate",
+    "psi_estimate", "resolve_k",
     "EaseStep", "ease", "ease_trace",
     "BenchmarkRow", "MistakeRate", "OrderScore", "SensitivityRow", "benchmark",
     "k_sensitivity", "mistake_rate", "score_order", "sensitivity_rows_to_csv",

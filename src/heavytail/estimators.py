@@ -90,13 +90,6 @@ def ecdf_values(column: np.ndarray) -> np.ndarray:
     return ecdf_from_ranks(rank_kernel(column), column.size)
 
 
-def empirical_cdf_column(data: Dataset, j: int) -> np.ndarray:
-    """Read-only view of the ECDF of column j, from the dataset's cached ranks."""
-    u = ecdf_from_ranks(data.ranks((j,))[:, j], data.n)
-    u.setflags(write=False)
-    return u.view()  # a view of a read-only array cannot be made writeable
-
-
 def _exceedance_rows(r: np.ndarray, k: int, psi: bool) -> np.ndarray:
     """Tail rows of a column, read off its max ranks r.
 

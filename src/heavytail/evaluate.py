@@ -172,46 +172,31 @@ def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None) -> lis
 class SensitivityRow:
     exponent: float
     k: int
-    mean_violation_fraction: float | None
-    se: float | None
-    coefficients: dict | None = None
+    mean_violation_fraction: float
+    se: float
 
 
-def k_sensitivity(exponents, *, data: Dataset | None = None, scm: Scm | None = None,
-                  p: int | None = None, alpha: float | None = None, n: int | None = None,
-                  reps: int = 1, seed=None, kind: str = "psi",
+def k_sensitivity(exponents, *, scm: Scm | None = None, p: int | None = None,
+                  alpha: float | None = None, n: int | None = None, reps: int = 1, seed=None,
+                  kind: str = "psi",
                   setting: SimSetting = SimSetting("linear")) -> list[SensitivityRow]:
     """Sweep the exceedance exponent of k = floor(n**e).
 
-    Exactly one source drives the sweep: a fixed ``data`` set (rows then carry
-    the estimated off-diagonal coefficients per exponent), a fixed ``scm``
-    (rows carry the mean violation fraction over ``reps`` simulated datasets),
-    or dimensions ``p`` and ``alpha`` (the ``simulate_grid`` replicates of that
-    one cell, a fresh random SCM each: the exponent calibration protocol).
+    Exactly one source drives the sweep: a fixed ``scm`` (rows carry the mean
+    violation fraction over ``reps`` simulated datasets), or dimensions ``p``
+    and ``alpha`` (the ``simulate_grid`` replicates of that one cell, a fresh
+    random SCM each: the exponent calibration protocol). To sweep the
+    estimates of one dataset, call ``coefficient_matrix`` once per exponent.
     """
     exponents = [float(e) for e in exponents]
     if not exponents:
         raise ValidationError("need at least one exponent")
     if any(not (0 < e < 1) for e in exponents):
         raise ValidationError("exponents must lie in (0, 1)")
-    sources = sum(src is not None for src in (data, scm, p))
-    if sources != 1:
-        raise ValidationError("give exactly one of data, scm, or p (with alpha)")
-
-    if data is not None:
-        rows = []
-        for e in exponents:
-            config = EstimatorConfig(k_exponent=e, kind=kind)
-            matrix = coefficient_matrix(data, config)
-            coefs = {
-                (data.names[i], data.names[j]): float(matrix.values[i, j])
-                for i in range(data.p) for j in range(data.p) if i != j
-            }
-            rows.append(SensitivityRow(e, resolve_k(data.n, config), None, None, coefs))
-        return rows
-
+    if (scm is None) == (p is None):
+        raise ValidationError("give exactly one of scm or p (with alpha)")
     if n is None or n < 2:
-        raise ValidationError("scm and dimension sweeps need a sample size n >= 2")
+        raise ValidationError("the sweep needs a sample size n >= 2")
     if p is not None and (alpha is None or p < 1):
         raise ValidationError("dimension sweep needs p >= 1 and alpha")
     if reps < 1:
@@ -260,15 +245,8 @@ def mistake_rate(scm: Scm, n: int, config, reps: int, seed=None) -> MistakeRate:
 
 
 def sensitivity_rows_to_csv(rows: list[SensitivityRow]) -> str:
-    """CSV rendering of a sweep, long format for coefficient rows."""
-    lines = []
-    if rows and rows[0].coefficients is not None:
-        lines.append("exponent,k,from,to,value")
-        for row in rows:
-            for (a, b), v in sorted(row.coefficients.items()):
-                lines.append(f"{row.exponent:g},{row.k},{a},{b},{v!r}")
-    else:
-        lines.append("exponent,k,mean_violation_fraction,se")
-        for row in rows:
-            lines.append(f"{row.exponent:g},{row.k},{row.mean_violation_fraction!r},{row.se!r}")
+    """CSV rendering of a sweep: exponent, k, mean violation fraction and its standard error."""
+    lines = ["exponent,k,mean_violation_fraction,se"]
+    for row in rows:
+        lines.append(f"{row.exponent:g},{row.k},{row.mean_violation_fraction!r},{row.se!r}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ._rng import as_rng
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .noise import NoiseSpec
 
 POSITIVE = "positive"
@@ -104,14 +104,6 @@ class Dag:
         a.flags.writeable = False
         return a
 
-    def ancestors(self, j: int) -> frozenset:
-        """All ancestors of ``j`` including ``j`` itself."""
-        return self.strict_ancestors(j) | {j}
-
-    def strict_ancestors(self, j: int) -> frozenset:
-        self._check_node(j)
-        return frozenset(np.flatnonzero(self.ancestor_matrix[j]).tolist())
-
     def _check_node(self, j: int) -> None:
         if not (0 <= j < self._p):
             raise ValidationError(f"node {j} out of range for p={self._p}")
@@ -138,13 +130,6 @@ class CausalOrder:
         self._sequence = seq
         self._position = {node: s for s, node in enumerate(seq)}
 
-    @classmethod
-    def from_positions(cls, positions) -> "CausalOrder":
-        """Build from the node -> position mapping (the inverse view)."""
-        items = sorted(positions.items() if hasattr(positions, "items") else enumerate(positions),
-                       key=lambda kv: kv[1])
-        return cls([node for node, _ in items])
-
     @property
     def sequence(self) -> tuple[int, ...]:
         return self._sequence
@@ -158,9 +143,6 @@ class CausalOrder:
             return self._position[node]
         except KeyError:
             raise ValidationError(f"node {node} not covered by this order") from None
-
-    def positions(self) -> dict[int, int]:
-        return dict(self._position)
 
     def relabel(self, mapping) -> "CausalOrder":
         """Map every node id through ``mapping`` (callable or sequence)."""
@@ -253,21 +235,11 @@ class Scm:
                 f"alpha={self.alpha}, hidden={sorted(self.hidden)})")
 
 
-@dataclass(frozen=True)
-class PathWeights:
-    """Summed weighted directed path coefficients; ``matrix[j, k]`` is k -> j."""
+def path_weights(scm: Scm) -> np.ndarray:
+    """Exact path-weight matrix H by back-substitution along a topological order.
 
-    matrix: np.ndarray
-
-    def residual_norm(self, scm: Scm) -> float:
-        """Max-norm of (I - B) @ H - I; zero up to float rounding."""
-        b = scm.coefficient_matrix()
-        eye = np.eye(scm.p)
-        return float(np.abs((eye - b) @ self.matrix - eye).max())
-
-
-def path_weights(scm: Scm) -> PathWeights:
-    """Exact path-weight matrix by back-substitution along a topological order."""
+    ``H[j, k]`` sums the weighted directed paths k -> j; it solves (I - B) @ H = I.
+    """
     p = scm.p
     h = np.zeros((p, p))
     b = scm.coefficient_matrix()
@@ -277,16 +249,17 @@ def path_weights(scm: Scm) -> PathWeights:
         for parent in scm.dag.parents(j):
             row += b[j, parent] * h[parent]
         h[j] = row
-    return PathWeights(matrix=h)
+    return h
 
 
-def check_path_faithful(scm: Scm, weights: PathWeights | None = None) -> bool:
+def check_path_faithful(scm: Scm, h: np.ndarray | None = None) -> bool:
     """True when every ancestor path weight is bounded away from zero.
 
     Distinct directed paths with real coefficients can cancel; the population
     coefficients assume they do not.
     """
-    h = (weights if weights is not None else path_weights(scm)).matrix
+    if h is None:
+        h = path_weights(scm)
     return not np.any(np.abs(h[scm.dag.ancestor_matrix]) <= FAITHFULNESS_TOL)
 
 
@@ -436,19 +409,3 @@ def _draw_scm(p: int, alpha: float, config: GeneratorConfig, rng) -> Scm:
 
     dag = Dag(total, edges.keys())
     return Scm(dag, edges, NoiseSpec("student_t", alpha), mode=config.mode, hidden=hidden)
-
-
-def all_causal_orders(dag: Dag) -> list[CausalOrder]:
-    """Exhaustive enumeration of the DAG's causal orders (small graphs only)."""
-    if dag.p > 10:
-        raise CapacityError(f"exhaustive enumeration is limited to p <= 10, got {dag.p}")
-
-    def extend(prefix: list[int]):
-        if len(prefix) == dag.p:
-            yield CausalOrder(prefix)
-        placed = set(prefix)
-        for node in range(dag.p):
-            if node not in placed and placed.issuperset(dag.parents(node)):
-                yield from extend(prefix + [node])
-
-    return list(extend([]))

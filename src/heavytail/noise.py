@@ -12,8 +12,7 @@ Three noise families are provided, all with survival function behaving like
   ``[scale_upper**(1/alpha), inf)`` with ``P(X > x) = scale_upper * x**(-alpha)``,
   for experiments that need strictly positive noise.
 
-The slowly varying part of the tail is a constant in every family, which keeps
-closed-form survival values available for validation.
+The slowly varying part of the tail is a constant in every family.
 """
 
 from __future__ import annotations
@@ -100,10 +99,11 @@ def _pareto_from_uniform(spec: NoiseSpec, u: np.ndarray) -> None:
     """
     e = -1.0 / spec.alpha
     if spec.family == "shifted_pareto":
-        # 1 - u lies in (0, 1], so (1 - u)**e is at least 1, or inf if it overflows
+        # 1 - u lies in (0, 1], so (1 - u)**e is at least 1, or inf if it overflows;
+        # the scale may overflow too, and a numpy power gives inf where a float power raises
         np.subtract(1.0, u, out=u)
         u **= e
-        u *= spec.scale_upper ** (1.0 / spec.alpha)
+        u *= np.float64(spec.scale_upper) ** (1.0 / spec.alpha)
         return
     # symmetric_pareto: -(u / w_lo)**e below w_lo, ((1 - u) / (1 - w_lo))**e above
     w_lo = spec.scale_lower / (spec.scale_lower + spec.scale_upper)
@@ -116,16 +116,6 @@ def _pareto_from_uniform(spec: NoiseSpec, u: np.ndarray) -> None:
     u **= e
     np.invert(lower, out=lower)
     np.negative(u, out=u, where=lower)
-
-
-def symmetric_pareto_survival(spec: NoiseSpec, x: float) -> float:
-    """Exact P(X > x) of the symmetric_pareto family, for x >= 1."""
-    if spec.family != "symmetric_pareto":
-        raise ValidationError("survival formula only applies to symmetric_pareto")
-    if x < 1:
-        raise ValidationError("closed form holds on the support x >= 1")
-    w_up = spec.scale_upper / (spec.scale_upper + spec.scale_lower)
-    return w_up * x ** -spec.alpha
 
 
 def hill_tail_index(data, k: int) -> HillEstimate:
@@ -146,28 +136,3 @@ def hill_tail_index(data, k: int) -> HillEstimate:
     if xi == 0.0:
         raise DomainError("degenerate data: all top order statistics equal")
     return HillEstimate(alpha_hat=1.0 / xi, xi_hat=xi, k=k)
-
-
-def max_sum_tail_ratio(samples, quantile_level: float) -> float:
-    """Empirical P(row max > x) / P(row sum > x) at a high row-sum quantile.
-
-    Diagnostic for max-sum equivalence of independent regularly varying
-    columns; the ratio tends to 1 for heavy tails and the caller decides what
-    to assert. ``samples`` is an (n, m) array of i.i.d. noise columns.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise ValidationError("samples must be a 2-D array")
-    n = x.shape[0]
-    if n < 1000:
-        raise ValidationError(f"need at least 1000 rows, got {n}")
-    if not (0.9 <= quantile_level < 1):
-        raise ValidationError("quantile_level must lie in [0.9, 1)")
-    row_sum = x.sum(axis=1)
-    row_max = x.max(axis=1)
-    threshold = np.quantile(row_sum, quantile_level)
-    denom = int(np.count_nonzero(row_sum > threshold))
-    if denom == 0:
-        raise DomainError("degenerate threshold: no row sums exceed the quantile")
-    num = int(np.count_nonzero(row_max > threshold))
-    return num / denom

@@ -62,11 +62,6 @@ class CoefMatrix:
     def p(self) -> int:
         return self.values.shape[0]
 
-    def submatrix(self, nodes) -> "CoefMatrix":
-        idx = list(nodes)
-        names = tuple(self.names[i] for i in idx) if self.names is not None else None
-        return CoefMatrix(self.values[np.ix_(idx, idx)], self.kind, names, self.estimated)
-
 
 def check_capacity(p: int) -> None:
     """Raise CapacityError if the population matrices of p nodes would exceed the cap."""
@@ -104,7 +99,7 @@ def gamma_population(scm: Scm) -> CoefMatrix:
             "gamma assumes equal noise scales across nodes; "
             "use psi_population for heterogeneous scales")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
-        h = path_weights(scm).matrix
+        h = path_weights(scm)
         anc = scm.dag.ancestor_matrix | np.eye(scm.p, dtype=bool)
         w = np.where(anc, h, 0.0) ** scm.alpha
         shared = w @ anc.T.astype(float)  # shared[j, k] = sum over An(j) & An(k)
@@ -124,10 +119,9 @@ def psi_population(scm: Scm) -> CoefMatrix:
     """
     check_capacity(scm.p)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
-        weights = path_weights(scm)
-        if not check_path_faithful(scm, weights):
+        h = path_weights(scm)
+        if not check_path_faithful(scm, h):
             raise ValidationError("SCM is not path-faithful: an ancestor path weight vanishes")
-        h = weights.matrix
         anc = scm.dag.ancestor_matrix | np.eye(scm.p, dtype=bool)
         c_up = np.array([spec.scale_upper for spec in scm.noise])
         c_lo = np.array([spec.scale_lower for spec in scm.noise])

@@ -5,7 +5,7 @@ a full sort, CDF values from quadratic counting, and sums are exact
 (Fraction) with a single rounding at the end, which equals a correctly
 rounded float sum. Used to pin the estimators bit-for-bit on small inputs.
 Ancestry comes from Warshall's transitive closure over the edge list, which
-needs no topological order.
+needs no topological order, and causal orders from enumerating every one.
 """
 
 from fractions import Fraction
@@ -52,3 +52,16 @@ def brute_ancestors(p, edges):
                     if reach[via][i]:
                         reach[j][i] = True
     return reach
+
+
+def all_causal_orders(dag):
+    """Every causal order of the DAG as a node sequence (exhaustive: small graphs only)."""
+    def extend(prefix):
+        if len(prefix) == dag.p:
+            yield tuple(prefix)
+        placed = set(prefix)
+        for node in range(dag.p):
+            if node not in placed and placed.issuperset(dag.parents(node)):
+                yield from extend(prefix + [node])
+
+    return list(extend([]))

@@ -81,6 +81,17 @@ def reference_noise(spec: NoiseSpec, n: int, rng) -> np.ndarray:
     return out
 
 
+def max_sum_tail_ratio(samples, quantile_level: float) -> float:
+    """Empirical P(row max > x) / P(row sum > x) at the row sums' ``quantile_level`` quantile.
+
+    Tends to 1 for independent regularly varying columns (max-sum equivalence).
+    """
+    x = np.asarray(samples, dtype=float)
+    row_sum = x.sum(axis=1)
+    threshold = np.quantile(row_sum, quantile_level)
+    return np.count_nonzero(x.max(axis=1) > threshold) / np.count_nonzero(row_sum > threshold)
+
+
 def bitwise_equal(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))

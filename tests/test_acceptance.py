@@ -12,13 +12,13 @@ import numpy as np
 from heavytail import (Dag, EstimatorConfig, GeneratorConfig, GridSpec, NoiseSpec,
                        Scm, SimSetting, benchmark, classify_pair,
                        coefficient_matrix, ease, ease_trace, gamma_estimate,
-                       gamma_population, hill_tail_index, k_sensitivity,
-                       max_sum_tail_ratio, psi_estimate, random_scm, sample_noise,
-                       simulate, validate_order)
+                       gamma_population, hill_tail_index, k_sensitivity, psi_estimate,
+                       random_scm, sample_noise, simulate, validate_order)
 from heavytail.cli import main
 from heavytail.formats import read_json
 
 from brute_oracles import brute_gamma, brute_psi
+from conftest import max_sum_tail_ratio
 from test_oracle import classify_truth
 
 

@@ -110,8 +110,8 @@ def test_population_correctness_with_hidden_nodes():
         if not scm.hidden:
             continue
         observed = scm.observed
-        matrix = gamma_population(scm).submatrix(observed)
-        order = ease(matrix).relabel(observed)
+        population = gamma_population(scm).values[np.ix_(observed, observed)]
+        order = ease(CoefMatrix(population, "gamma")).relabel(observed)
         assert validate_order(scm.dag, order, observed_only=True).valid
         checked += 1
     assert checked > 30
@@ -133,7 +133,7 @@ def test_perturbation_inside_error_bound_gives_valid_order(p, alpha, law, kind_m
     scm = random_scm(p, alpha, config, seed=seed)
     observed = scm.observed
     oracle = gamma_population if kind == "gamma" else psi_population
-    population = oracle(scm).submatrix(observed).values
+    population = oracle(scm).values[np.ix_(observed, observed)]
     # just inside the bound, so rounding the perturbed entries cannot close
     # the gap between a root's score and a non-root's
     scale = (1.0 - mistake_bound_margin(scm, kind)) / 2 * (1.0 - 2.0 ** -30)

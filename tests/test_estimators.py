@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavytail import (ConfigError, Dataset, EstimatorConfig, NoiseSpec,
-                       ValidationError, coefficient_matrix, ecdf_values,
-                       empirical_cdf_column, gamma_estimate, psi_estimate,
-                       resolve_k, sample_noise)
-from heavytail.data import _RANK_SCRATCH_COLUMNS, rank_kernel
+                       ValidationError, coefficient_matrix, ecdf_values, gamma_estimate,
+                       psi_estimate, resolve_k, sample_noise)
+from heavytail.data import _RANK_SCRATCH_COLUMNS, ecdf_from_ranks, rank_kernel
 from heavytail.estimators import _BLOCK_ELEMENTS, _exceedance_rows, _slice_sums, _tail_sums
 
 from brute_oracles import brute_gamma, brute_psi
@@ -20,12 +19,17 @@ def two_col(col0, col1):
     return Dataset(["a", "b"], np.column_stack([col0, col1]))
 
 
+def cached_ecdf(data, j):
+    """The ECDF of column j, from the Dataset's rank cache."""
+    return ecdf_from_ranks(data.ranks((j,))[:, j], data.n)
+
+
 def test_empirical_cdf_examples():
-    assert empirical_cdf_column(two_col([3.0, 1.0, 2.0], [0, 0, 0]), 0).tolist() == [
+    assert cached_ecdf(two_col([3.0, 1.0, 2.0], [0, 0, 0]), 0).tolist() == [
         1.0, 1 / 3, 2 / 3]
     constant = Dataset(["a"], np.full((4, 1), 2.5))
-    assert empirical_cdf_column(constant, 0).tolist() == [1.0, 1.0, 1.0, 1.0]
-    assert empirical_cdf_column(two_col([1.0, 1.0, 2.0], [0, 0, 0]), 0).tolist() == [
+    assert cached_ecdf(constant, 0).tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert cached_ecdf(two_col([1.0, 1.0, 2.0], [0, 0, 0]), 0).tolist() == [
         2 / 3, 2 / 3, 1.0]
 
 
@@ -276,7 +280,7 @@ def test_dataset_ranks_each_column_once(monkeypatch):
     monkeypatch.setattr("heavytail.data.rank_kernel", counting_kernel)
     data = Dataset([f"x{c}" for c in range(4)], values)
     column = values[:, 3]
-    assert np.array_equal(empirical_cdf_column(data, 3),
+    assert np.array_equal(cached_ecdf(data, 3),
                           np.searchsorted(np.sort(column), column, side="right") / 300)
     assert len(ranked) == 1
     ranked.clear()
@@ -302,18 +306,18 @@ def test_cached_ecdf_is_read_only():
     data = Dataset(["a", "b", "c"], rng.standard_normal((50, 3)))
     config = EstimatorConfig(k=5, kind="psi")
     before = coefficient_matrix(data, config).values
-    u = empirical_cdf_column(data, 1)
-    assert np.array_equal(u, ecdf_values(data.column(1)))
+    assert np.array_equal(cached_ecdf(data, 1), ecdf_values(data.column(1)))
+    r = data.ranks((1,))[:, 1]
     with pytest.raises(ValueError):
-        u[0] = 0.0
+        r[0] = 0
     with pytest.raises(ValueError):
-        u.setflags(write=True)
+        r.setflags(write=True)
     with pytest.raises(ValueError):
-        np.asarray(u)[:] = 0.5
+        np.asarray(r)[:] = 1
     with pytest.raises(ValidationError):
-        empirical_cdf_column(data, 3)
+        data.ranks((3,))
     with pytest.raises(ValidationError):
-        empirical_cdf_column(data, -1)
+        data.ranks((-1,))
     # a second Dataset over the same values is ranked afresh and agrees
     again = Dataset(data.names, data.values)
     assert np.array_equal(coefficient_matrix(data, config).values, before, equal_nan=True)
@@ -520,7 +524,7 @@ def test_rank_dtype_boundaries_match_fsum_reference(n, dtype):
     for c in range(values.shape[1]):
         u = ecdf_values(values[:, c])
         assert u.dtype == np.float64
-        assert np.array_equal(u, empirical_cdf_column(data, c))
+        assert np.array_equal(u, cached_ecdf(data, c))
         assert np.array_equal(u, np.searchsorted(np.sort(values[:, c]), values[:, c],
                                                  side="right") / n)
 

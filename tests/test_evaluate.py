@@ -131,17 +131,6 @@ def test_benchmark_holds_one_replicate_at_a_time():
     assert _benchmark_peak(3, cap) < one + dataset_bytes / 2
 
 
-def test_k_sensitivity_dataset_rows():
-    scm = make_chain([0.9, -0.8], mode="real", alpha=2.5)
-    sample = simulate(scm, SimSetting("linear"), 500, seed=5).data
-    rows = k_sensitivity([0.3, 0.5], data=sample, kind="psi")
-    assert [r.exponent for r in rows] == [0.3, 0.5]
-    assert rows[0].coefficients is not None
-    assert len(rows[0].coefficients) == 6
-    text = sensitivity_rows_to_csv(rows)
-    assert text.startswith("exponent,k,from,to,value\n")
-
-
 def test_k_sensitivity_scm_rows_and_guards():
     scm = make_chain([0.9], mode="real", alpha=2.5)
     rows = k_sensitivity([0.4], scm=scm, n=500, reps=4, seed=6)
@@ -154,19 +143,19 @@ def test_k_sensitivity_scm_rows_and_guards():
     with pytest.raises(ValidationError):
         k_sensitivity([0.4])
     with pytest.raises(ValidationError):
-        k_sensitivity([0.4], scm=scm, data=object())
+        k_sensitivity([0.4], scm=scm, p=2, alpha=2.5, n=500)
 
 
 def test_score_validity_matches_enumeration_with_hidden_nodes():
     import itertools
 
-    from heavytail import all_causal_orders
+    from brute_oracles import all_causal_orders
 
     dag = Dag(4, [(0, 1), (1, 2), (0, 3)])
     scm = Scm(dag, {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 1.0},
               NoiseSpec("student_t", 1.5), mode="positive", hidden=[1])
     observed = scm.observed
-    restricted = {tuple(v for v in o.sequence if v in observed)
+    restricted = {tuple(v for v in o if v in observed)
                   for o in all_causal_orders(dag)}
     for perm in itertools.permutations(observed):
         assert score_order(scm, CausalOrder(perm)).valid == (perm in restricted)

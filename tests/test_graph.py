@@ -4,13 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heavytail import (CapacityError, CausalOrder, Dag, GeneratorConfig, NoiseSpec,
-                       Scm, ValidationError, all_causal_orders, check_path_faithful,
-                       path_weights, random_scm, validate_order)
+from heavytail import (CausalOrder, Dag, GeneratorConfig, NoiseSpec, Scm, ValidationError,
+                       check_path_faithful, path_weights, random_scm, validate_order)
 
 from heavytail.graph import _node_pairs
 
-from brute_oracles import brute_ancestors
+from brute_oracles import all_causal_orders, brute_ancestors
 from conftest import make_chain
 
 
@@ -27,20 +26,23 @@ def test_dag_validation():
         Dag(3, [(0, 1), (1, 2), (2, 0)])
 
 
+def strict_ancestors(dag, j):
+    return set(np.flatnonzero(dag.ancestor_matrix[j]).tolist())
+
+
 def test_ancestors_diamond(diamond_scm):
     dag = diamond_scm.dag
-    assert dag.ancestors(3) == frozenset({0, 1, 2, 3})
-    assert dag.strict_ancestors(3) == frozenset({0, 1, 2})
-    assert dag.ancestors(0) == frozenset({0})
+    assert strict_ancestors(dag, 3) == {0, 1, 2}
+    assert strict_ancestors(dag, 0) == set()
 
 
 def test_ancestors_chain_and_isolated():
     chain = Dag(3, [(0, 1), (1, 2)])
-    assert chain.ancestors(2) == frozenset({0, 1, 2})
+    assert strict_ancestors(chain, 2) == {0, 1}
     isolated = Dag(3, [(0, 1)])
-    assert isolated.ancestors(2) == frozenset({2})
+    assert strict_ancestors(isolated, 2) == set()
     with pytest.raises(ValidationError):
-        chain.ancestors(5)
+        chain.parents(5)
 
 
 def _shuffled_dag(seed):
@@ -82,9 +84,9 @@ def test_ancestor_matrix_is_built_once_on_first_use_and_read_only():
         tracemalloc.stop()
     assert peak < p * p // 100
     dag = Dag(4, [(0, 1), (1, 2)])
-    assert dag.ancestors(2) == frozenset({0, 1, 2})
     matrix = dag.ancestor_matrix
-    assert dag.strict_ancestors(3) == frozenset() and dag.ancestor_matrix is matrix
+    assert strict_ancestors(dag, 2) == {0, 1} and strict_ancestors(dag, 3) == set()
+    assert dag.ancestor_matrix is matrix
     assert not matrix.flags.writeable
     with pytest.raises(ValueError):
         matrix[3, 0] = True
@@ -98,7 +100,7 @@ def test_topological_order_respects_edges():
 
 
 def test_path_weights_diamond(diamond_scm):
-    h = path_weights(diamond_scm).matrix
+    h = path_weights(diamond_scm)
     assert h[3, 0] == 2.0
     assert h[3, 1] == 1.0 and h[3, 2] == 1.0
     assert np.all(np.diag(h) == 1.0)
@@ -106,35 +108,35 @@ def test_path_weights_diamond(diamond_scm):
 
 def test_path_weights_empty_graph():
     scm = Scm(Dag(3), {}, NoiseSpec("student_t", 2.0))
-    assert np.array_equal(path_weights(scm).matrix, np.eye(3))
+    assert np.array_equal(path_weights(scm), np.eye(3))
 
 
 def test_path_weights_chain_product():
     scm = make_chain([0.5, 0.4])
-    h = path_weights(scm).matrix
+    h = path_weights(scm)
     assert h[2, 0] == pytest.approx(0.2, abs=1e-15)
 
 
 @pytest.mark.parametrize("p", [5, 20, 50])
 def test_path_weights_residual(p):
     scm = random_scm(p, 1.5, GeneratorConfig(), seed=p)
-    weights = path_weights(scm)
-    assert weights.residual_norm(scm) < 1e-10
+    # H solves (I - B) @ H = I up to float rounding
+    eye = np.eye(p)
+    residual = (eye - scm.coefficient_matrix()) @ path_weights(scm) - eye
+    assert np.abs(residual).max() < 1e-10
 
 
 def test_positive_mode_weights_mark_ancestry():
     for seed in range(30):
         scm = random_scm(6, 1.5, GeneratorConfig(mode="positive"), seed=seed)
-        h = path_weights(scm).matrix
-        for j in range(scm.p):
-            for k in range(scm.p):
-                assert (h[j, k] > 0) == (k in scm.dag.ancestors(j))
+        h = path_weights(scm)
+        ancestors = np.array(brute_ancestors(scm.p, scm.dag.edges)) | np.eye(scm.p, dtype=bool)
+        assert np.array_equal(h > 0, ancestors)
 
 
 def test_causal_order_round_trip():
     order = CausalOrder([2, 0, 1])
-    assert order.position(2) == 0
-    assert CausalOrder.from_positions(order.positions()) == order
+    assert [order.position(node) for node in range(3)] == [1, 2, 0]
     assert order.relabel([10, 11, 12]).sequence == (12, 10, 11)
     with pytest.raises(ValidationError):
         CausalOrder([0, 0, 1])
@@ -171,24 +173,22 @@ def test_validate_order_observed_only_uses_full_ancestry():
 
 def test_enumeration_known_four_node_set(fournode_dag):
     orders = all_causal_orders(fournode_dag)
-    as_positions = {tuple(o.position(node) for node in range(4)) for o in orders}
+    as_positions = {tuple(o.index(node) for node in range(4)) for o in orders}
     assert as_positions == {(1, 0, 3, 2), (1, 0, 2, 3), (2, 0, 1, 3)}
-    assert {o.sequence for o in orders} == {(1, 0, 3, 2), (1, 0, 2, 3), (1, 2, 0, 3)}
+    assert set(orders) == {(1, 0, 3, 2), (1, 0, 2, 3), (1, 2, 0, 3)}
 
 
 def test_enumeration_trivial_graphs():
     assert len(all_causal_orders(Dag(3))) == 6
     chain = Dag(3, [(0, 1), (1, 2)])
-    assert [o.sequence for o in all_causal_orders(chain)] == [(0, 1, 2)]
-    with pytest.raises(CapacityError):
-        all_causal_orders(Dag(11))
+    assert all_causal_orders(chain) == [(0, 1, 2)]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_enumeration_agrees_with_validation(seed):
     scm = random_scm(5, 1.5, GeneratorConfig(), seed=seed)
     dag = scm.dag if scm.p <= 6 else Dag(5)
-    member = {o.sequence for o in all_causal_orders(dag)}
+    member = set(all_causal_orders(dag))
     for perm in itertools.permutations(range(dag.p)):
         assert (perm in member) == validate_order(dag, CausalOrder(perm)).valid
 

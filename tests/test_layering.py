@@ -1,15 +1,38 @@
 """The package's layering: modules import one way, from earlier layers only,
-and use one another through public names; the package exports names, not
-modules."""
+and use one another through public names; the package exports a pinned set of
+names, not modules, and keeps the names the traced benchmark reaches."""
 
 import ast
+import importlib
+import importlib.util
 import re
 import types
 from pathlib import Path
 
+import pytest
+
 import heavytail
 
 PACKAGE = Path(heavytail.__file__).parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+EXPORTED = {
+    "CapacityError", "ConfigError", "DomainError", "HeavytailError", "ModeError",
+    "ValidationError",
+    "HillEstimate", "NoiseSpec", "hill_tail_index", "sample_noise",
+    "CausalOrder", "Dag", "GeneratorConfig", "OrderValidation", "Scm",
+    "check_path_faithful", "path_weights", "random_scm", "validate_order",
+    "Dataset",
+    "GridSpec", "Scenario", "SimSetting", "SimulationResult", "simulate", "simulate_grid",
+    "COMMON_CAUSE", "I_CAUSES_J", "INDETERMINATE", "J_CAUSES_I", "NO_CAUSAL_LINK",
+    "CoefMatrix", "classify_pair", "gamma_population", "mistake_bound_margin",
+    "psi_population",
+    "EstimatorConfig", "coefficient_matrix", "ecdf_values", "gamma_estimate",
+    "psi_estimate", "resolve_k",
+    "EaseStep", "ease", "ease_trace",
+    "BenchmarkRow", "MistakeRate", "OrderScore", "SensitivityRow", "benchmark",
+    "k_sensitivity", "mistake_rate", "score_order", "sensitivity_rows_to_csv",
+}
 
 # Each module may import from the modules before it, never from one after it.
 LAYERS = ("errors", "_rng", "noise", "graph", "data", "simulate", "oracle", "estimators",
@@ -79,3 +102,32 @@ def test_all_names_resolve_and_none_is_a_module():
     namespace = {}
     exec("from heavytail import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(heavytail.__all__)
+
+
+def test_exported_names_are_pinned():
+    assert len(EXPORTED) == 54
+    assert set(heavytail.__all__) == EXPORTED
+
+
+@pytest.mark.parametrize("name, member", [("simulate", "GridSpec"), ("ease", "EaseStep")])
+def test_function_shadows_its_module_as_package_attribute(name, member):
+    # heavytail.<name>, and so "import heavytail.<name> as m", is the function;
+    # the module's other names are reached by "from heavytail.<name> import"
+    # or importlib.import_module
+    module = importlib.import_module(f"heavytail.{name}")
+    namespace = {}
+    exec(f"import heavytail.{name} as m\nfrom heavytail.{name} import {member}", namespace)
+    assert namespace["m"] is getattr(heavytail, name) is getattr(module, name)
+    assert not hasattr(namespace["m"], member)
+    assert namespace[member] is getattr(module, member)
+
+
+def test_names_the_traced_benchmark_reaches_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    reached = set(tracer.TRACED) | {("simulate", "scenario_streams"), ("estimators", "resolve_k")}
+    missing = [f"{module}.{name}" for module, name in sorted(reached)
+               if not callable(getattr(importlib.import_module(f"heavytail.{module}"), name,
+                                       None))]
+    assert missing == []

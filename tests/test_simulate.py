@@ -49,11 +49,15 @@ def test_simulate_guards():
         simulate(scm, SimSetting("uniform_margins"), 1, seed=0)
 
 
-@pytest.mark.parametrize("family", ["symmetric_pareto", "shifted_pareto"])
-def test_pareto_overflow_is_refused_without_a_warning(family):
+@pytest.mark.parametrize("family, scale_upper", [
+    ("symmetric_pareto", 1.0), ("shifted_pareto", 1.0), ("shifted_pareto", 3.0)],
+    ids=["symmetric_pareto", "shifted_pareto", "shifted_pareto-scale3"])
+def test_pareto_overflow_is_refused_without_a_warning(family, scale_upper):
     # at alpha = 0.001 the inverse transform overflows to inf for most
-    # uniforms; the Dataset refuses the sample, and numpy does not warn
-    scm = Scm(Dag(2, [(0, 1)]), {(0, 1): 1.0}, NoiseSpec(family, 0.001))
+    # uniforms, and so does the shifted family's scale 3 ** 1000; the Dataset
+    # refuses the sample, and numpy does not warn
+    spec = NoiseSpec(family, 0.001, scale_upper=scale_upper)
+    scm = Scm(Dag(2, [(0, 1)]), {(0, 1): 1.0}, spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="non-finite"):
