@@ -12,11 +12,11 @@ from .errors import (CapacityError, ConfigError, DomainError, HeavytailError,
 from .noise import HillEstimate, NoiseSpec, hill_tail_index, sample_noise
 from .graph import (CausalOrder, Dag, GeneratorConfig, OrderValidation, Scm,
                     check_path_faithful, path_weights, random_scm, validate_order)
-from .data import Dataset
+from .data import CoefMatrix, Dataset
 from .simulate import (GridSpec, Scenario, SimSetting, SimulationResult,
                        simulate, simulate_grid)
 from .oracle import (COMMON_CAUSE, I_CAUSES_J, INDETERMINATE, J_CAUSES_I,
-                     NO_CAUSAL_LINK, CoefMatrix, classify_pair, gamma_population,
+                     NO_CAUSAL_LINK, classify_pair, gamma_population,
                      mistake_bound_margin, psi_population)
 from .estimators import (EstimatorConfig, coefficient_matrix, ecdf_values, gamma_estimate,
                          psi_estimate, resolve_k)

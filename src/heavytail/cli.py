@@ -8,22 +8,22 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
+from .data import KINDS, CoefMatrix
 from .ease import ease
 from .errors import MEMORY_CAP_BYTES, ValidationError
 from .estimators import EstimatorConfig, coefficient_matrix
-from .evaluate import benchmark, check_score_capacity, score_order
-from .formats import (dataset_from_csv, dataset_to_csv, matrix_from_dict,
+from .evaluate import METHODS, benchmark, check_score_capacity, score_order
+from .formats import (dataset_from_csv, dataset_to_csv, json_text, matrix_from_dict,
                       matrix_to_dict, meta_block, order_names_from_dict,
                       order_to_dict, read_json, results_to_csv, scm_from_dict,
                       scm_node_count, scm_to_dict, score_to_dict, write_json)
-from .graph import CausalOrder, Scm
+from .graph import COEFFICIENT_LAWS, MODES, CausalOrder, GeneratorConfig, Scm
 from .noise import hill_tail_index
-from .oracle import CoefMatrix, check_capacity, gamma_population, psi_population
-from .simulate import GridSpec, SimSetting, set_up_replicate, simulate
+from .oracle import check_capacity, gamma_population, psi_population
+from .simulate import SETTINGS, GridSpec, SimSetting, set_up_replicate, simulate
 
 
 def _emit(args, doc: dict, path=None, seed=None) -> int:
@@ -31,8 +31,7 @@ def _emit(args, doc: dict, path=None, seed=None) -> int:
     config = {key: value for key, value in sorted(vars(args).items()) if key != "func"}
     doc["meta"] = meta_block(seed, config)
     if path is None:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json_text(doc))
     else:
         write_json(path, doc)
     return 0
@@ -112,8 +111,8 @@ def _load_grid(path) -> GridSpec:
     if not arrays or not isinstance(doc.get("settings", []), list):
         raise ValidationError(
             "grid file needs 'n', 'p', and 'alpha' arrays, and 'settings', if given, an array")
-    return GridSpec(doc["n"], doc["p"], doc["alpha"], settings=doc.get("settings", ["linear"]),
-                    memory_cap_bytes=doc.get("memory_cap_bytes", MEMORY_CAP_BYTES))
+    optional = {key: doc[key] for key in ("settings", "memory_cap_bytes") if key in doc}
+    return GridSpec(doc["n"], doc["p"], doc["alpha"], **optional)
 
 
 def cmd_benchmark(args) -> int:
@@ -135,8 +134,8 @@ def cmd_tail_index(args) -> int:
 
 
 def _add_estimator_flags(parser, kind_required=False):
-    parser.add_argument("--kind", choices=("gamma", "psi"),
-                        required=kind_required, default=None if kind_required else "gamma")
+    parser.add_argument("--kind", choices=KINDS, required=kind_required,
+                        default=None if kind_required else EstimatorConfig.kind)
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--k", type=int, default=None, help="explicit exceedance count")
     group.add_argument("--k-exponent", type=float, default=None,
@@ -144,6 +143,7 @@ def _add_estimator_flags(parser, kind_required=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # choices and defaults are the library's: a dataclass field's default is its class attribute
     parser = argparse.ArgumentParser(
         prog="heavytail",
         description="Causal order discovery for heavy-tailed linear SCMs.")
@@ -151,16 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="simulate a random SCM to data.csv + truth.json")
-    p_sim.add_argument("--setting", default="linear",
-                       choices=("linear", "hidden_confounders", "nonlinear", "uniform_margins"))
+    p_sim.add_argument("--setting", default=SimSetting.kind, choices=SETTINGS)
     p_sim.add_argument("--p", type=int, required=True)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--alpha", type=float, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--mode", choices=("real", "positive"), default="real")
-    p_sim.add_argument("--coefficient-law", choices=("intervals", "four_point"),
-                       default="intervals")
-    p_sim.add_argument("--nonlinear-quantile", type=float, default=0.95)
+    p_sim.add_argument("--mode", choices=MODES, default=GeneratorConfig.mode)
+    p_sim.add_argument("--coefficient-law", choices=COEFFICIENT_LAWS,
+                       default=GeneratorConfig.coefficient_law)
+    p_sim.add_argument("--nonlinear-quantile", type=float,
+                       default=SimSetting.nonlinear_quantile)
     p_sim.add_argument("--out", required=True, help="output data CSV path")
     p_sim.add_argument("--truth", required=True, help="output truth JSON path")
     p_sim.set_defaults(func=cmd_simulate)
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orac = sub.add_parser("oracle", help="population coefficient matrix of an SCM")
     p_orac.add_argument("--scm", required=True, help="SCM JSON path")
-    p_orac.add_argument("--kind", choices=("gamma", "psi"), required=True)
+    p_orac.add_argument("--kind", choices=KINDS, required=True)
     p_orac.add_argument("--out", required=True)
     p_orac.set_defaults(func=cmd_oracle)
 
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--grid", required=True, help="grid spec JSON (or TOML)")
     p_bench.add_argument("--reps", type=int, default=50)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--methods", default="ease_gamma,ease_psi,random_order")
+    p_bench.add_argument("--methods", default=",".join(METHODS))
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(func=cmd_benchmark)
 

@@ -1,4 +1,8 @@
-"""The sample layer: a Dataset and the max ranks of its columns.
+"""The data layer: a Dataset, the max ranks of its columns, and a CoefMatrix.
+
+A sample and a causal tail coefficient matrix are the two values the method
+passes between its stages; the matrix is estimated from a Dataset or
+computed in closed form from an SCM, and its kind is one of KINDS.
 
 A Dataset ranks each column at most once: the first caller that needs a
 column fills it into the Dataset's read-only n x p rank array, which every
@@ -10,9 +14,13 @@ held as long as the Dataset is, once it has been ranked.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ValidationError
+
+KINDS = ("gamma", "psi")
 
 # Columns of n 8-byte values that rank_kernel's scratch can reach at once,
 # rounded up: the argsort order and the sorted copy, the tie mask and one run
@@ -117,6 +125,34 @@ class Dataset:
 
     def __repr__(self):
         return f"Dataset(n={self.n}, p={self.p}, names={self.names})"
+
+
+@dataclass(frozen=True)
+class CoefMatrix:
+    """p x p causal tail coefficient matrix; the diagonal is undefined (NaN).
+
+    ``estimated`` marks sample estimates, whose entries never hit the exact
+    population anchors; it widens the default classification tolerance.
+    """
+
+    values: np.ndarray
+    kind: str
+    names: tuple[str, ...] | None = None
+    estimated: bool = False
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValidationError("coefficient matrix must be square")
+        if self.kind not in KINDS:
+            raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.names is not None and len(self.names) != v.shape[0]:
+            raise ValidationError("names must match the matrix dimension")
+        object.__setattr__(self, "values", v)
+
+    @property
+    def p(self) -> int:
+        return self.values.shape[0]
 
 
 def ranking_bytes(n: int, p: int, ecdf: bool) -> int:

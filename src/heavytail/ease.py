@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import CoefMatrix
 from .errors import ValidationError
 from .graph import CausalOrder
-from .oracle import CoefMatrix
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, ecdf_from_ranks, rank_kernel
+from .data import KINDS, CoefMatrix, Dataset, ecdf_from_ranks, rank_kernel
 from .errors import ConfigError, ValidationError
-from .oracle import CoefMatrix
 
 # Weights _tail_sums gathers at a time: its scratch memory stays bounded
 # whatever p and k are.
@@ -68,8 +67,8 @@ class EstimatorConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.k_exponent is not None and not (0 < self.k_exponent < 1):
             raise ConfigError(f"k_exponent must lie in (0, 1), got {self.k_exponent}")
-        if self.kind not in ("gamma", "psi"):
-            raise ConfigError(f"kind must be 'gamma' or 'psi', got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
 def resolve_k(n: int, config: EstimatorConfig) -> int:

@@ -5,7 +5,8 @@ literals (``repr``), UTF-8, LF line endings, no index column. The dataset
 writer formats blocks of rows with one ``%``-template each, so it costs about
 what ``repr`` of the values costs. Every JSON document has a "meta" block
 (version, seed, resolved config) next to the payload; readers ignore it, so
-stripping meta and re-reading reproduces the object.
+stripping meta and re-reading reproduces the object. Files and stdout alike
+get their JSON from json_text, which refuses NaN and infinities.
 
 Every file problem is a ValidationError naming the path: a missing,
 unreadable or unwritable file (any OSError), bytes that are not UTF-8, and a
@@ -24,12 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .data import CoefMatrix, Dataset
 from .errors import ValidationError, whole_number
-from .data import Dataset
 from .evaluate import RESULT_HEADER, OrderScore
-from .graph import CausalOrder, Dag, Scm
+from .graph import POSITIVE, REAL, CausalOrder, Dag, Scm
 from .noise import NoiseSpec
-from .oracle import CoefMatrix
 
 
 def meta_block(seed=None, config: dict | None = None) -> dict:
@@ -49,8 +49,13 @@ def _file_errors(path, action: str):
         raise ValidationError(f"cannot {action} {path}: {reason}") from exc
 
 
+def json_text(doc: dict) -> str:
+    """``doc`` as indented JSON with a final newline; a NaN or infinity raises ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    text = json_text(payload)
     with _file_errors(path, "write"):
         Path(path).write_text(text, encoding="utf-8")
 
@@ -180,7 +185,7 @@ def scm_from_dict(doc: dict) -> Scm:
              else _noise_from_dict(raw_noise, alpha))
     mode = doc.get("mode")
     if mode is None:
-        mode = "positive" if all(v > 0 for v in coefficients.values()) else "real"
+        mode = POSITIVE if all(v > 0 for v in coefficients.values()) else REAL
     return Scm(dag, coefficients, noise, mode=mode, hidden=hidden, names=names)
 
 

@@ -21,6 +21,8 @@ from .noise import NoiseSpec
 
 POSITIVE = "positive"
 REAL = "real"
+MODES = (REAL, POSITIVE)
+COEFFICIENT_LAWS = ("intervals", "four_point")
 
 FAITHFULNESS_TOL = 1e-12
 
@@ -85,10 +87,6 @@ class Dag:
         self._check_node(j)
         return self._parents[j]
 
-    def children(self, j: int) -> tuple[int, ...]:
-        self._check_node(j)
-        return self._children[j]
-
     @cached_property
     def ancestor_matrix(self) -> np.ndarray:
         """Read-only p x p booleans; ``[j, i]`` is true when i is a strict ancestor of j.
@@ -145,9 +143,8 @@ class CausalOrder:
             raise ValidationError(f"node {node} not covered by this order") from None
 
     def relabel(self, mapping) -> "CausalOrder":
-        """Map every node id through ``mapping`` (callable or sequence)."""
-        get = mapping.__getitem__ if not callable(mapping) else mapping
-        return CausalOrder([get(node) for node in self._sequence])
+        """Map every node id ``v`` to ``mapping[v]``."""
+        return CausalOrder([mapping[node] for node in self._sequence])
 
     def __len__(self):
         return len(self._sequence)
@@ -173,8 +170,8 @@ class Scm:
 
     def __init__(self, dag: Dag, coefficients, noise, mode: str = POSITIVE,
                  hidden=(), names=None):
-        if mode not in (POSITIVE, REAL):
-            raise ValidationError(f"mode must be '{POSITIVE}' or '{REAL}', got {mode!r}")
+        if mode not in MODES:
+            raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
         coeffs = {(int(a), int(b)): float(v) for (a, b), v in dict(coefficients).items()}
         if set(coeffs) != set(dag.edges):
             raise ValidationError("coefficients must be given exactly for the DAG's edges")
@@ -322,10 +319,11 @@ class GeneratorConfig:
     hidden_confounders: bool = False
 
     def __post_init__(self):
-        if self.mode not in (POSITIVE, REAL):
-            raise ValidationError(f"mode must be '{POSITIVE}' or '{REAL}'")
-        if self.coefficient_law not in ("intervals", "four_point"):
-            raise ValidationError("coefficient_law must be 'intervals' or 'four_point'")
+        if self.mode not in MODES:
+            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.coefficient_law not in COEFFICIENT_LAWS:
+            raise ValidationError(
+                f"coefficient_law must be one of {COEFFICIENT_LAWS}, got {self.coefficient_law!r}")
 
 
 def _draw_coefficient(rng, config: GeneratorConfig) -> float:

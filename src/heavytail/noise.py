@@ -122,7 +122,9 @@ def hill_tail_index(data, k: int) -> HillEstimate:
     """Hill estimator of the tail index over the top ``k + 1`` order statistics.
 
     Returns both ``xi_hat`` (the mean log-excess) and ``alpha_hat = 1 / xi_hat``.
-    Requires the largest ``k + 1`` observations to be strictly positive.
+    Requires the largest ``k + 1`` observations to be strictly positive, and
+    raises DomainError when ``xi_hat`` would not be finite: a NaN or an
+    infinity among them, or a ratio to the smallest of them past float64.
     """
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
@@ -132,7 +134,10 @@ def hill_tail_index(data, k: int) -> HillEstimate:
     top = np.sort(np.partition(values, values.size - k - 1)[-(k + 1):])
     if top[0] <= 0:
         raise DomainError("the top k + 1 order statistics must be strictly positive")
-    xi = float(np.mean(np.log(top[1:] / top[0])))
+    with np.errstate(over="ignore"):  # a ratio past float64 makes xi inf, refused below
+        xi = float(np.mean(np.log(top[1:] / top[0])))
+    if not math.isfinite(xi):
+        raise DomainError(f"the mean log-excess of the top order statistics is {xi}, not finite")
     if xi == 0.0:
         raise DomainError("degenerate data: all top order statistics equal")
     return HillEstimate(alpha_hat=1.0 / xi, xi_hat=xi, k=k)

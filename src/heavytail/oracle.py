@@ -14,14 +14,11 @@ These matrices are the exact ground truth every estimator is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .data import KINDS, CoefMatrix
 from .errors import DomainError, ModeError, ValidationError, check_bytes
 from .graph import POSITIVE, Scm, check_path_faithful, path_weights
-
-KINDS = ("gamma", "psi")
 
 I_CAUSES_J = "i_causes_j"
 J_CAUSES_I = "j_causes_i"
@@ -33,34 +30,6 @@ INDETERMINATE = "indeterminate"
 # traced peak at p=600 is 9.5 such arrays for psi_population and 5.1 for
 # gamma_population.
 _PEAK_ARRAYS = 10
-
-
-@dataclass(frozen=True)
-class CoefMatrix:
-    """p x p causal tail coefficient matrix; the diagonal is undefined (NaN).
-
-    ``estimated`` marks sample estimates, whose entries never hit the exact
-    population anchors; it widens the default classification tolerance.
-    """
-
-    values: np.ndarray
-    kind: str
-    names: tuple[str, ...] | None = None
-    estimated: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValidationError("coefficient matrix must be square")
-        if self.kind not in KINDS:
-            raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.names is not None and len(self.names) != v.shape[0]:
-            raise ValidationError("names must match the matrix dimension")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
 
 
 def check_capacity(p: int) -> None:

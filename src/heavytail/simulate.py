@@ -352,10 +352,15 @@ def set_up_replicate(seed, cap_bytes: int, setting: SimSetting, n: int, p: int, 
     SCM draw is bounded from p and the setting before it is made (with
     confounders the total node count is known only after it), and
     :func:`simulation_bytes` of the drawn SCM before anything is simulated.
-    Raises ValidationError for a p or an n that cannot be simulated.
+    Raises ValidationError for a p, an n or an alpha out of range before
+    any seed is derived, and for an n too small for the setting.
     """
     if p < 1:  # before p * p is taken as a size
         raise ValidationError(f"p must be >= 1, got {p}")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if not (0 < alpha <= sys.float_info.max):
+        raise ValidationError(f"alpha must be positive and finite, got {alpha}")
     confounded = setting.kind == "hidden_confounders"
     per_p2 = _CONFOUNDED_SCM_BYTES_PER_P2 if confounded else _SCM_BYTES_PER_P2
     scm_bytes = per_p2 * p * p + _SCM_FIXED_BYTES

@@ -357,11 +357,12 @@ def test_benchmark_memory_cap_exits_2(tmp_path, capsys):
     assert "memory cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0"])
 def test_simulate_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
     assert run("simulate", "--p", 3, "--n", 10, "--alpha", alpha,
                "--out", tmp_path / "d.csv", "--truth", tmp_path / "t.json") == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert (capsys.readouterr().err
+            == f"error: alpha must be positive and finite, got {float(alpha)}\n")
 
 
 @pytest.mark.parametrize("p", [-100000, -3, 0])
@@ -369,6 +370,13 @@ def test_simulate_non_positive_p_exits_2(tmp_path, capsys, p):
     assert run("simulate", "--p", p, "--n", 10, "--alpha", 1.5,
                "--out", tmp_path / "d.csv", "--truth", tmp_path / "t.json") == 2
     assert f"error: p must be >= 1, got {p}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [-5, 0])
+def test_simulate_non_positive_n_exits_2(tmp_path, capsys, n):
+    assert run("simulate", "--p", 3, "--n", n, "--alpha", 1.5,
+               "--out", tmp_path / "d.csv", "--truth", tmp_path / "t.json") == 2
+    assert f"error: n must be >= 1, got {n}" in capsys.readouterr().err
 
 
 _NO_TOML = importlib.util.find_spec("tomllib") is None and importlib.util.find_spec("tomli") is None
@@ -439,6 +447,45 @@ def test_tail_index_command(tmp_path, capsys):
     assert lower["alpha_hat"] == upper["alpha_hat"]
 
     assert run("tail-index", "--data", csv_path, "--column", "missing", "--k", 10) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_tail_index_overflow_is_one_error_line(tmp_path, capsys):
+    # every ratio of 1e308 to 5e-324 overflows, so xi_hat would be infinite
+    path = tmp_path / "d.csv"
+    path.write_text("x0\n5e-324\n" + "1e+308\n" * 5)
+    assert run("tail-index", "--data", path, "--column", "x0", "--k", 5) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the mean log-excess of the top order statistics is inf, "
+                   "not finite\n")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_json_document_is_strict_json(tmp_path, capsys, diamond_scm):
+    """Each JSON file or stdout document a command writes parses without NaN or infinities."""
+    d_csv, truth = tmp_path / "d.csv", tmp_path / "t.json"
+    files = {name: tmp_path / f"{name}.json" for name in ("coefficients", "discover", "oracle")}
+    assert run("simulate", "--p", 4, "--n", 300, "--alpha", 2.5, "--seed", 5,
+               "--out", d_csv, "--truth", truth) == 0
+    assert run("coefficients", "--data", d_csv, "--kind", "psi",
+               "--out", files["coefficients"]) == 0
+    assert run("discover", "--data", d_csv, "--out", files["discover"]) == 0
+    oracle_scm = tmp_path / "diamond.json"
+    write_json(oracle_scm, scm_to_dict(diamond_scm))
+    assert run("oracle", "--scm", oracle_scm, "--kind", "gamma", "--out", files["oracle"]) == 0
+    texts = [path.read_text() for path in (truth, *files.values())]
+    capsys.readouterr()
+    for argv in (("evaluate", "--order", files["discover"], "--truth", truth),
+                 ("tail-index", "--data", d_csv, "--column", "x0", "--k", 20)):
+        assert run(*argv) == 0
+        texts.append(capsys.readouterr().out)
+    for text in texts:
+        doc = json.loads(text, parse_constant=_refuse_constant)
+        assert "meta" in doc
 
 
 def per_row_csv(data, path):

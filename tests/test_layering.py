@@ -35,7 +35,7 @@ EXPORTED = {
 }
 
 # Each module may import from the modules before it, never from one after it.
-LAYERS = ("errors", "_rng", "noise", "graph", "data", "simulate", "oracle", "estimators",
+LAYERS = ("errors", "_rng", "noise", "graph", "data", "oracle", "simulate", "estimators",
           "ease", "evaluate", "formats", "cli")
 
 RELATIVE_IMPORT = re.compile(r"^\s*from \.(\w*) import", re.MULTILINE)
@@ -55,6 +55,23 @@ def test_imports_run_from_earlier_layers_only():
             if imported and imported not in LAYERS[:index]:
                 backward.append(f"{module} imports {imported}")
     assert backward == []
+
+
+def test_oracle_is_a_leaf():
+    # the closed-form ground truth shares no module with the estimation path it checks
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 if "oracle" in RELATIVE_IMPORT.findall(path.read_text(encoding="utf-8"))]
+    assert importers == ["__init__", "cli"]
+
+
+def test_moved_names_keep_their_old_homes():
+    import heavytail.data
+    import heavytail.estimators
+    import heavytail.oracle
+
+    assert heavytail.CoefMatrix is heavytail.data.CoefMatrix is heavytail.oracle.CoefMatrix
+    assert heavytail.oracle.KINDS is heavytail.data.KINDS
+    assert heavytail.estimators.Dataset is heavytail.data.Dataset
 
 
 def private_crossings(package: Path) -> list:
