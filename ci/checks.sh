@@ -10,7 +10,11 @@
 #                        (CI only: it installs the package with pip, which
 #                        needs setuptools >= 68, wheel and, for the build, the
 #                        network)
-#   ci/checks.sh all     every step but smoke
+#   ci/checks.sh all     every step but smoke and digests
+#   ci/checks.sh digests one benchmark pass per workload for seeds 0-9, every
+#                        output compared bit for bit with perfbench/reference.json
+#                        (a few minutes; kept out of "all" and out of the
+#                        workflow, it is run by hand before a change is merged)
 #
 # Per-process limits (ulimit, -X dev, the -W options) are set here, so a step
 # runs the same in CI and on a desk.
@@ -59,6 +63,25 @@ bench() {
     done
 }
 
+digests() {
+    # fails on a last line without "correct": true, or on outputs that differ
+    # from the digests recorded for that seed; on a platform other than the
+    # one that recorded them the comparison is skipped, and the reference
+    # line says so
+    local w seed out
+    for w in pipeline-tall grid-wide grid-paper; do
+        for seed in 0 1 2 3 4 5 6 7 8 9; do
+            out=$(python perfbench/run.py --workload "$w" --seed "$seed" --seconds 0)
+            echo "$w seed $seed: $(echo "$out" | grep '^reference: ')"
+            echo "$out" | tail -n 1 | grep -q '"correct": true' \
+                || { echo "$out"; echo "$w seed $seed: outputs failed"; exit 1; }
+            if echo "$out" | grep -q '^reference: differs'; then
+                echo "$out"; echo "$w seed $seed: outputs differ from the reference"; exit 1
+            fi
+        done
+    done
+}
+
 smoke() {
     # the steps above import from src/; this one runs an installed copy from
     # outside the checkout, so a broken entry point or missing fixtures/*.json
@@ -74,7 +97,7 @@ smoke() {
 }
 
 case "${1:-}" in
-    tier1|cli|dev|bench|smoke) "$1" ;;
+    tier1|cli|dev|bench|digests|smoke) "$1" ;;
     all) tier1; cli; dev; bench ;;
-    *) echo "usage: $0 tier1|cli|dev|bench|smoke|all" >&2; exit 2 ;;
+    *) echo "usage: $0 tier1|cli|dev|bench|digests|smoke|all" >&2; exit 2 ;;
 esac

@@ -21,8 +21,8 @@ from .oracle import (COMMON_CAUSE, I_CAUSES_J, INDETERMINATE, J_CAUSES_I,
 from .estimators import (EstimatorConfig, coefficient_matrix, ecdf_values, gamma_estimate,
                          psi_estimate, resolve_k)
 from .ease import EaseStep, ease, ease_trace
-from .evaluate import (BenchmarkRow, MistakeRate, OrderScore, SensitivityRow, benchmark,
-                       k_sensitivity, mistake_rate, score_order, sensitivity_rows_to_csv)
+from .evaluate import (BenchmarkRow, OrderScore, SensitivityRow, benchmark, k_sensitivity,
+                       score_order, sensitivity_rows_to_csv)
 
 # the names, not the submodules: "from heavytail import *" binds no module
 __all__ = [
@@ -39,6 +39,6 @@ __all__ = [
     "EstimatorConfig", "coefficient_matrix", "ecdf_values", "gamma_estimate",
     "psi_estimate", "resolve_k",
     "EaseStep", "ease", "ease_trace",
-    "BenchmarkRow", "MistakeRate", "OrderScore", "SensitivityRow", "benchmark",
-    "k_sensitivity", "mistake_rate", "score_order", "sensitivity_rows_to_csv",
+    "BenchmarkRow", "OrderScore", "SensitivityRow", "benchmark", "k_sensitivity",
+    "score_order", "sensitivity_rows_to_csv",
 ]

@@ -5,6 +5,11 @@ observed nodes, ancestry taken in the full graph) that the order places
 backwards. This ancestral-violation metric is this package's surrogate for
 intervention-distance style scores; outputs label it as such and never claim
 to be an intervention distance.
+
+Both sweeps, :func:`benchmark` over a grid and :func:`k_sensitivity` over
+the exponent of k on one cell, take their replicates from
+:func:`~heavytail.simulate.simulate_grid` and score them in one loop, so
+they share its seeding: a replicate is keyed on (seed, n, p, alpha, rep).
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from .ease import ease
 from .errors import ValidationError, check_bytes
 from .estimators import EstimatorConfig, coefficient_matrix, resolve_k
 from .graph import CausalOrder, Scm, backward_pairs
-from .simulate import (GridSpec, Scenario, SimSetting, effective_setting, scenario_streams,
-                       simulate, simulate_grid)
+from .simulate import GridSpec, Scenario, simulate_grid
 
 METHODS = ("ease_gamma", "ease_psi", "random_order")
 
@@ -92,8 +96,8 @@ def recover_order(data: Dataset, config: EstimatorConfig, observed) -> CausalOrd
     return ease(coefficient_matrix(data, config)).relabel(observed)
 
 
-def _ease_order(config: EstimatorConfig, replicate) -> CausalOrder:
-    return recover_order(replicate.data, config, replicate.truth.observed)
+def _ease_order(config: EstimatorConfig, scenario: Scenario) -> CausalOrder:
+    return recover_order(scenario.data, config, scenario.truth.observed)
 
 
 def _method_order(method: str, seed, scenario: Scenario) -> CausalOrder:
@@ -105,21 +109,18 @@ def _method_order(method: str, seed, scenario: Scenario) -> CausalOrder:
                        scenario)
 
 
-def _scores(orderers, replicates) -> list[tuple[tuple[OrderScore, float], ...]]:
-    """Per orderer, the (OrderScore, wall ms) of its order of each replicate.
-
-    A replicate is anything with ``truth`` and ``data``: a Scenario or a SimulationResult.
-    """
-    def score(replicate):
+def _scores(orderers, scenarios) -> list[tuple[tuple[OrderScore, float], ...]]:
+    """Per orderer, the (OrderScore, wall ms) of its order of each scenario."""
+    def score(scenario):
         out = []
         for order_of in orderers:
             start = time.perf_counter()
-            result = score_order(replicate.truth, order_of(replicate))
+            result = score_order(scenario.truth, order_of(scenario))
             out.append((result, (time.perf_counter() - start) * 1000.0))
         return out
 
-    # map drops each replicate once scored, before the next one is drawn
-    return list(zip(*map(score, replicates)))
+    # map drops each scenario once scored, before the next one is drawn
+    return list(zip(*map(score, scenarios)))
 
 
 def _aggregate(results) -> tuple[float, float, float]:
@@ -176,39 +177,26 @@ class SensitivityRow:
     se: float
 
 
-def k_sensitivity(exponents, *, scm: Scm | None = None, p: int | None = None,
-                  alpha: float | None = None, n: int | None = None, reps: int = 1, seed=None,
-                  kind: str = "psi",
-                  setting: SimSetting = SimSetting("linear")) -> list[SensitivityRow]:
-    """Sweep the exceedance exponent of k = floor(n**e).
+def k_sensitivity(exponents, *, p: int | None = None, alpha: float | None = None,
+                  n: int | None = None, reps: int = 1, seed=None,
+                  kind: str = "psi") -> list[SensitivityRow]:
+    """Sweep the exceedance exponent of k = floor(n**e): the exponent calibration protocol.
 
-    Exactly one source drives the sweep: a fixed ``scm`` (rows carry the mean
-    violation fraction over ``reps`` simulated datasets), or dimensions ``p``
-    and ``alpha`` (the ``simulate_grid`` replicates of that one cell, a fresh
-    random SCM each: the exponent calibration protocol). To sweep the
-    estimates of one dataset, call ``coefficient_matrix`` once per exponent.
+    The rows carry the mean violation fraction over the ``simulate_grid``
+    replicates of the one linear cell (n, p, alpha), a fresh random SCM
+    each; p, alpha and reps are checked there. To sweep the estimates of one
+    dataset, call ``coefficient_matrix`` once per exponent.
     """
     exponents = [float(e) for e in exponents]
     if not exponents:
         raise ValidationError("need at least one exponent")
     if any(not (0 < e < 1) for e in exponents):
         raise ValidationError("exponents must lie in (0, 1)")
-    if (scm is None) == (p is None):
-        raise ValidationError("give exactly one of scm or p (with alpha)")
     if n is None or n < 2:
         raise ValidationError("the sweep needs a sample size n >= 2")
-    if p is not None and (alpha is None or p < 1):
-        raise ValidationError("dimension sweep needs p >= 1 and alpha")
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
 
     configs = [EstimatorConfig(k_exponent=e, kind=kind) for e in exponents]
-    if scm is None:
-        replicates = simulate_grid(GridSpec((n,), (p,), (alpha,), (setting,)), reps, seed)
-    else:
-        drawn = effective_setting(scm, setting)
-        replicates = (simulate(scm, drawn, n, scenario_streams(seed, n, scm.p, scm.alpha, rep)[1])
-                      for rep in range(reps))
+    replicates = simulate_grid(GridSpec((n,), (p,), (alpha,)), reps, seed)
     # every exponent reads the replicate's ECDF, ranked once
     per_config = _scores([functools.partial(_ease_order, c) for c in configs], replicates)
 
@@ -217,31 +205,6 @@ def k_sensitivity(exponents, *, scm: Scm | None = None, p: int | None = None,
         mean, se, _ = _aggregate(results)
         rows.append(SensitivityRow(e, resolve_k(n, config), mean, se))
     return rows
-
-
-@dataclass(frozen=True)
-class MistakeRate:
-    rate: float
-    mean_violations: float
-
-
-def mistake_rate(scm: Scm, n: int, config, reps: int, seed=None) -> MistakeRate:
-    """Fraction of simulated datasets on which the recovered order is invalid.
-
-    Each replicate simulates ``n`` rows from the SCM, estimates the
-    coefficient matrix per ``config``, runs the search, and validates the
-    order with :func:`score_order` (ancestry over observed nodes, taken in the
-    full graph). Replicate streams derive from (seed, replicate), so results
-    do not depend on evaluation order.
-    """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    base = 0 if seed is None else seed
-    setting = SimSetting("hidden_confounders" if scm.hidden else "linear")
-    replicates = (simulate(scm, setting, n, derived_seed(base, rep)) for rep in range(reps))
-    [results] = _scores([functools.partial(_ease_order, config)], replicates)
-    _, _, rate = _aggregate(results)
-    return MistakeRate(rate=rate, mean_violations=sum(s.violations for s, _ in results) / reps)
 
 
 def sensitivity_rows_to_csv(rows: list[SensitivityRow]) -> str:

@@ -106,6 +106,19 @@ def results_to_csv(rows, path) -> None:
             fh.write(",".join(rendered) + "\n")
 
 
+def _number(value) -> float:
+    """``float(value)``, refusing a boolean: JSON ``true`` is not the number 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"a boolean is not a number: {value!r}")
+    return float(value)
+
+
+def _check_names(value, what: str) -> None:
+    """Raise a ValidationError naming ``what`` unless ``value`` is a list of strings."""
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise ValidationError(f"{what} must be a list of strings")
+
+
 def _noise_to_dict(spec: NoiseSpec) -> dict:
     return {"family": spec.family, "scale_upper": spec.scale_upper,
             "scale_lower": spec.scale_lower}
@@ -136,7 +149,7 @@ def _noise_from_dict(spec_doc, alpha: float) -> NoiseSpec:
     if not isinstance(family, str):
         raise ValidationError(f"noise spec needs a string 'family', got {family!r}")
     try:
-        scales = {key: float(spec_doc.get(key, 1.0)) for key in ("scale_upper", "scale_lower")}
+        scales = {key: _number(spec_doc.get(key, 1.0)) for key in ("scale_upper", "scale_lower")}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"noise scales must be numbers: {exc}") from exc
     return NoiseSpec(family, alpha, **scales)
@@ -155,7 +168,7 @@ def scm_node_count(doc: dict) -> int:
 def scm_from_dict(doc: dict) -> Scm:
     p = scm_node_count(doc)
     try:
-        alpha = float(doc["alpha"])
+        alpha = _number(doc["alpha"])
         raw_edges = doc["edges"]
         raw_noise = doc["noise"]
     except KeyError as exc:
@@ -169,17 +182,17 @@ def scm_from_dict(doc: dict) -> Scm:
         try:
             parent, child, beta = entry
             edge = whole_number(parent, "SCM edge id"), whole_number(child, "SCM edge id")
-            coefficients[edge] = float(beta)
+            coefficients[edge] = _number(beta)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"edge entries must be [parent, child, beta], got {entry!r}") from exc
     try:
         hidden = [whole_number(h, "SCM 'hidden' entry") for h in doc.get("hidden", [])]
-        names = doc.get("names")
-        names = None if names is None else [str(s) for s in names]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(
-            f"SCM 'hidden' must list node indices and 'names' node names: {exc}") from exc
+        raise ValidationError(f"SCM 'hidden' must list node indices: {exc}") from exc
+    names = doc.get("names")
+    if names is not None:
+        _check_names(names, "SCM 'names'")
     dag = Dag(p, coefficients.keys())
     noise = ([_noise_from_dict(s, alpha) for s in raw_noise] if isinstance(raw_noise, list)
              else _noise_from_dict(raw_noise, alpha))
@@ -206,10 +219,9 @@ def matrix_from_dict(doc: dict) -> CoefMatrix:
         raw = doc["values"]
     except KeyError as exc:
         raise ValidationError(f"matrix document missing field {exc}") from exc
-    if not (isinstance(names, list) and all(isinstance(s, str) for s in names)):
-        raise ValidationError("matrix 'names' must be a list of strings")
+    _check_names(names, "matrix 'names'")
     try:
-        values = np.array([[np.nan if v is None else float(v) for v in row] for row in raw])
+        values = np.array([[np.nan if v is None else _number(v) for v in row] for row in raw])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"matrix 'values' must be equal-length rows of numbers or null: {exc}") from exc

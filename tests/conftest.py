@@ -104,6 +104,24 @@ def make_chain(betas, alpha=1.0, mode="positive", family="student_t"):
     return Scm(dag, coeffs, NoiseSpec(family, alpha), mode=mode)
 
 
+def mistake_rate(scm, n, config, reps, seed):
+    """(share of invalid orders, mean backward ancestral pairs) over ``reps`` datasets.
+
+    Replicate ``rep`` is ``simulate(scm, SimSetting(), n, derived_seed(seed, rep))``;
+    its order is ``recover_order`` under ``config``, scored by ``score_order``.
+    """
+    from heavytail import SimSetting, score_order, simulate
+    from heavytail._rng import derived_seed
+    from heavytail.evaluate import recover_order
+
+    scores = []
+    for rep in range(reps):
+        data = simulate(scm, SimSetting(), n, derived_seed(seed, rep)).data
+        scores.append(score_order(scm, recover_order(data, config, scm.observed)))
+    rate = sum(not s.valid for s in scores) / reps
+    return rate, sum(s.violations for s in scores) / reps
+
+
 def random_positive_scm_pool(count, p_range=(2, 8), alphas=(1.0, 1.5, 2.5), seed=0):
     """Deterministic pool of positive-coefficient SCMs for sweep tests."""
     from heavytail import GeneratorConfig, random_scm

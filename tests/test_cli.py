@@ -219,6 +219,11 @@ def test_simulate_overflowing_alpha_is_one_error_line(tmp_path, capsys):
     {"edges": [[False, 1, 0.5]]},
     {"hidden": [0.5]},
     {"hidden": [False]},
+    {"names": "ab"},
+    {"names": [1, 2]},
+    {"alpha": True},
+    {"edges": [[0, 1, True]]},
+    {"noise": {"family": "student_t", "scale_upper": True}},
 ])
 def test_oracle_malformed_scm_exits_2(tmp_path, capsys, broken):
     doc = scm_to_dict(make_chain([0.5]))
@@ -577,6 +582,7 @@ def test_benchmark_results_write_error_exits_2(tmp_path, capsys):
     {"kind": "gamma", "names": ["a", "b"], "values": {"a": 1}},
     {"kind": "gamma", "names": 2, "values": [[None, 0.5], [0.5, None]]},
     {"kind": "gamma", "names": ["a", "b"], "values": [[None, 10 ** 400], [0.5, None]]},
+    {"kind": "gamma", "names": ["a", "b"], "values": [[None, True], [0.5, None]]},
 ])
 def test_discover_malformed_matrix_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "m.json"

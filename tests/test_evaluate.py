@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from heavytail import (CapacityError, CausalOrder, Dag, EstimatorConfig, GeneratorConfig,
-                       GridSpec, MistakeRate, NoiseSpec, Scm, SimSetting, ValidationError,
-                       benchmark, k_sensitivity, mistake_rate, random_scm, score_order,
-                       sensitivity_rows_to_csv, simulate, validate_order)
+                       GridSpec, NoiseSpec, Scm, SimSetting, ValidationError, benchmark,
+                       k_sensitivity, random_scm, score_order, sensitivity_rows_to_csv,
+                       simulate, validate_order)
 from heavytail._rng import derived_seed
 from heavytail.simulate import scenario_scm, scenario_streams, simulation_bytes
 from heavytail.evaluate import (_SCORE_BYTES_PER_PAIR, RESULT_HEADER, check_score_capacity,
                                 recover_order)
 
-from conftest import make_chain
+from conftest import make_chain, mistake_rate
 
 
 def test_score_order_chain_examples():
@@ -131,19 +131,17 @@ def test_benchmark_holds_one_replicate_at_a_time():
     assert _benchmark_peak(3, cap) < one + dataset_bytes / 2
 
 
-def test_k_sensitivity_scm_rows_and_guards():
-    scm = make_chain([0.9], mode="real", alpha=2.5)
-    rows = k_sensitivity([0.4], scm=scm, n=500, reps=4, seed=6)
-    assert rows[0].k == 12
-    assert rows[0].mean_violation_fraction is not None
-    with pytest.raises(ValidationError):
-        k_sensitivity([], scm=scm, n=500)
-    with pytest.raises(ValidationError):
-        k_sensitivity([1.2], scm=scm, n=500)
-    with pytest.raises(ValidationError):
-        k_sensitivity([0.4])
-    with pytest.raises(ValidationError):
-        k_sensitivity([0.4], scm=scm, p=2, alpha=2.5, n=500)
+def test_k_sensitivity_rows_and_guards():
+    cell = {"p": 2, "alpha": 2.5, "n": 500}
+    rows = k_sensitivity([0.4], **cell, reps=4, seed=6)
+    assert [row.k for row in rows] == [12]
+    assert 0 <= rows[0].mean_violation_fraction <= 1
+    # p, alpha and reps are refused by GridSpec and simulate_grid
+    for exponents, bad in [([], {}), ([1.2], {}), ([0.4], {"n": None}), ([0.4], {"n": 1}),
+                           ([0.4], {"p": None}), ([0.4], {"p": 0}), ([0.4], {"alpha": None}),
+                           ([0.4], {"alpha": True}), ([0.4], {"reps": 0})]:
+        with pytest.raises(ValidationError):
+            k_sensitivity(exponents, **{**cell, **bad})
 
 
 def test_score_validity_matches_enumeration_with_hidden_nodes():
@@ -179,12 +177,6 @@ def test_int_and_float_alpha_draw_the_same_fresh_scm_replicates():
     assert rows[0].mean_violation_fraction == bench[0].mean_violation_fraction
 
 
-def test_int_and_float_alpha_draw_the_same_fixed_scm_replicates():
-    rows = [k_sensitivity([0.4], scm=random_scm(5, a, seed=1), n=400, reps=8, seed=4)[0]
-            for a in (2, 2.0)]
-    assert rows[0] == rows[1]
-
-
 def test_mistake_rate_on_hidden_scm_matches_observed_only_validation():
     scm = random_scm(6, 1.5, GeneratorConfig(hidden_confounders=True), seed=0)
     assert scm.hidden
@@ -196,9 +188,9 @@ def test_mistake_rate_on_hidden_scm_matches_observed_only_validation():
         check = validate_order(scm.dag, order, observed_only=True)
         mistakes += not check.valid
         violations += len(check.violations)
-    result = mistake_rate(scm, n=300, config=config, reps=20, seed=7)
-    assert result == MistakeRate(rate=mistakes / 20, mean_violations=violations / 20)
-    assert 0 < result.rate < 1
+    rate, mean_violations = mistake_rate(scm, n=300, config=config, reps=20, seed=7)
+    assert (rate, mean_violations) == (mistakes / 20, violations / 20)
+    assert 0 < rate < 1
 
 
 @pytest.mark.parametrize("hidden", [(), (0,)], ids=["all-observed", "one-hidden"])

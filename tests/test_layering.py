@@ -30,8 +30,8 @@ EXPORTED = {
     "EstimatorConfig", "coefficient_matrix", "ecdf_values", "gamma_estimate",
     "psi_estimate", "resolve_k",
     "EaseStep", "ease", "ease_trace",
-    "BenchmarkRow", "MistakeRate", "OrderScore", "SensitivityRow", "benchmark",
-    "k_sensitivity", "mistake_rate", "score_order", "sensitivity_rows_to_csv",
+    "BenchmarkRow", "OrderScore", "SensitivityRow", "benchmark", "k_sensitivity",
+    "score_order", "sensitivity_rows_to_csv",
 }
 
 # Each module may import from the modules before it, never from one after it.
@@ -62,6 +62,19 @@ def test_oracle_is_a_leaf():
     importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
                  if "oracle" in RELATIVE_IMPORT.findall(path.read_text(encoding="utf-8"))]
     assert importers == ["__init__", "cli"]
+
+
+def test_evaluate_draws_every_replicate_from_simulate_grid():
+    # one replicate runner: the sweeps take their replicates from simulate_grid,
+    # never from a simulate() loop or seeding scheme of their own
+    tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("simulate", "heavytail.simulate"):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert all(alias.name.split(".")[-1] != "simulate" for alias in node.names)
+    assert imported == {"GridSpec", "Scenario", "simulate_grid"}
 
 
 def test_moved_names_keep_their_old_homes():
@@ -122,7 +135,7 @@ def test_all_names_resolve_and_none_is_a_module():
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 54
+    assert len(EXPORTED) == 52
     assert set(heavytail.__all__) == EXPORTED
 
 
