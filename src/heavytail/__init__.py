@@ -13,8 +13,7 @@ from .noise import HillEstimate, NoiseSpec, hill_tail_index, sample_noise
 from .graph import (CausalOrder, Dag, GeneratorConfig, OrderValidation, Scm,
                     check_path_faithful, path_weights, random_scm, validate_order)
 from .data import CoefMatrix, Dataset
-from .simulate import (GridSpec, Scenario, SimSetting, SimulationResult,
-                       simulate, simulate_grid)
+from .simulate import GridSpec, Scenario, SimSetting, simulate, simulate_grid
 from .oracle import (COMMON_CAUSE, I_CAUSES_J, INDETERMINATE, J_CAUSES_I,
                      NO_CAUSAL_LINK, classify_pair, gamma_population,
                      mistake_bound_margin, psi_population)
@@ -32,7 +31,7 @@ __all__ = [
     "CausalOrder", "Dag", "GeneratorConfig", "OrderValidation", "Scm",
     "check_path_faithful", "path_weights", "random_scm", "validate_order",
     "Dataset",
-    "GridSpec", "Scenario", "SimSetting", "SimulationResult", "simulate", "simulate_grid",
+    "GridSpec", "Scenario", "SimSetting", "simulate", "simulate_grid",
     "COMMON_CAUSE", "I_CAUSES_J", "INDETERMINATE", "J_CAUSES_I", "NO_CAUSAL_LINK",
     "CoefMatrix", "classify_pair", "gamma_population", "mistake_bound_margin",
     "psi_population",

@@ -54,9 +54,9 @@ def cmd_simulate(args) -> int:
     setting = SimSetting(args.setting, nonlinear_quantile=args.nonlinear_quantile)
     replicate = set_up_replicate(args.seed, MEMORY_CAP_BYTES, setting, args.n, args.p,
                                  args.alpha, 0, args.mode, args.coefficient_law)
-    result = simulate(replicate.scm, replicate.drawn, args.n, replicate.data_seed)
-    dataset_to_csv(result.data, args.out)
-    return _emit(args, scm_to_dict(result.truth), args.truth, args.seed)
+    data = simulate(replicate.scm, replicate.drawn, args.n, replicate.data_seed)
+    dataset_to_csv(data, args.out)
+    return _emit(args, scm_to_dict(replicate.scm), args.truth, args.seed)
 
 
 def cmd_coefficients(args) -> int:

@@ -4,12 +4,12 @@ A sample and a causal tail coefficient matrix are the two values the method
 passes between its stages; the matrix is estimated from a Dataset or
 computed in closed form from an SCM, and its kind is one of KINDS.
 
-A Dataset ranks each column at most once: the first caller that needs a
-column fills it into the Dataset's read-only n x p rank array, which every
-later caller reads. The ranks are stored in np.min_scalar_type(n), the
-narrowest unsigned integer that holds n (uint8 up to n = 255, uint16 up to
-65535, then uint32), so the cache costs 1, 2 or 4 bytes per entry and is
-held as long as the Dataset is, once it has been ranked.
+A Dataset is ranked whole, once: the first call to Dataset.ranks ranks
+every column into one read-only n x p array, which every later caller reads.
+The ranks are stored in np.min_scalar_type(n), the narrowest unsigned
+integer that holds n (uint8 up to n = 255, uint16 up to 65535, then uint32),
+so the array costs 1, 2 or 4 bytes per entry and is held as long as the
+Dataset is, once it has been ranked.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ _RANK_SCRATCH_COLUMNS = 3
 class Dataset:
     """Immutable n x p numeric sample with named columns.
 
-    Its max ranks are computed lazily, a column at a time, and kept (see
-    ``ranks``).
+    Its max ranks are computed on first use, every column at once, and kept
+    (see ``ranks``).
     """
 
     def __init__(self, names, values):
@@ -67,8 +67,7 @@ class Dataset:
         values.setflags(write=False)
         self.names = names
         self.values = values
-        self._rank_cache = None  # n x p, F-order, read-only; column c valid once _ranked[c]
-        self._ranked = None
+        self._ranks = None  # n x p, F-order, read-only, once ranked
 
     @property
     def n(self) -> int:
@@ -83,38 +82,29 @@ class Dataset:
             raise ValidationError(f"column {j} out of range for p={self.p}")
         return self.values[:, j]
 
-    def ranks(self, columns) -> np.ndarray:
-        """The read-only n x p max-rank array, with at least ``columns`` filled in.
+    def ranks(self) -> np.ndarray:
+        """The read-only n x p max ranks of every column, of dtype _rank_dtype(n).
 
-        Its dtype is _rank_dtype(n). A column is ranked the first time it is
-        asked for; columns not yet asked for hold arbitrary values.
+        The first call ranks the columns; every later call returns that array.
         """
-        for j in columns:
-            column = self.column(j)
-            if self._rank_cache is None:
-                self._rank_cache = np.empty((self.n, self.p), _rank_dtype(self.n), order="F")
-                self._rank_cache.setflags(write=False)
-                self._ranked = np.zeros(self.p, dtype=bool)
-            if not self._ranked[j]:
-                self._rank_cache.setflags(write=True)
-                try:
-                    rank_kernel(column, self._rank_cache[:, j])
-                finally:
-                    self._rank_cache.setflags(write=False)
-                self._ranked[j] = True
-        return self._rank_cache
+        if self._ranks is None:
+            ranks = np.empty((self.n, self.p), _rank_dtype(self.n), order="F")
+            for j in range(self.p):
+                rank_kernel(self.values[:, j], ranks[:, j])
+            ranks.setflags(write=False)
+            self._ranks = ranks
+        return self._ranks
 
     def ecdf_dataset(self) -> "Dataset":
-        """A Dataset whose values are this one's ECDF r / n, its ranks already cached.
+        """A Dataset whose values are this one's ECDF r / n, ranked already.
 
         r / n is strictly increasing in r, so the max ranks of the ECDF
-        columns are the ranks of this Dataset's columns: the rank array serves
-        as the new Dataset's cache and nothing is ranked twice.
+        columns are the ranks of this Dataset's columns: the one rank array
+        serves both Datasets and nothing is ranked twice.
         """
-        ranks = self.ranks(range(self.p))
+        ranks = self.ranks()
         ranked = Dataset.adopt(self.names, ecdf_from_ranks(ranks, self.n))
-        ranked._rank_cache = ranks
-        ranked._ranked = np.ones(self.p, dtype=bool)
+        ranked._ranks = ranks
         return ranked
 
     def column_index(self, name: str) -> int:

@@ -12,16 +12,16 @@ negation, each with weight 1 / (2k).
 
 The estimates depend on the sample only through each column's max ranks r,
 whose ECDF is r / n: every estimate, whatever its kind or k, reads them from
-the Dataset's rank cache (see heavytail.data). Both tails are read off the
-rank column r: the rows above the order statistic s[n-k-1] are those with
-r > n - k, less the rows tied at s[n-k] when s[n-k-1] ties it too, and the
-rows below s[k], the upper exceedances of the negated column, are those with
-r <= k; each is one integer comparison. The matrix concatenates every
-conditioning column's tail rows into one index array and gathers the ranks
-of all averaged columns at those rows, a block of conditioning columns at a
-time; only the gathered ranks are divided by n, in float64, which gives
-exactly the ECDF values fl(r / n), and psi's |2u - 1| is applied to each
-gathered block.
+the Dataset's one rank array, ranked whole on first use (see heavytail.data).
+Both tails are read off the rank column r: the rows above the order
+statistic s[n-k-1] are those with r > n - k, less the rows tied at s[n-k]
+when s[n-k-1] ties it too, and the rows below s[k], the upper exceedances of
+the negated column, are those with r <= k; each is one integer comparison.
+The matrix concatenates every conditioning column's tail rows into one index
+array and gathers the ranks of all averaged columns at those rows, a block
+of conditioning columns at a time; only the gathered ranks are divided by n,
+in float64, which gives exactly the ECDF values fl(r / n), and psi's
+|2u - 1| is applied to each gathered block.
 
 Sums are exact: every weight is an integer multiple of a power of two, so
 cutting the weights into limbs narrow enough that no slice's limb sum reaches
@@ -182,8 +182,10 @@ def _pair_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig,
                    psi: bool) -> float:
     if j == k_col:
         raise ValidationError("conditioning and averaged columns must differ")
+    if not (0 <= j < data.p and 0 <= k_col < data.p):
+        raise ValidationError(f"columns ({j}, {k_col}) out of range for p={data.p}")
     k = resolve_k(data.n, config)
-    ranks = data.ranks((j, k_col))
+    ranks = data.ranks()
     rows = _exceedance_rows(ranks[:, j], k, psi)
     sums = _tail_sums(ranks[:, k_col:k_col + 1], rows, [0, rows.size], 2 * k if psi else k, psi)
     return float(sums[0, 0])
@@ -202,14 +204,14 @@ def psi_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig) -> 
 def coefficient_matrix(data: Dataset, config: EstimatorConfig) -> CoefMatrix:
     """All ordered off-diagonal coefficient estimates.
 
-    Every column's cached ranks are reused across the p * (p - 1) pairs;
+    The Dataset's ranks are reused across the p * (p - 1) pairs;
     entry [j, k] conditions on column j and averages column k.
     """
     if data.p < 2:
         raise ValidationError("coefficient estimation needs at least two columns")
     k = resolve_k(data.n, config)
     psi = config.kind == "psi"
-    ranks = data.ranks(range(data.p))
+    ranks = data.ranks()
     tails = [_exceedance_rows(ranks[:, c], k, psi) for c in range(data.p)]
     bounds = np.cumsum([0] + [t.size for t in tails])
     values = _tail_sums(ranks, np.concatenate(tails), bounds, 2 * k if psi else k, psi)

@@ -184,14 +184,13 @@ def k_sensitivity(exponents, *, p: int | None = None, alpha: float | None = None
 
     The rows carry the mean violation fraction over the ``simulate_grid``
     replicates of the one linear cell (n, p, alpha), a fresh random SCM
-    each; p, alpha and reps are checked there. To sweep the estimates of one
-    dataset, call ``coefficient_matrix`` once per exponent.
+    each; p, alpha and reps are checked there, and each exponent by its
+    EstimatorConfig. To sweep the estimates of one dataset, call
+    ``coefficient_matrix`` once per exponent.
     """
     exponents = [float(e) for e in exponents]
     if not exponents:
         raise ValidationError("need at least one exponent")
-    if any(not (0 < e < 1) for e in exponents):
-        raise ValidationError("exponents must lie in (0, 1)")
     if n is None or n < 2:
         raise ValidationError("the sweep needs a sample size n >= 2")
 

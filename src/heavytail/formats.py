@@ -239,9 +239,7 @@ def order_names_from_dict(doc: dict) -> list[str]:
         names = doc["pi_inverse"]
     except KeyError as exc:
         raise ValidationError(f"order document missing field {exc}") from exc
-    if not isinstance(names, list):
-        raise ValidationError("order 'pi_inverse' must be a list of names")
-    names = [str(s) for s in names]
+    _check_names(names, "order 'pi_inverse'")
     if len(set(names)) != len(names):
         raise ValidationError("order repeats names")
     return names

@@ -53,17 +53,16 @@ class Dag:
             children[parent].append(child)
         self._edges = frozenset(seen)
         self._parents = tuple(tuple(sorted(ps)) for ps in parents)
-        self._children = tuple(tuple(sorted(cs)) for cs in children)
-        self._topo = self._topological_sort()
+        self._topo = self._topological_sort([sorted(cs) for cs in children])
 
-    def _topological_sort(self) -> tuple[int, ...]:
+    def _topological_sort(self, children) -> tuple[int, ...]:
         indegree = [len(self._parents[j]) for j in range(self._p)]
         stack = sorted((j for j in range(self._p) if indegree[j] == 0), reverse=True)
         order = []
         while stack:
             node = stack.pop()
             order.append(node)
-            for child in self._children[node]:
+            for child in children[node]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     stack.append(child)
@@ -126,7 +125,6 @@ class CausalOrder:
         if any(v < 0 for v in seq):
             raise ValidationError("order contains negative node ids")
         self._sequence = seq
-        self._position = {node: s for s, node in enumerate(seq)}
 
     @property
     def sequence(self) -> tuple[int, ...]:
@@ -138,8 +136,8 @@ class CausalOrder:
 
     def position(self, node: int) -> int:
         try:
-            return self._position[node]
-        except KeyError:
+            return self._sequence.index(node)
+        except ValueError:
             raise ValidationError(f"node {node} not covered by this order") from None
 
     def relabel(self, mapping) -> "CausalOrder":

@@ -10,9 +10,11 @@ array the emitted Dataset adopts without a copy, hidden nodes to a second
 array that is dropped once assigned. The settings differ only in the
 deterministic assignment step, which adds each node's parent terms into its
 noise column in place; every parent term added and every column the
-estimators rank is contiguous. Under uniform margins each emitted column is
-its own max-rank ECDF: the columns are ranked once, and the ranks become the
-Dataset's rank cache, so the estimators never rank them again.
+estimators rank is contiguous. A replicate is the Dataset the assignment
+step emits; its truth is the SCM it was drawn from. Under uniform margins
+each emitted column is its own max-rank ECDF: the columns are ranked once,
+and the ranks become the Dataset's rank array, so the estimators never rank
+them again.
 
 :func:`simulate_grid` draws replicate r + 1's noise on the one worker of a
 ``concurrent.futures.ThreadPoolExecutor`` while the caller holds replicate r;
@@ -76,12 +78,6 @@ def _quantile_threshold(column: np.ndarray, q: float) -> float:
     return np.partition(column, m - 1)[m - 1]
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    data: Dataset
-    truth: Scm
-
-
 def _noise_runs(scm: Scm):
     """(spec, hidden, first column, length, whole) of each run, in stream order.
 
@@ -129,7 +125,7 @@ def _draw_scratch(scm: Scm) -> int:
                for spec, _, _, length, whole in _noise_runs(scm))
 
 
-def _assign(scm: Scm, setting: SimSetting, noise: list) -> np.ndarray:
+def _add_parent_terms(scm: Scm, setting: SimSetting, noise: list) -> np.ndarray:
     """Add every node's parent terms into its noise column, in place.
 
     ``noise`` is _draw_noise's list, emptied here: the hidden columns die on
@@ -159,29 +155,30 @@ def _assign(scm: Scm, setting: SimSetting, noise: list) -> np.ndarray:
     return observed
 
 
-def _dataset(scm: Scm, setting: SimSetting, observed: np.ndarray) -> Dataset:
-    """The Dataset over the assigned observed array, adopted without a copy.
+def _assign(scm: Scm, setting: SimSetting, noise: list) -> Dataset:
+    """The Dataset of the observed nodes, assigned from _draw_noise's list (emptied).
 
-    Under uniform margins its values are the max-rank ECDF of each column,
-    computed once from the ranks it then caches; the raw columns die with
-    the Dataset they were ranked from.
+    The parent terms are added in place, and the Dataset adopts the
+    observed array without a copy. Under uniform margins its values are the
+    max-rank ECDF of each column, computed once from the ranks it then
+    holds; the raw columns die with the Dataset they were ranked from.
     """
+    observed = _add_parent_terms(scm, setting, noise)
     data = Dataset.adopt([scm.node_name(j) for j in scm.observed], observed)
     return data.ecdf_dataset() if setting.kind == "uniform_margins" else data
 
 
-def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> SimulationResult:
-    """Simulate ``n`` observations of the SCM's observed variables.
+def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> Dataset:
+    """``n`` observations of the SCM's observed variables, as a Dataset.
 
     The noise is drawn, then the parent terms are added in place; the
     Dataset adopts the observed array without copying it. Under uniform
     margins the emitted values are the max-rank ECDF of each simulated
-    column, computed once from the ranks the Dataset then caches, so
+    column, computed once from the ranks the Dataset then holds, so
     estimating it ranks nothing.
     """
     _check_simulation(scm, setting, n)
-    observed = _assign(scm, setting, _draw_noise(scm, n, as_rng(seed)))
-    return SimulationResult(data=_dataset(scm, setting, observed), truth=scm)
+    return _assign(scm, setting, _draw_noise(scm, n, as_rng(seed)))
 
 
 def _check_simulation(scm: Scm, setting: SimSetting, n: int) -> None:
@@ -337,11 +334,10 @@ class _Replicate(NamedTuple):
 
     def scenario(self, noise: list) -> Scenario:
         """This replicate's Scenario, assigned from its drawn noise (emptied)."""
-        observed = _assign(self.scm, self.drawn, noise)
         return Scenario(
             scenario_id=f"{self.setting.kind}-n{self.n}-p{self.p}-a{self.alpha:g}-r{self.rep}",
             setting=self.setting, n=self.n, p=self.p, alpha=self.alpha, rep=self.rep,
-            data=_dataset(self.scm, self.drawn, observed), truth=self.scm)
+            data=_assign(self.scm, self.drawn, noise), truth=self.scm)
 
 
 def set_up_replicate(seed, cap_bytes: int, setting: SimSetting, n: int, p: int, alpha: float,

@@ -116,7 +116,7 @@ def mistake_rate(scm, n, config, reps, seed):
 
     scores = []
     for rep in range(reps):
-        data = simulate(scm, SimSetting(), n, derived_seed(seed, rep)).data
+        data = simulate(scm, SimSetting(), n, derived_seed(seed, rep))
         scores.append(score_order(scm, recover_order(data, config, scm.observed)))
     rate = sum(not s.valid for s in scores) / reps
     return rate, sum(s.violations for s in scores) / reps

@@ -84,12 +84,12 @@ def test_a3_estimator_to_oracle_convergence():
         positive, negative = chain(1.0, "positive"), chain(-1.0, "real")
         err_g21, err_g12, err_psi, err_g21_small = [], [], [], []
         for seed in range(20):
-            sample = simulate(positive, SimSetting("linear"), 10**6, seed=seed).data
+            sample = simulate(positive, SimSetting("linear"), 10**6, seed=seed)
             err_g21.append(abs(gamma_estimate(sample, 1, 0, config) - 0.75))
             err_g12.append(abs(gamma_estimate(sample, 0, 1, config) - 1.0))
-            flipped = simulate(negative, SimSetting("linear"), 10**6, seed=seed).data
+            flipped = simulate(negative, SimSetting("linear"), 10**6, seed=seed)
             err_psi.append(abs(psi_estimate(flipped, 0, 1, config) - 1.0))
-            small = simulate(positive, SimSetting("linear"), 10**3, seed=seed).data
+            small = simulate(positive, SimSetting("linear"), 10**3, seed=seed)
             err_g21_small.append(abs(gamma_estimate(small, 1, 0, config) - 0.75))
         assert np.mean(err_g21) < 0.05
         assert np.mean(err_g12) < 0.05

@@ -272,10 +272,10 @@ def test_pipeline_composes_like_library(tmp_path):
     # in-library pipeline with the same derived streams
     scm_seed, data_seed = scenario_streams(11, 800, 4, 2.5, 0)
     scm = random_scm(4, 2.5, GeneratorConfig(), scm_seed)
-    result = simulate(scm, SimSetting("linear"), 800, data_seed)
-    matrix = coefficient_matrix(result.data, EstimatorConfig(k_exponent=0.4, kind="psi"))
+    data = simulate(scm, SimSetting("linear"), 800, data_seed)
+    matrix = coefficient_matrix(data, EstimatorConfig(k_exponent=0.4, kind="psi"))
     order = ease(matrix)
-    expected = [result.data.names[i] for i in order.sequence]
+    expected = [data.names[i] for i in order.sequence]
     assert read_json(o_json)["pi_inverse"] == expected
 
     loaded = matrix_from_dict(read_json(m_json))
@@ -599,6 +599,16 @@ def test_evaluate_malformed_order_exits_2(tmp_path, capsys, doc):
     order_path.write_text(json.dumps(doc))
     assert run("evaluate", "--order", order_path, "--truth", truth_path) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_evaluate_refuses_non_string_order_names(tmp_path, capsys):
+    # 1 and true would read as the names "1" and "True" if they were turned into strings
+    truth_path = tmp_path / "t.json"
+    write_json(truth_path, {**scm_to_dict(make_chain([1.0])), "names": ["1", "True"]})
+    order_path = tmp_path / "o.json"
+    order_path.write_text(json.dumps({"pi_inverse": [1, True]}))
+    assert run("evaluate", "--order", order_path, "--truth", truth_path) == 2
+    assert capsys.readouterr().err == "error: order 'pi_inverse' must be a list of strings\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -20,8 +20,8 @@ def two_col(col0, col1):
 
 
 def cached_ecdf(data, j):
-    """The ECDF of column j, from the Dataset's rank cache."""
-    return ecdf_from_ranks(data.ranks((j,))[:, j], data.n)
+    """The ECDF of column j, from the Dataset's rank array."""
+    return ecdf_from_ranks(data.ranks()[:, j], data.n)
 
 
 def test_empirical_cdf_examples():
@@ -222,7 +222,7 @@ def test_consistency_improves_with_sample_size():
         config = EstimatorConfig(k_exponent=0.4)
         errs = []
         for seed in range(5):
-            sample = simulate(scm, SimSetting("linear"), n, seed=seed).data
+            sample = simulate(scm, SimSetting("linear"), n, seed=seed)
             errs.append(abs(gamma_estimate(sample, 1, 0, config) - 0.75))
         errors[n] = np.mean(errs)
     assert errors[10**5] < errors[10**3]
@@ -279,22 +279,23 @@ def test_dataset_ranks_each_column_once(monkeypatch):
 
     monkeypatch.setattr("heavytail.data.rank_kernel", counting_kernel)
     data = Dataset([f"x{c}" for c in range(4)], values)
-    column = values[:, 3]
-    assert np.array_equal(cached_ecdf(data, 3),
-                          np.searchsorted(np.sort(column), column, side="right") / 300)
-    assert len(ranked) == 1
-    ranked.clear()
-    # a pair estimate ranks its two columns only
+    # a pair estimate ranks the whole Dataset, a column at a time
     first = gamma_estimate(data, 2, 0, EstimatorConfig(k=30))
-    assert len(ranked) == 2
+    assert [c.tolist() for c in ranked] == [values[:, c].tolist() for c in range(4)]
     shared = []
     for k in (30, 11):  # gamma, then psi, then a second k
         for kind, pair in (("gamma", gamma_estimate), ("psi", psi_estimate)):
             config = EstimatorConfig(k=k, kind=kind)
             shared.append(coefficient_matrix(data, config).values)
             shared.append(pair(data, 2, 0, config))
-    # columns 0 and 2 were ranked by the pair estimate, 3 by the ECDF call
-    assert [c.tolist() for c in ranked] == [values[:, c].tolist() for c in (2, 0, 1)]
+    # the ECDF Dataset shares the rank array, so its estimates rank nothing
+    ecdf = data.ecdf_dataset()
+    assert ecdf.ranks() is data.ranks()
+    column = values[:, 3]
+    assert np.array_equal(ecdf.values[:, 3],
+                          np.searchsorted(np.sort(column), column, side="right") / 300)
+    assert np.array_equal(coefficient_matrix(ecdf, config).values, shared[-2], equal_nan=True)
+    assert len(ranked) == 4
     assert first == shared[1]
     fresh = fresh_estimates(values, 30) + fresh_estimates(values, 11)
     for a, b in zip(shared, fresh):
@@ -307,17 +308,18 @@ def test_cached_ecdf_is_read_only():
     config = EstimatorConfig(k=5, kind="psi")
     before = coefficient_matrix(data, config).values
     assert np.array_equal(cached_ecdf(data, 1), ecdf_values(data.column(1)))
-    r = data.ranks((1,))[:, 1]
+    r = data.ranks()[:, 1]
     with pytest.raises(ValueError):
         r[0] = 0
     with pytest.raises(ValueError):
         r.setflags(write=True)
     with pytest.raises(ValueError):
         np.asarray(r)[:] = 1
-    with pytest.raises(ValidationError):
-        data.ranks((3,))
-    with pytest.raises(ValidationError):
-        data.ranks((-1,))
+    # a column out of range is refused, not wrapped round to the last one
+    for pair in (gamma_estimate, psi_estimate):
+        for j, c in ((data.p, 0), (0, data.p), (-1, 0), (0, -1)):
+            with pytest.raises(ValidationError):
+                pair(data, j, c, config)
     # a second Dataset over the same values is ranked afresh and agrees
     again = Dataset(data.names, data.values)
     assert np.array_equal(coefficient_matrix(data, config).values, before, equal_nan=True)
@@ -518,7 +520,7 @@ def test_rank_dtype_boundaries_match_fsum_reference(n, dtype):
             data = Dataset(names, values)
             assert np.array_equal(coefficient_matrix(data, config).values, expected,
                                   equal_nan=True)
-            assert data.ranks(range(4)).dtype == dtype
+            assert data.ranks().dtype == dtype
             for j, c in ((0, 1), (2, 0), (1, 3)):
                 assert pair(Dataset(names, values), j, c, config) == expected[j, c]
     for c in range(values.shape[1]):

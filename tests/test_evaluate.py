@@ -136,7 +136,7 @@ def test_k_sensitivity_rows_and_guards():
     rows = k_sensitivity([0.4], **cell, reps=4, seed=6)
     assert [row.k for row in rows] == [12]
     assert 0 <= rows[0].mean_violation_fraction <= 1
-    # p, alpha and reps are refused by GridSpec and simulate_grid
+    # an exponent is refused by EstimatorConfig, p, alpha and reps by GridSpec and simulate_grid
     for exponents, bad in [([], {}), ([1.2], {}), ([0.4], {"n": None}), ([0.4], {"n": 1}),
                            ([0.4], {"p": None}), ([0.4], {"p": 0}), ([0.4], {"alpha": None}),
                            ([0.4], {"alpha": True}), ([0.4], {"reps": 0})]:
@@ -183,7 +183,7 @@ def test_mistake_rate_on_hidden_scm_matches_observed_only_validation():
     config = EstimatorConfig(kind="psi")
     mistakes = violations = 0
     for rep in range(20):
-        data = simulate(scm, SimSetting("hidden_confounders"), 300, derived_seed(7, rep)).data
+        data = simulate(scm, SimSetting("hidden_confounders"), 300, derived_seed(7, rep))
         order = recover_order(data, config, scm.observed)
         check = validate_order(scm.dag, order, observed_only=True)
         mistakes += not check.valid

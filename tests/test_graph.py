@@ -137,6 +137,9 @@ def test_positive_mode_weights_mark_ancestry():
 def test_causal_order_round_trip():
     order = CausalOrder([2, 0, 1])
     assert [order.position(node) for node in range(3)] == [1, 2, 0]
+    for node in (3, -1):
+        with pytest.raises(ValidationError):
+            order.position(node)
     assert order.relabel([10, 11, 12]).sequence == (12, 10, 11)
     with pytest.raises(ValidationError):
         CausalOrder([0, 0, 1])

@@ -1,5 +1,6 @@
 import concurrent.futures
 import importlib
+import itertools
 import re
 import sys
 import threading
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heavytail import (CapacityError, Dag, DomainError, EstimatorConfig, GeneratorConfig,
-                       GridSpec, NoiseSpec, Scm, SimSetting, ValidationError,
+from heavytail import (CapacityError, Dag, Dataset, DomainError, EstimatorConfig,
+                       GeneratorConfig, GridSpec, NoiseSpec, Scm, SimSetting, ValidationError,
                        coefficient_matrix, gamma_estimate, random_scm, simulate,
                        ecdf_values, simulate_grid)
 from heavytail.data import rank_kernel
@@ -66,21 +67,21 @@ def test_pareto_overflow_is_refused_without_a_warning(family, scale_upper):
 
 def test_simulate_determinism():
     scm = make_chain([1.0, 0.5], mode="positive")
-    a = simulate(scm, SimSetting("linear"), 500, seed=7).data.values
-    b = simulate(scm, SimSetting("linear"), 500, seed=7).data.values
+    a = simulate(scm, SimSetting("linear"), 500, seed=7).values
+    b = simulate(scm, SimSetting("linear"), 500, seed=7).values
     assert np.array_equal(a, b)
 
 
 def test_linear_chain_estimates_near_oracle():
     scm = make_chain([1.0], alpha=1.0)
-    sample = simulate(scm, SimSetting("linear"), 2 * 10**5, seed=2).data
+    sample = simulate(scm, SimSetting("linear"), 2 * 10**5, seed=2)
     value = gamma_estimate(sample, 1, 0, EstimatorConfig(k_exponent=0.4))
     assert abs(value - 0.75) < 0.08
 
 
 def test_uniform_margins_columns_are_rank_grids():
     scm = make_chain([0.8, -0.6], mode="real", alpha=2.5)
-    sample = simulate(scm, SimSetting("uniform_margins"), 400, seed=3).data
+    sample = simulate(scm, SimSetting("uniform_margins"), 400, seed=3)
     expected = np.arange(1, 401) / 400
     for c in range(sample.p):
         assert np.array_equal(np.sort(sample.values[:, c]), expected)
@@ -88,9 +89,9 @@ def test_uniform_margins_columns_are_rank_grids():
 
 def test_nonlinear_quantile_zero_is_linear_bitwise():
     scm = make_chain([0.9, -0.4], mode="real", alpha=2.5)
-    linear = simulate(scm, SimSetting("linear"), 1000, seed=4).data.values
+    linear = simulate(scm, SimSetting("linear"), 1000, seed=4).values
     degenerate = simulate(scm, SimSetting("nonlinear", nonlinear_quantile=0.0),
-                          1000, seed=4).data.values
+                          1000, seed=4).values
     assert np.array_equal(linear, degenerate)
 
 
@@ -118,8 +119,8 @@ def test_quantile_threshold_mask_matches_ecdf_mask(values, q, rank, nudge):
 
 def test_nonlinear_threshold_changes_children_only():
     scm = make_chain([0.9], mode="real", alpha=2.5)
-    linear = simulate(scm, SimSetting("linear"), 1000, seed=5).data.values
-    nonlinear = simulate(scm, SimSetting("nonlinear"), 1000, seed=5).data.values
+    linear = simulate(scm, SimSetting("linear"), 1000, seed=5).values
+    nonlinear = simulate(scm, SimSetting("nonlinear"), 1000, seed=5).values
     assert np.array_equal(linear[:, 0], nonlinear[:, 0])
     assert not np.array_equal(linear[:, 1], nonlinear[:, 1])
     # below the parent's 0.95 quantile the parent contribution is dropped
@@ -129,19 +130,19 @@ def test_nonlinear_threshold_changes_children_only():
     assert np.allclose(nonlinear[mask, 1], noise[mask])
 
 
-def test_hidden_columns_dropped_but_kept_in_truth():
+def test_hidden_columns_dropped():
     scm = random_scm(6, 2.5, GeneratorConfig(hidden_confounders=True), seed=0)
     assert scm.hidden
-    result = simulate(scm, SimSetting("hidden_confounders"), 200, seed=0)
-    assert result.data.p == len(scm.observed)
-    assert result.data.names == tuple(f"x{j}" for j in scm.observed)
-    assert result.truth is scm
+    data = simulate(scm, SimSetting("hidden_confounders"), 200, seed=0)
+    assert isinstance(data, Dataset)
+    assert data.p == len(scm.observed)
+    assert data.names == tuple(f"x{j}" for j in scm.observed)
 
 
 def test_uniform_margins_estimates_match_linear_bitwise():
     scm = make_chain([0.9, -0.7], mode="real", alpha=2.5)
-    linear = simulate(scm, SimSetting("linear"), 2000, seed=6).data
-    uniform = simulate(scm, SimSetting("uniform_margins"), 2000, seed=6).data
+    linear = simulate(scm, SimSetting("linear"), 2000, seed=6)
+    uniform = simulate(scm, SimSetting("uniform_margins"), 2000, seed=6)
     config = EstimatorConfig(k_exponent=0.4, kind="psi")
     a = coefficient_matrix(linear, config).values
     b = coefficient_matrix(uniform, config).values
@@ -150,7 +151,7 @@ def test_uniform_margins_estimates_match_linear_bitwise():
 
 def test_ols_recovers_coefficients_in_finite_variance_regime():
     scm = make_chain([0.8, -0.5], mode="real", alpha=3.5)
-    sample = simulate(scm, SimSetting("linear"), 10**5, seed=8).data.values
+    sample = simulate(scm, SimSetting("linear"), 10**5, seed=8).values
     for child, parent, beta in ((1, 0, 0.8), (2, 1, -0.5)):
         x = sample[:, parent][:, None]
         fit = np.linalg.lstsq(x, sample[:, child], rcond=None)[0][0]
@@ -311,12 +312,15 @@ def test_memory_cap_counts_hidden_nodes_and_copies():
 def test_memory_cap_bounds_what_simulate_allocates(kind, p):
     n = 20_000
     setting = SimSetting(kind)
-    for seed in range(2):
-        scm = scenario_scm(p, 1.5, setting, seed)
+    confounded = SimSetting("hidden_confounders")
+    # every setting also runs on a confounded SCM: its hidden columns must die
+    # before simulate ranks the Dataset under uniform margins
+    for seed, scm_setting in itertools.product(range(2), (setting, confounded)):
+        scm = scenario_scm(p, 1.5, scm_setting, seed)
         drawn = effective_setting(scm, setting)
         tracemalloc.start()
         try:
-            data = simulate(scm, drawn, n, seed).data
+            data = simulate(scm, drawn, n, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -334,7 +338,7 @@ def test_simulate_holds_one_column_per_node():
     assert len(scm.observed) == 10
     tracemalloc.start()
     try:
-        data = simulate(scm, setting, n, seed=1).data
+        data = simulate(scm, setting, n, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -367,9 +371,9 @@ def test_uniform_margins_ranks_each_column_once(monkeypatch):
         return rank_kernel(column, out)
 
     monkeypatch.setattr("heavytail.data.rank_kernel", counting_kernel)
-    linear = simulate(scm, SimSetting("hidden_confounders"), 3000, seed=8).data
+    linear = simulate(scm, SimSetting("hidden_confounders"), 3000, seed=8)
     assert ranked == []
-    uniform = simulate(scm, SimSetting("uniform_margins"), 3000, seed=8).data
+    uniform = simulate(scm, SimSetting("uniform_margins"), 3000, seed=8)
     assert [c.tolist() for c in ranked] == [
         linear.values[:, c].tolist() for c in range(linear.p)]
     ranked.clear()
@@ -388,7 +392,7 @@ def test_mixed_noise_families_supported():
     scm = Scm(dag, {(0, 1): 1.0},
               (NoiseSpec("student_t", 1.5), NoiseSpec("symmetric_pareto", 1.5)),
               mode="positive")
-    sample = simulate(scm, SimSetting("linear"), 500, seed=0).data
+    sample = simulate(scm, SimSetting("linear"), 500, seed=0)
     assert sample.n == 500 and sample.p == 2
 
 
@@ -493,7 +497,7 @@ def test_grid_pipeline_matches_sequential_simulate(kind, helpers):
     for s in scenarios:
         scm_seed, data_seed = scenario_streams(4, s.n, s.p, s.alpha, s.rep)
         scm = scenario_scm(s.p, s.alpha, s.setting, scm_seed)
-        data = simulate(scm, effective_setting(scm, s.setting), s.n, data_seed).data
+        data = simulate(scm, effective_setting(scm, s.setting), s.n, data_seed)
         assert s.scenario_id == f"{kind}-n{s.n}-p{s.p}-a{s.alpha:g}-r{s.rep}"
         assert s.truth.coefficients == scm.coefficients and s.truth.hidden == scm.hidden
         assert s.data.names == data.names and bitwise_equal(s.data.values, data.values)
