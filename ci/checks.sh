@@ -49,6 +49,13 @@ dev() {
     "${run[@]}" tests/test_simulate.py tests/test_evaluate.py
     "${run[@]}" tests/test_acceptance.py -k "a4 or a5 or a6"
     "${run[@]}" tests/test_cli.py -k benchmark
+    # which thread draws a replicate depends on timing, so the grid tests run
+    # five more times in a row to catch races (a shell loop: pytest-repeat is
+    # not a dependency)
+    local i
+    for i in 1 2 3 4 5; do
+        "${run[@]}" tests/test_simulate.py -k grid
+    done
 }
 
 bench() {

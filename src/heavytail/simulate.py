@@ -16,12 +16,18 @@ each emitted column is its own max-rank ECDF: the columns are ranked once,
 and the ranks become the Dataset's rank array, so the estimators never rank
 them again.
 
-:func:`simulate_grid` draws replicate r + 1's noise on the one worker of a
-``concurrent.futures.ThreadPoolExecutor`` while the caller holds replicate r;
-a draw the worker has not started when r + 1 is asked for is cancelled and
-drawn by the caller. The draw spends its time in numpy's C loops, which
-release the GIL; the streams, and so every output, are those of drawing each
-replicate in turn.
+:func:`simulate_grid` has each replicate's noise drawn by whichever thread
+is free: the caller, or the one worker of a
+``concurrent.futures.ThreadPoolExecutor``. While the caller holds replicate
+r, the helper is handed the draws of r + 1 and r + 2, one running and one
+queued. A caller that would wait on a draw in flight draws the queued one
+itself instead, and a draw the helper has not started when its replicate is
+asked for is cancelled and drawn by the caller. A draw starts only if it
+fits under the grid's memory cap beside the held replicate and every draw
+held or in flight. The draw spends its time in numpy's C loops, which
+release the GIL; each replicate draws from its own stream, so every output
+is that of drawing each replicate in turn, whichever thread drew it. The
+helper draws noise only: assignment and ranking stay on the caller.
 """
 
 from __future__ import annotations
@@ -196,9 +202,9 @@ class GridSpec:
 
     n, p and ``memory_cap_bytes`` are whole numbers of at least 1, and alpha
     values are positive and finite. Every replicate is checked against the
-    cap by :func:`set_up_replicate`, and the next replicate is drawn ahead
-    only when the held one's :func:`simulation_bytes` plus that draw's bytes
-    fit under it too.
+    cap by :func:`set_up_replicate`, and a replicate's noise is drawn ahead
+    only when the held one's :func:`simulation_bytes`, plus the bytes of
+    every draw held or in flight, plus that draw's bytes fit under it too.
     """
 
     n_values: tuple[int, ...]
@@ -376,6 +382,24 @@ def set_up_replicate(seed, cap_bytes: int, setting: SimSetting, n: int, p: int, 
 # draws of 2000 values took 9% longer, 5000 values 4% longer, 8000 values 14%
 # less and 20000 values 27% less).
 _AHEAD_MIN_VALUES = 8000
+# Replicates set up beyond the held one: the helper runs the draw of one and
+# has the other's queued, for the caller to take over if it would wait.
+_DRAWS_AHEAD = 2
+
+
+class _Ahead:
+    """A replicate set up beyond the held one (or its set-up error), and its draw.
+
+    ``draw`` is None until a draw is started: then the helper's future, or a
+    finished future the caller made when it took the draw over.
+    """
+
+    __slots__ = ("replicate", "bytes", "draw")
+
+    def __init__(self, replicate):
+        self.replicate, self.draw = replicate, None
+        if isinstance(replicate, _Replicate):
+            self.bytes = _draw_bytes(replicate.scm, replicate.n)
 
 
 def simulate_grid(grid: GridSpec, reps: int, seed=None):
@@ -384,18 +408,26 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
     Deterministic: the stream is a pure function of the grid, reps, and seed.
     Each replicate is set up (its SCM drawn, its memory checked) and
     assigned on the calling thread; an error setting up a replicate is
-    raised when that replicate is asked for. While the caller holds
-    replicate r, the one worker of a thread pool executor draws replicate
-    r + 1's noise, if the draw has at least _AHEAD_MIN_VALUES values and
-    simulation_bytes of r plus the draw's bytes fit under
-    ``grid.memory_cap_bytes``; otherwise r + 1 is drawn when it is asked
-    for, as is the first replicate. A draw the worker has not started when
-    r + 1 is asked for is cancelled and drawn on the calling thread, so a
-    worker starved of the GIL or of a CPU costs no waiting; what a draw
-    raised is raised again when its replicate is asked for. The executor is
-    started with the first draw ahead, and closing the generator shuts it
-    down: a draw not started is cancelled, one in flight finishes, and the
-    worker is joined.
+    raised when that replicate is asked for, and nothing beyond it is set
+    up or drawn.
+
+    Each replicate's noise is drawn from its own stream by whichever thread
+    is free: the caller, or the one worker of a thread pool executor. While
+    the caller holds replicate r, the helper is handed the draws of r + 1
+    and r + 2, one running and one queued (r + 2 is set up only once r + 1's
+    draw has started). A draw is handed on only if it has at least
+    _AHEAD_MIN_VALUES values and fits under ``grid.memory_cap_bytes``
+    beside simulation_bytes of the held replicate and the _draw_bytes of
+    every draw held or in flight; a queued draw that no longer fits once the
+    caller holds the next replicate is cancelled. When a replicate is asked
+    for, a draw of it that the helper has not started is cancelled, the
+    next draws are handed on, and the caller draws it, as it does the first
+    replicate; a draw of it in flight is waited on only after the caller has
+    drawn the draw queued behind it itself. What a draw raised is raised
+    again when its replicate is asked for. The executor is started with the
+    first draw handed on, so a one-replicate call starts no thread, and
+    closing the generator shuts it down: a queued draw is cancelled, one in
+    flight finishes, and the worker is joined.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -410,34 +442,72 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
         except HeavytailError as exc:
             return exc
 
-    following = set_up(next(keys))
-    helper = None  # started with the first replicate drawn ahead
-    ahead = None  # the helper's draw of the next replicate, if it has one
-    try:
-        while following is not None:
-            if isinstance(following, HeavytailError):
-                raise following
-            current = following
-            # the next replicate is set up while the helper may still draw
-            # this one, so that the helper can start the next draw at once
-            key = next(keys, None)
-            following = None if key is None else set_up(key)
-            # a draw the helper has not started is cancelled and drawn here
-            noise = current.draw() if ahead is None or ahead.cancel() else ahead.result()
-            ahead = None
-            if (isinstance(following, _Replicate)
-                    and following.n * following.scm.p >= _AHEAD_MIN_VALUES
-                    and simulation_bytes(current.scm, current.drawn, current.n)
-                    + _draw_bytes(following.scm, following.n) <= cap):
-                if helper is None:
-                    import concurrent.futures  # only a grid call that draws ahead needs it
+    futures = helper = None  # the module and the executor, with the first draw handed on
+    ahead = []  # _Ahead of the replicates after the held one, in order
 
-                    helper = concurrent.futures.ThreadPoolExecutor(1, "heavytail-draw-ahead")
-                ahead = helper.submit(following.draw)
+    def hand_on(held: _Replicate) -> None:
+        """Cancel queued draws that no longer fit, then hand on the next ones."""
+        nonlocal futures, helper
+        total = simulation_bytes(held.scm, held.drawn, held.n)
+        for slot in ahead:
+            if slot.draw is not None:
+                if total + slot.bytes > cap and slot.draw.cancel():
+                    slot.draw = None
+                else:
+                    total += slot.bytes
+        for i in range(_DRAWS_AHEAD):
+            if i == len(ahead):
+                if i and ahead[-1].draw is None:
+                    return  # r + 2 is set up only behind a started draw of r + 1
+                key = next(keys, None)
+                if key is None:
+                    return
+                ahead.append(_Ahead(set_up(key)))
+            slot = ahead[i]
+            if not isinstance(slot.replicate, _Replicate):
+                return
+            if (slot.draw is None and slot.replicate.n * slot.replicate.scm.p >= _AHEAD_MIN_VALUES
+                    and total + slot.bytes <= cap):
+                if helper is None:
+                    import concurrent.futures as futures  # only a call that draws ahead needs it
+
+                    helper = futures.ThreadPoolExecutor(1, "heavytail-draw-ahead")
+                slot.draw = helper.submit(slot.replicate.draw)
+                total += slot.bytes
+
+    def take_over_queued() -> None:
+        """Draw on the calling thread the first draw the helper has not started."""
+        for slot in ahead:
+            if slot.draw is not None and slot.draw.cancel():
+                slot.draw = futures.Future()
+                try:
+                    slot.draw.set_result(slot.replicate.draw())
+                except Exception as exc:  # raised when its replicate is asked for
+                    slot.draw.set_exception(exc)
+                return
+
+    current, draw = set_up(next(keys)), None
+    try:
+        while True:
+            if isinstance(current, HeavytailError):
+                raise current
+            if draw is not None and draw.cancel():
+                draw = None  # the helper never started it
+            hand_on(current)
+            if draw is None:
+                noise = current.draw()
+            else:
+                if not draw.done():
+                    take_over_queued()
+                noise = draw.result()
             # the scenario empties noise and no local keeps the data across
             # the yield, so a consumer that drops each scenario holds one
-            # replicate's data, plus the next one's noise being drawn
+            # replicate's data, plus the draws held or in flight
             yield current.scenario(noise)
+            if not ahead:
+                return
+            slot = ahead.pop(0)
+            current, draw = slot.replicate, slot.draw
     finally:
         if helper is not None:
             # a draw still in flight is of a replicate nobody asked for

@@ -182,6 +182,26 @@ def test_simulate_over_the_memory_cap_exits_2(tmp_path, capsys, p, n, subject):
     assert not (tmp_path / "d.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    # 3 rows of 20000 columns, 1.3 MB of CSV
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    values = np.random.default_rng(0).standard_normal((3, 20000))
+    dataset_to_csv(Dataset([f"x{j}" for j in range(20000)], values), path)
+    return path
+
+
+@pytest.mark.parametrize("command", [("coefficients", "--kind", "gamma"), ("discover",)])
+def test_wide_data_exits_2_before_allocating_the_matrix(tmp_path, capsys, wide_csv, command):
+    # the 20000 x 20000 estimate would take 6.4 GB
+    name, *flags = command
+    out = tmp_path / "out.json"
+    assert run(name, "--data", wide_csv, *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a 20000 x 20000 coefficient matrix needs about ")
+    assert err.count("\n") == 1 and "memory cap" in err and not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["gamma", "psi"])
 def test_oracle_overflowing_weights_exit_2(tmp_path, capsys, kind):

@@ -7,7 +7,7 @@ import pytest
 from heavytail import (CausalOrder, Dag, GeneratorConfig, NoiseSpec, Scm, ValidationError,
                        check_path_faithful, path_weights, random_scm, validate_order)
 
-from heavytail.graph import _node_pairs
+from heavytail.graph import _REDUCE_PARENTS, _node_pairs
 
 from brute_oracles import all_causal_orders, brute_ancestors
 from conftest import make_chain
@@ -60,6 +60,24 @@ def test_ancestor_matrix_matches_warshall_closure():
         dag = _shuffled_dag(seed)
         expected = np.array(brute_ancestors(dag.p, dag.edges), dtype=bool)
         assert np.array_equal(dag.ancestor_matrix, expected), dag
+
+
+@pytest.mark.parametrize("shape", ["complete", "chain", "random"])
+def test_ancestor_matrix_matches_warshall_with_many_parents(shape):
+    # nodes above _REDUCE_PARENTS parents OR their rows in one reduction,
+    # the others one row at a time; the matrix is the closure either way
+    rng = np.random.default_rng(7)
+    for p in (2, 9, 10, 11, 40):
+        order = rng.permutation(p).tolist()
+        pairs = [(order[a], order[b]) for a in range(p) for b in range(a + 1, p)]
+        edges = {"complete": pairs,
+                 "chain": [(order[a], order[a + 1]) for a in range(p - 1)],
+                 "random": [pair for pair in pairs if rng.random() < 0.5]}[shape]
+        dag = Dag(p, edges)
+        expected = np.array(brute_ancestors(p, dag.edges), dtype=bool)
+        assert np.array_equal(dag.ancestor_matrix, expected), dag
+    most = max(len(dag.parents(j)) for j in range(dag.p))
+    assert (most > _REDUCE_PARENTS) == (shape != "chain")
 
 
 def test_validate_order_matches_a_double_loop_over_pairs():

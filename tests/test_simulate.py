@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import importlib
 import itertools
 import re
@@ -444,23 +445,29 @@ def test_run_draws_match_per_column_draws_bitwise(n):
 
 
 class _RecordedDraw:
-    """A future of the draw-ahead executor that records each read of it."""
+    """A future of the draw-ahead executor that records when it is settled:
+    cancelled, or its result read."""
 
-    def __init__(self, future, read):
-        self._future, self._read = future, read
+    def __init__(self, future, settled):
+        self._future, self._settled = future, settled
 
     def cancel(self):
-        # every read of a draw starts by trying to cancel it
-        self._read.append(self._future)
-        return self._future.cancel()
+        cancelled = self._future.cancel()
+        if cancelled:
+            self._settled.append(self._future)
+        return cancelled
+
+    def done(self):
+        return self._future.done()
 
     def result(self):
+        self._settled.append(self._future)
         return self._future.result()
 
 
 class _RecordingExecutor(ThreadPoolExecutor):
     """The draw-ahead executor, recording itself, each replicate whose draw is
-    submitted, and each draw read back."""
+    submitted, and each submitted draw once it is settled."""
 
     helpers, submitted, read = [], [], []
 
@@ -501,11 +508,12 @@ def test_grid_pipeline_matches_sequential_simulate(kind, helpers):
         assert s.scenario_id == f"{kind}-n{s.n}-p{s.p}-a{s.alpha:g}-r{s.rep}"
         assert s.truth.coefficients == scm.coefficients and s.truth.hidden == scm.hidden
         assert s.data.names == data.names and bitwise_equal(s.data.values, data.values)
-    # one helper drew every replicate but the first, and every draw was read
+    # every replicate but the first was handed to one helper, and each draw
+    # handed on was settled once: read, or cancelled and drawn by the caller
     (helper,) = helpers.helpers
     assert [(r.n, r.p, r.alpha, r.rep) for r in helpers.submitted] == [
         key[1:] for key in expected[1:]]
-    assert len(helpers.read) == len(helpers.submitted)
+    assert len({id(f) for f in helpers.read}) == len(helpers.read) == len(helpers.submitted)
     assert not _alive(helper)
 
 
@@ -555,16 +563,19 @@ def _helper_draw(monkeypatch, action):
 
 
 def test_grid_close_joins_the_helper(helpers, monkeypatch):
-    taken = _helper_draw(monkeypatch, lambda: time.sleep(0.2))
+    started = []
+    taken = _helper_draw(monkeypatch, lambda: (started.append(1), time.sleep(0.2)))
     scenarios = simulate_grid(GridSpec((100,), (3,), (1.5,)), reps=3, seed=0)
     next(scenarios)
     assert taken.wait(timeout=10)
     (helper,) = helpers.helpers
-    assert len(helpers.submitted) == 1 and _alive(helper)
+    # replicate 1's draw in flight, replicate 2's queued behind it
+    assert len(helpers.submitted) == 2 and _alive(helper)
     scenarios.close()
-    # the draw in flight finished and close returned only once it had joined
+    # the draw in flight finished, the queued one never started, and close
+    # returned only once the helper had joined
     assert not _alive(helper)
-    assert helpers.read == []
+    assert started == [1] and helpers.read == []
 
 
 def test_grid_helper_error_surfaces_when_its_replicate_is_asked_for(helpers, monkeypatch):
@@ -580,9 +591,11 @@ def test_grid_helper_error_surfaces_when_its_replicate_is_asked_for(helpers, mon
     assert not _alive(helpers.helpers[0])
 
 
-def test_grid_draws_a_draw_the_helper_has_not_taken_itself(helpers, monkeypatch):
-    # a worker kept busy by a first job it cannot finish: every draw is
-    # cancelled and drawn inline
+def _stall(helpers, monkeypatch):
+    """Keep the helper busy with a first job until the returned Event is set.
+
+    The blocking job's future is appended to the returned list.
+    """
     release = threading.Event()
     started = []
 
@@ -592,6 +605,13 @@ def test_grid_draws_a_draw_the_helper_has_not_taken_itself(helpers, monkeypatch)
         return helper
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", stalled)
+    return release, started
+
+
+def test_grid_draws_a_draw_the_helper_has_not_taken_itself(helpers, monkeypatch):
+    # a worker kept busy by a first job it cannot finish: every draw is
+    # cancelled and drawn inline
+    release, started = _stall(helpers, monkeypatch)
     threads = []
     monkeypatch.setattr(simulate_module, "_draw_noise", lambda scm, n, rng: (
         threads.append(threading.current_thread()), _draw_noise(scm, n, rng))[1])
@@ -609,6 +629,38 @@ def test_grid_draws_a_draw_the_helper_has_not_taken_itself(helpers, monkeypatch)
     sequential = list(simulate_grid(grid, reps=3, seed=2))
     assert all(bitwise_equal(a.data.values, b.data.values)
                for a, b in zip(drawn, sequential, strict=True))
+
+
+def test_grid_caller_draws_the_queued_replicate_while_the_helper_draws(helpers, monkeypatch):
+    # the helper is held inside replicate 1's draw until the caller has drawn
+    # replicate 2, queued behind it, itself
+    main = threading.main_thread()
+    stolen = threading.Event()
+    taken = _helper_draw(monkeypatch, lambda: stolen.wait(10))
+    drawn = {}  # rep -> the thread that drew it
+    draw = simulate_module._Replicate.draw
+
+    def recorded(replicate):
+        drawn[replicate.rep] = threading.current_thread()
+        if drawn[replicate.rep] is main and replicate.rep:
+            stolen.set()
+        return draw(replicate)
+
+    monkeypatch.setattr(simulate_module._Replicate, "draw", recorded)
+    grid = GridSpec((300,), (4,), (1.5,))
+    scenarios = simulate_grid(grid, reps=3, seed=5)
+    pipelined = [next(scenarios)]
+    assert taken.wait(timeout=10)
+    pipelined += list(scenarios)
+    (worker,) = helpers.helpers[0]._threads
+    assert drawn == {0: main, 1: worker, 2: main}
+    assert [r.rep for r in helpers.submitted] == [1, 2]
+    monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 1 << 62)
+    for a, b in zip(pipelined, simulate_grid(grid, reps=3, seed=5), strict=True):
+        assert bitwise_equal(a.data.values, b.data.values)
+        scm_seed, data_seed = scenario_streams(5, a.n, a.p, a.alpha, a.rep)
+        alone = simulate(scenario_scm(a.p, a.alpha, a.setting, scm_seed), a.setting, a.n, data_seed)
+        assert bitwise_equal(a.data.values, alone.values)
 
 
 def test_grid_capacity_error_surfaces_when_its_replicate_is_asked_for(helpers):
@@ -630,3 +682,55 @@ def test_grid_draws_ahead_only_when_both_replicates_fit(helpers):
         helpers.submitted.clear()
         list(simulate_grid(GridSpec((n,), (p,), (1.5,), memory_cap_bytes=cap), reps=3, seed=0))
         assert len(helpers.submitted) == ahead
+
+
+def _set_up(grid, reps):
+    return [set_up_replicate(0, grid.memory_cap_bytes, *cell, rep)
+            for cell in grid.cells() for rep in range(reps)]
+
+
+def test_grid_hands_on_two_draws_only_when_both_fit(helpers):
+    # the held replicate's simulation_bytes, plus every draw held or in
+    # flight: a cap with room for one draw hands one on per replicate, one
+    # with room for two hands two on with the first
+    n, p = 1000, 4
+    replicates = _set_up(GridSpec((n,), (p,), (1.5,)), 3)
+    (held,) = {simulation_bytes(r.scm, r.drawn, n) for r in replicates}
+    (draw,) = {_draw_bytes(r.scm, n) for r in replicates}
+    for cap, first in ((held + draw, 1), (held + 2 * draw - 1, 1), (held + 2 * draw, 2)):
+        helpers.submitted.clear()
+        scenarios = simulate_grid(GridSpec((n,), (p,), (1.5,), memory_cap_bytes=cap), reps=3,
+                                  seed=0)
+        next(scenarios)
+        assert len(helpers.submitted) == first
+        list(scenarios)
+        assert [r.rep for r in helpers.submitted] == [1, 2]
+
+
+def test_grid_cancels_a_queued_draw_that_no_longer_fits(helpers, monkeypatch):
+    # replicates 2 and 3 (n = 1000) are queued while replicate 1 (n = 10) is
+    # held; once replicate 2 is held, replicate 3's draw no longer fits
+    # beside it, so it is cancelled before the caller draws it
+    release, started = _stall(helpers, monkeypatch)
+    grid = GridSpec((10, 1000), (4,), (1.5,))
+    replicates = _set_up(grid, 2)
+    held = [simulation_bytes(r.scm, r.drawn, r.n) for r in replicates]
+    draws = [_draw_bytes(r.scm, r.n) for r in replicates]
+    cap = held[1] + draws[2] + draws[3]
+    assert held[0] + draws[1] + draws[2] <= cap < held[2] + draws[3]
+    scenarios = simulate_grid(dataclasses.replace(grid, memory_cap_bytes=cap), reps=2, seed=0)
+    drawn = [next(scenarios)]
+    assert [r.rep for r in helpers.submitted] == [1, 0]
+    drawn.append(next(scenarios))
+    assert [(r.n, r.rep) for r in helpers.submitted] == [(10, 1), (1000, 0), (1000, 1)]
+    assert len(helpers.read) == 1
+    drawn.append(next(scenarios))
+    # replicate 2's draw was cancelled and drawn by the caller, 3's withdrawn
+    assert len(helpers.read) == 3 and all(future.cancelled() for future in helpers.read)
+    drawn.append(next(scenarios))
+    assert len(helpers.submitted) == 3
+    release.set()
+    assert next(scenarios, None) is None and started[0].result(timeout=10)
+    monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 1 << 62)
+    assert all(bitwise_equal(a.data.values, b.data.values)
+               for a, b in zip(drawn, simulate_grid(grid, reps=2, seed=0), strict=True))
