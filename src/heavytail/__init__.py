@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .errors import (CapacityError, ConfigError, DomainError, HeavytailError,
                      ModeError, ValidationError)
 from .noise import HillEstimate, NoiseSpec, hill_tail_index, sample_noise
-from .graph import (CausalOrder, Dag, GeneratorConfig, OrderValidation, Scm,
-                    check_path_faithful, path_weights, random_scm, validate_order)
+from .graph import (CausalOrder, Dag, GeneratorConfig, Scm, check_path_faithful,
+                    path_weights, random_scm)
 from .data import CoefMatrix, Dataset
 from .simulate import GridSpec, Scenario, SimSetting, simulate, simulate_grid
 from .oracle import (COMMON_CAUSE, I_CAUSES_J, INDETERMINATE, J_CAUSES_I,
@@ -28,8 +28,8 @@ __all__ = [
     "CapacityError", "ConfigError", "DomainError", "HeavytailError", "ModeError",
     "ValidationError",
     "HillEstimate", "NoiseSpec", "hill_tail_index", "sample_noise",
-    "CausalOrder", "Dag", "GeneratorConfig", "OrderValidation", "Scm",
-    "check_path_faithful", "path_weights", "random_scm", "validate_order",
+    "CausalOrder", "Dag", "GeneratorConfig", "Scm", "check_path_faithful", "path_weights",
+    "random_scm",
     "Dataset",
     "GridSpec", "Scenario", "SimSetting", "simulate", "simulate_grid",
     "COMMON_CAUSE", "I_CAUSES_J", "INDETERMINATE", "J_CAUSES_I", "NO_CAUSAL_LINK",

@@ -11,18 +11,18 @@ import argparse
 import sys
 
 from . import __version__
-from .data import KINDS, CoefMatrix
+from .data import KINDS, CoefMatrix, Dataset
 from .ease import ease
 from .errors import MEMORY_CAP_BYTES, ValidationError
 from .estimators import EstimatorConfig, coefficient_matrix
 from .evaluate import METHODS, benchmark, check_score_capacity, score_order
-from .formats import (dataset_from_csv, dataset_to_csv, json_text, matrix_from_dict,
-                      matrix_to_dict, meta_block, order_names_from_dict,
+from .formats import (check_matrix_document, dataset_from_csv, dataset_to_csv, json_text,
+                      matrix_from_dict, matrix_to_dict, meta_block, order_names_from_dict,
                       order_to_dict, read_json, results_to_csv, scm_from_dict,
                       scm_node_count, scm_to_dict, score_to_dict, write_json)
 from .graph import COEFFICIENT_LAWS, MODES, CausalOrder, GeneratorConfig, Scm
 from .noise import hill_tail_index
-from .oracle import check_capacity, gamma_population, psi_population
+from .oracle import gamma_population, psi_population
 from .simulate import SETTINGS, GridSpec, SimSetting, set_up_replicate, simulate
 
 
@@ -37,10 +37,10 @@ def _emit(args, doc: dict, path=None, seed=None) -> int:
     return 0
 
 
-def _estimate(args) -> CoefMatrix:
-    """The coefficient matrix of the ``--data`` CSV, estimated per the estimator flags."""
+def _estimate(args, data: Dataset) -> CoefMatrix:
+    """The coefficient matrix of ``data``, estimated per the estimator flags."""
     config = EstimatorConfig(k=args.k, k_exponent=args.k_exponent, kind=args.kind)
-    return coefficient_matrix(dataset_from_csv(args.data), config)
+    return coefficient_matrix(data, config)
 
 
 def _read_scm(path, check) -> Scm:
@@ -54,25 +54,29 @@ def cmd_simulate(args) -> int:
     setting = SimSetting(args.setting, nonlinear_quantile=args.nonlinear_quantile)
     replicate = set_up_replicate(args.seed, MEMORY_CAP_BYTES, setting, args.n, args.p,
                                  args.alpha, 0, args.mode, args.coefficient_law)
-    data = simulate(replicate.scm, replicate.drawn, args.n, replicate.data_seed)
+    data = simulate(replicate.truth, setting, args.n, replicate.data_seed)
     dataset_to_csv(data, args.out)
-    return _emit(args, scm_to_dict(replicate.scm), args.truth, args.seed)
+    return _emit(args, scm_to_dict(replicate.truth), args.truth, args.seed)
 
 
 def cmd_coefficients(args) -> int:
-    return _emit(args, matrix_to_dict(_estimate(args)), args.out)
+    data = dataset_from_csv(args.data)
+    # writing the document needs more than the estimate: refuse before either
+    check_matrix_document(data.p)
+    return _emit(args, matrix_to_dict(_estimate(args, data)), args.out)
 
 
 def cmd_discover(args) -> int:
     if (args.matrix is None) == (args.data is None):
         raise ValidationError("give exactly one of --matrix or --data")
-    matrix = (_estimate(args) if args.matrix is None
+    matrix = (_estimate(args, dataset_from_csv(args.data)) if args.matrix is None
               else matrix_from_dict(read_json(args.matrix)))
     return _emit(args, order_to_dict(ease(matrix), matrix.names), args.out)
 
 
 def cmd_oracle(args) -> int:
-    scm = _read_scm(args.scm, check_capacity)
+    # writing the document needs more than computing the population matrix
+    scm = _read_scm(args.scm, check_matrix_document)
     matrix = gamma_population(scm) if args.kind == "gamma" else psi_population(scm)
     return _emit(args, matrix_to_dict(matrix), args.out)
 

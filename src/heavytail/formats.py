@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .data import CoefMatrix, Dataset
-from .errors import ValidationError, whole_number
+from .errors import ValidationError, check_bytes, whole_number
 from .evaluate import RESULT_HEADER, OrderScore
 from .graph import POSITIVE, REAL, CausalOrder, Dag, Scm
 from .noise import NoiseSpec
@@ -200,6 +200,21 @@ def scm_from_dict(doc: dict) -> Scm:
     if mode is None:
         mode = POSITIVE if all(v > 0 for v in coefficients.values()) else REAL
     return Scm(dag, coefficients, noise, mode=mode, hidden=hidden, names=names)
+
+
+# Bytes per p**2 that writing the JSON document of a p x p matrix holds at its
+# peak, the float64 matrix included: matrix_to_dict's nested lists of floats
+# and json_text's chunks and joined string. Beyond the matrix, tracemalloc read
+# 141.7 to 143.3 bytes per entry for full-precision values (p = 300 to 1500);
+# plus the matrix's 8, rounded up. Whole coefficients and oracle runs peaked at
+# 132.5 to 142.5 bytes per p**2 (p = 500 and 1000, both kinds).
+_MATRIX_DOCUMENT_BYTES_PER_ENTRY = 152
+
+
+def check_matrix_document(p: int) -> None:
+    """Raise CapacityError if writing the document of a p x p matrix would exceed the cap."""
+    check_bytes(_MATRIX_DOCUMENT_BYTES_PER_ENTRY * p * p,
+                f"writing the document of a {p} x {p} coefficient matrix")
 
 
 def matrix_to_dict(matrix: CoefMatrix) -> dict:

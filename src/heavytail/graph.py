@@ -274,31 +274,6 @@ def check_path_faithful(scm: Scm, h: np.ndarray | None = None) -> bool:
     return not np.any(np.abs(h[scm.dag.ancestor_matrix]) <= FAITHFULNESS_TOL)
 
 
-@dataclass(frozen=True)
-class OrderValidation:
-    valid: bool
-    violations: tuple[tuple[int, int], ...]
-
-
-def validate_order(dag: Dag, order: CausalOrder, observed_only: bool = False) -> OrderValidation:
-    """Check an order against a DAG's ancestral relations.
-
-    Without ``observed_only`` the order must cover every node. With it, the
-    order may cover a subset; ancestry is still taken in the full graph, so an
-    ancestor path through an uncovered node still constrains the pair.
-    Returns all ancestral pairs placed backwards, as (ancestor, descendant)
-    tuples sorted by descendant, then ancestor.
-    """
-    if any(node >= dag.p for node in order.sequence):
-        raise ValidationError("order mentions nodes outside the graph")
-    if not observed_only and len(order) != dag.p:
-        raise ValidationError("order must cover every node (or pass observed_only=True)")
-    nodes, _, backward = backward_pairs(dag, order)
-    descendant, ancestor = np.nonzero(backward)
-    violations = tuple(zip(nodes[ancestor].tolist(), nodes[descendant].tolist()))
-    return OrderValidation(valid=not violations, violations=violations)
-
-
 def backward_pairs(dag: Dag, order: CausalOrder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ancestral pairs among an order's nodes, and those it places backwards.
 

@@ -10,11 +10,14 @@ array the emitted Dataset adopts without a copy, hidden nodes to a second
 array that is dropped once assigned. The settings differ only in the
 deterministic assignment step, which adds each node's parent terms into its
 noise column in place; every parent term added and every column the
-estimators rank is contiguous. A replicate is the Dataset the assignment
-step emits; its truth is the SCM it was drawn from. Under uniform margins
-each emitted column is its own max-rank ECDF: the columns are ranked once,
-and the ranks become the Dataset's rank array, so the estimators never rank
-them again.
+estimators rank is contiguous. Under uniform margins each emitted column is
+its own max-rank ECDF: the columns are ranked once, and the ranks become the
+Dataset's rank array, so the estimators never rank them again. The
+hidden-confounders setting differs only in the SCM it draws
+(:func:`scenario_scm`); its assignment is the linear one.
+
+A grid replicate is one :class:`Scenario`: its cell, the SCM it was drawn
+from (its truth), its data stream and, once assigned, its Dataset.
 
 :func:`simulate_grid` has each replicate's noise drawn by whichever thread
 is free: the caller, or the one worker of a
@@ -35,8 +38,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -190,8 +192,6 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> Dataset:
 def _check_simulation(scm: Scm, setting: SimSetting, n: int) -> None:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if setting.kind == "hidden_confounders" and not scm.hidden:
-        raise ValidationError("hidden_confounders setting needs an SCM with hidden nodes")
     if setting.kind in ("nonlinear", "uniform_margins") and n < 2:
         raise DomainError(f"{setting.kind} needs n >= 2 for a non-degenerate empirical CDF")
 
@@ -240,14 +240,21 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    scenario_id: str
+    """Replicate ``rep`` of the grid cell (setting, n, p, alpha).
+
+    ``truth`` is the SCM drawn for it, and ``data_seed`` the stream its
+    noise is drawn from. :func:`set_up_replicate` returns it with ``data``
+    None; :func:`simulate_grid` yields it with ``data`` the simulated Dataset.
+    """
+
     setting: SimSetting
     n: int
     p: int
     alpha: float
     rep: int
-    data: Dataset
     truth: Scm
+    data_seed: np.random.SeedSequence
+    data: Dataset | None = None
 
 
 def scenario_scm(p: int, alpha: float, setting: SimSetting, seed, mode: str = REAL,
@@ -256,17 +263,6 @@ def scenario_scm(p: int, alpha: float, setting: SimSetting, seed, mode: str = RE
     config = GeneratorConfig(mode=mode, coefficient_law=coefficient_law,
                              hidden_confounders=setting.kind == "hidden_confounders")
     return random_scm(p, alpha, config, seed)
-
-
-def effective_setting(scm: Scm, setting: SimSetting) -> SimSetting:
-    """Downgrade hidden_confounders to linear when the confounder draw was empty.
-
-    The binomial confounder count can legitimately be zero, in which case the
-    generation step is exactly the linear one.
-    """
-    if setting.kind == "hidden_confounders" and not scm.hidden:
-        return SimSetting("linear", nonlinear_quantile=setting.nonlinear_quantile)
-    return setting
 
 
 def scenario_streams(seed, n: int, p: int, alpha: float, rep: int):
@@ -323,33 +319,17 @@ _CONFOUNDED_SCM_BYTES_PER_P2 = 40
 _SCM_FIXED_BYTES = 1 << 15
 
 
-class _Replicate(NamedTuple):
-    """One replicate, its SCM drawn and checked against the memory cap."""
-
-    setting: SimSetting
-    n: int
-    p: int
-    alpha: float
-    rep: int
-    scm: Scm
-    drawn: SimSetting  # the setting effective_setting gives for this SCM
-    data_seed: np.random.SeedSequence
-
-    def draw(self) -> list:
-        return _draw_noise(self.scm, self.n, as_rng(self.data_seed))
-
-    def scenario(self, noise: list) -> Scenario:
-        """This replicate's Scenario, assigned from its drawn noise (emptied)."""
-        return Scenario(
-            scenario_id=f"{self.setting.kind}-n{self.n}-p{self.p}-a{self.alpha:g}-r{self.rep}",
-            setting=self.setting, n=self.n, p=self.p, alpha=self.alpha, rep=self.rep,
-            data=_assign(self.scm, self.drawn, noise), truth=self.scm)
+def _draw(replicate: Scenario) -> list:
+    """The replicate's noise, drawn from its own stream: _draw_noise's list."""
+    return _draw_noise(replicate.truth, replicate.n, as_rng(replicate.data_seed))
 
 
 def set_up_replicate(seed, cap_bytes: int, setting: SimSetting, n: int, p: int, alpha: float,
-                     rep: int, mode: str = REAL, coefficient_law: str = "intervals"):
+                     rep: int, mode: str = REAL, coefficient_law: str = "intervals") -> Scenario:
     """Replicate ``rep`` of the cell (setting, n, p, alpha), its SCM drawn by scenario_scm.
 
+    The Scenario's ``data`` is None: ``simulate(s.truth, s.setting, s.n,
+    s.data_seed)`` is the Dataset :func:`simulate_grid` yields for it.
     Raises CapacityError if the replicate would exceed ``cap_bytes``: the
     SCM draw is bounded from p and the setting before it is made (with
     confounders the total node count is known only after it), and
@@ -369,11 +349,10 @@ def set_up_replicate(seed, cap_bytes: int, setting: SimSetting, n: int, p: int, 
     check_bytes(scm_bytes, f"drawing an SCM of {p} nodes", cap_bytes)
     scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
     scm = scenario_scm(p, alpha, setting, scm_seed, mode, coefficient_law)
-    drawn = effective_setting(scm, setting)
-    check_bytes(simulation_bytes(scm, drawn, n), f"simulating n={n} rows of {scm.p} nodes",
+    check_bytes(simulation_bytes(scm, setting, n), f"simulating n={n} rows of {scm.p} nodes",
                 cap_bytes)
-    _check_simulation(scm, drawn, n)
-    return _Replicate(setting, n, p, alpha, rep, scm, drawn, data_seed)
+    _check_simulation(scm, setting, n)
+    return Scenario(setting, n, p, alpha, rep, scm, data_seed)
 
 
 # Fewest values a draw must have to be drawn ahead. Handing a draw to the
@@ -398,8 +377,8 @@ class _Ahead:
 
     def __init__(self, replicate):
         self.replicate, self.draw = replicate, None
-        if isinstance(replicate, _Replicate):
-            self.bytes = _draw_bytes(replicate.scm, replicate.n)
+        if isinstance(replicate, Scenario):
+            self.bytes = _draw_bytes(replicate.truth, replicate.n)
 
 
 def simulate_grid(grid: GridSpec, reps: int, seed=None):
@@ -445,10 +424,10 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
     futures = helper = None  # the module and the executor, with the first draw handed on
     ahead = []  # _Ahead of the replicates after the held one, in order
 
-    def hand_on(held: _Replicate) -> None:
+    def hand_on(held: Scenario) -> None:
         """Cancel queued draws that no longer fit, then hand on the next ones."""
         nonlocal futures, helper
-        total = simulation_bytes(held.scm, held.drawn, held.n)
+        total = simulation_bytes(held.truth, held.setting, held.n)
         for slot in ahead:
             if slot.draw is not None:
                 if total + slot.bytes > cap and slot.draw.cancel():
@@ -464,15 +443,16 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
                     return
                 ahead.append(_Ahead(set_up(key)))
             slot = ahead[i]
-            if not isinstance(slot.replicate, _Replicate):
+            if not isinstance(slot.replicate, Scenario):
                 return
-            if (slot.draw is None and slot.replicate.n * slot.replicate.scm.p >= _AHEAD_MIN_VALUES
+            replicate = slot.replicate
+            if (slot.draw is None and replicate.n * replicate.truth.p >= _AHEAD_MIN_VALUES
                     and total + slot.bytes <= cap):
                 if helper is None:
                     import concurrent.futures as futures  # only a call that draws ahead needs it
 
                     helper = futures.ThreadPoolExecutor(1, "heavytail-draw-ahead")
-                slot.draw = helper.submit(slot.replicate.draw)
+                slot.draw = helper.submit(_draw, replicate)
                 total += slot.bytes
 
     def take_over_queued() -> None:
@@ -481,7 +461,7 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
             if slot.draw is not None and slot.draw.cancel():
                 slot.draw = futures.Future()
                 try:
-                    slot.draw.set_result(slot.replicate.draw())
+                    slot.draw.set_result(_draw(slot.replicate))
                 except Exception as exc:  # raised when its replicate is asked for
                     slot.draw.set_exception(exc)
                 return
@@ -495,15 +475,15 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
                 draw = None  # the helper never started it
             hand_on(current)
             if draw is None:
-                noise = current.draw()
+                noise = _draw(current)
             else:
                 if not draw.done():
                     take_over_queued()
                 noise = draw.result()
-            # the scenario empties noise and no local keeps the data across
+            # the assignment empties noise and no local keeps the data across
             # the yield, so a consumer that drops each scenario holds one
             # replicate's data, plus the draws held or in flight
-            yield current.scenario(noise)
+            yield replace(current, data=_assign(current.truth, current.setting, noise))
             if not ahead:
                 return
             slot = ahead.pop(0)

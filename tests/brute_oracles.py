@@ -54,6 +54,19 @@ def brute_ancestors(p, edges):
     return reach
 
 
+def brute_backward_pairs(p, edges, sequence):
+    """The ancestral pairs among ``sequence``'s nodes that it places backwards.
+
+    (ancestor, descendant) tuples sorted by descendant, then ancestor;
+    ancestry is taken over all ``p`` nodes, so a path through a node the
+    sequence leaves out still counts.
+    """
+    reach = brute_ancestors(p, edges)
+    place = {node: i for i, node in enumerate(sequence)}
+    return tuple((i, j) for j in sorted(place) for i in sorted(place)
+                 if reach[j][i] and place[i] > place[j])
+
+
 def all_causal_orders(dag):
     """Every causal order of the DAG as a node sequence (exhaustive: small graphs only)."""
     def extend(prefix):

@@ -13,7 +13,7 @@ from heavytail import (Dag, EstimatorConfig, GeneratorConfig, GridSpec, NoiseSpe
                        Scm, SimSetting, benchmark, classify_pair,
                        coefficient_matrix, ease, ease_trace, gamma_estimate,
                        gamma_population, hill_tail_index, k_sensitivity, psi_estimate,
-                       random_scm, sample_noise, simulate, validate_order)
+                       random_scm, sample_noise, score_order, simulate)
 from heavytail.cli import main
 from heavytail.formats import read_json
 
@@ -69,7 +69,7 @@ def test_a2_population_oracle_correctness():
                         continue
                     assert classify_pair(gamma, i, j, tol=1e-9) == classify_truth(
                         scm.dag, i, j)
-            assert validate_order(scm.dag, ease(gamma)).valid
+            assert score_order(scm, ease(gamma)).valid
 
 
 def test_a3_estimator_to_oracle_convergence():

@@ -129,16 +129,20 @@ def test_oracle_disconnected_and_mode_error(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["gamma", "psi"])
-def test_oracle_huge_p_exits_2_before_allocating(tmp_path, capsys, kind):
+@pytest.mark.parametrize("p", [3000, 100000])
+def test_oracle_huge_p_exits_2_before_allocating(tmp_path, capsys, kind, p):
+    # at 3000 nodes the population matrices (80 bytes an entry) fit under the
+    # cap, but writing their document (about 150) does not
     path = tmp_path / "scm.json"
     path.write_text(json.dumps(
-        {"p": 100000, "alpha": 1.5, "edges": [], "noise": {"family": "student_t"}}))
+        {"p": p, "alpha": 1.5, "edges": [], "noise": {"family": "student_t"}}))
     start = time.perf_counter()
     code = run("oracle", "--scm", path, "--kind", kind, "--out", tmp_path / "m.json")
     assert time.perf_counter() - start < 1.0
     assert code == 2
     err = capsys.readouterr().err
-    assert "memory cap" in err and "internal error" not in err
+    assert err.startswith(f"error: writing the document of a {p} x {p} coefficient matrix ")
+    assert err.count("\n") == 1 and "memory cap" in err
 
 
 def test_oracle_refuses_over_cap_p_before_building_the_dag(tmp_path, capsys):
@@ -183,22 +187,30 @@ def test_simulate_over_the_memory_cap_exits_2(tmp_path, capsys, p, n, subject):
 
 
 @pytest.fixture(scope="module")
-def wide_csv(tmp_path_factory):
-    # 3 rows of 20000 columns, 1.3 MB of CSV
-    path = tmp_path_factory.mktemp("wide") / "wide.csv"
-    values = np.random.default_rng(0).standard_normal((3, 20000))
-    dataset_to_csv(Dataset([f"x{j}" for j in range(20000)], values), path)
-    return path
+def wide_csvs(tmp_path_factory):
+    # 3 rows of 6000 columns (388 KB) and of 20000 columns (1.3 MB)
+    paths = {}
+    for p in (6000, 20000):
+        paths[p] = tmp_path_factory.mktemp("wide") / f"wide{p}.csv"
+        values = np.random.default_rng(0).standard_normal((3, p))
+        dataset_to_csv(Dataset([f"x{j}" for j in range(p)], values), paths[p])
+    return paths
 
 
-@pytest.mark.parametrize("command", [("coefficients", "--kind", "gamma"), ("discover",)])
-def test_wide_data_exits_2_before_allocating_the_matrix(tmp_path, capsys, wide_csv, command):
-    # the 20000 x 20000 estimate would take 6.4 GB
+@pytest.mark.parametrize("command, p, subject", [
+    (("coefficients", "--kind", "gamma"), 6000, "writing the document of a 6000 x 6000"),
+    (("coefficients", "--kind", "gamma"), 20000, "writing the document of a 20000 x 20000"),
+    (("discover",), 20000, "a 20000 x 20000")], ids=["coefficients-6000", "coefficients",
+                                                    "discover"])
+def test_wide_data_exits_2_before_allocating_the_matrix(tmp_path, capsys, wide_csvs, command, p,
+                                                        subject):
+    # the 20000 x 20000 estimate would take 6.4 GB; the 6000 x 6000 one fits
+    # under the cap (16 bytes an entry), but writing its document (about 150) does not
     name, *flags = command
     out = tmp_path / "out.json"
-    assert run(name, "--data", wide_csv, *flags, "--out", out) == 2
+    assert run(name, "--data", wide_csvs[p], *flags, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: a 20000 x 20000 coefficient matrix needs about ")
+    assert err.startswith(f"error: {subject} coefficient matrix needs about ")
     assert err.count("\n") == 1 and "memory cap" in err and not out.exists()
 
 

@@ -14,14 +14,15 @@ import pytest
 import heavytail
 
 PACKAGE = Path(heavytail.__file__).parent
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 EXPORTED = {
     "CapacityError", "ConfigError", "DomainError", "HeavytailError", "ModeError",
     "ValidationError",
     "HillEstimate", "NoiseSpec", "hill_tail_index", "sample_noise",
-    "CausalOrder", "Dag", "GeneratorConfig", "OrderValidation", "Scm",
-    "check_path_faithful", "path_weights", "random_scm", "validate_order",
+    "CausalOrder", "Dag", "GeneratorConfig", "Scm", "check_path_faithful", "path_weights",
+    "random_scm",
     "Dataset",
     "GridSpec", "Scenario", "SimSetting", "simulate", "simulate_grid",
     "COMMON_CAUSE", "I_CAUSES_J", "INDETERMINATE", "J_CAUSES_I", "NO_CAUSAL_LINK",
@@ -135,8 +136,40 @@ def test_all_names_resolve_and_none_is_a_module():
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 51
+    assert len(EXPORTED) == 49
     assert set(heavytail.__all__) == EXPORTED
+
+
+def referenced_names(package: Path) -> set:
+    """Names the modules of ``package`` read, the package's __init__ aside.
+
+    A read is a name or an attribute loaded anywhere but inside the top-level
+    definition of that same name, so a function calling itself does not count.
+    """
+    names = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            read = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+            read.discard(getattr(statement, "name", None))
+            names |= read
+    return names
+
+
+def test_every_exported_name_has_a_caller_or_a_readme_line():
+    # the library holds what its callers use; a name kept for the paper's
+    # vocabulary says why in the README
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used = referenced_names(PACKAGE)
+    orphans = [name for name in heavytail.__all__
+               if name not in used and not re.search(rf"`{re.escape(name)}\b", readme)]
+    assert orphans == []
 
 
 @pytest.mark.parametrize("name, member", [("simulate", "GridSpec"), ("ease", "EaseStep")])

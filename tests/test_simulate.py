@@ -16,15 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavytail import (CapacityError, Dag, Dataset, DomainError, EstimatorConfig,
-                       GeneratorConfig, GridSpec, NoiseSpec, Scm, SimSetting, ValidationError,
+                       GeneratorConfig, GridSpec, NoiseSpec, Scenario, Scm, SimSetting,
+                       ValidationError,
                        coefficient_matrix, gamma_estimate, random_scm, simulate,
                        ecdf_values, simulate_grid)
 from heavytail.data import rank_kernel
 from heavytail.errors import MEMORY_CAP_BYTES
-from heavytail.formats import scm_from_dict
+from heavytail.formats import scm_from_dict, scm_to_dict
 from heavytail.simulate import (SETTINGS, _draw_bytes, _draw_noise, _noise_runs,
-                                _quantile_threshold, effective_setting, scenario_scm,
-                                scenario_streams, set_up_replicate, simulation_bytes)
+                                _quantile_threshold, scenario_scm, scenario_streams,
+                                set_up_replicate, simulation_bytes)
 
 from conftest import bitwise_equal, make_chain, reference_noise
 
@@ -43,8 +44,6 @@ def test_simulate_guards():
     scm = make_chain([1.0])
     with pytest.raises(ValidationError):
         simulate(scm, SimSetting("linear"), 0, seed=0)
-    with pytest.raises(ValidationError, match="hidden"):
-        simulate(scm, SimSetting("hidden_confounders"), 100, seed=0)
     with pytest.raises(DomainError):
         simulate(scm, SimSetting("nonlinear"), 1, seed=0)
     with pytest.raises(DomainError):
@@ -159,13 +158,27 @@ def test_ols_recovers_coefficients_in_finite_variance_regime():
         assert abs(fit - beta) < 0.05
 
 
+def test_hidden_confounders_setting_assigns_any_scm_as_linear():
+    # the setting chooses the SCM generator only: on an SCM without hidden
+    # nodes, as on one with them, simulate assigns the linear sample
+    confounded = next(s for s in (scenario_scm(5, 1.5, SimSetting("hidden_confounders"), seed)
+                                  for seed in range(50)) if s.hidden)
+    for scm in (make_chain([1.0, -0.5], mode="real"), confounded):
+        hidden = simulate(scm, SimSetting("hidden_confounders"), 100, seed=3)
+        linear = simulate(scm, SimSetting("linear"), 100, seed=3)
+        assert hidden.names == linear.names and bitwise_equal(hidden.values, linear.values)
+        assert (simulation_bytes(scm, SimSetting("hidden_confounders"), 100)
+                == simulation_bytes(scm, SimSetting("linear"), 100))
+
+
 def test_grid_validation_and_counts():
     with pytest.raises(ValidationError):
         GridSpec((), (4,), (1.5,))
     grid = GridSpec((100,), (3,), (2.5,), settings=("linear",))
     scenarios = list(simulate_grid(grid, reps=1, seed=0))
     assert len(scenarios) == 1
-    assert scenarios[0].scenario_id == "linear-n100-p3-a2.5-r0"
+    (s,) = scenarios
+    assert (s.setting.kind, s.n, s.p, s.alpha, s.rep) == ("linear", 100, 3, 2.5, 0)
 
     desk = GridSpec((100, 200), (3, 4, 5), (1.5, 2.5, 3.5),
                     settings=("linear", "hidden_confounders", "nonlinear", "uniform_margins"))
@@ -302,7 +315,7 @@ def test_memory_cap_counts_hidden_nodes_and_copies():
     # less; at n = 1000, where the count is over the bound of the SCM draw
     n = 1000
     replicate = set_up_replicate(3, MEMORY_CAP_BYTES, setting, n, 8, 2.5, 0)
-    need = simulation_bytes(replicate.scm, replicate.drawn, n)
+    need = simulation_bytes(replicate.truth, setting, n)
     set_up_replicate(3, need, setting, n, 8, 2.5, 0)
     with pytest.raises(CapacityError, match=f"simulating n={n} rows .* needs about {need} bytes"):
         set_up_replicate(3, need - 1, setting, n, 8, 2.5, 0)
@@ -318,14 +331,13 @@ def test_memory_cap_bounds_what_simulate_allocates(kind, p):
     # before simulate ranks the Dataset under uniform margins
     for seed, scm_setting in itertools.product(range(2), (setting, confounded)):
         scm = scenario_scm(p, 1.5, scm_setting, seed)
-        drawn = effective_setting(scm, setting)
         tracemalloc.start()
         try:
-            data = simulate(scm, drawn, n, seed)
+            data = simulate(scm, setting, n, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= simulation_bytes(scm, drawn, n) + 64 * 1024
+        assert peak <= simulation_bytes(scm, setting, n) + 64 * 1024
         assert data.n == n
 
 
@@ -475,9 +487,9 @@ class _RecordingExecutor(ThreadPoolExecutor):
         super().__init__(*args)
         self.helpers.append(self)
 
-    def submit(self, draw):
-        self.submitted.append(draw.__self__)
-        return _RecordedDraw(super().submit(draw), self.read)
+    def submit(self, draw, replicate):
+        self.submitted.append(replicate)
+        return _RecordedDraw(super().submit(draw, replicate), self.read)
 
 
 def _alive(helper):
@@ -504,8 +516,7 @@ def test_grid_pipeline_matches_sequential_simulate(kind, helpers):
     for s in scenarios:
         scm_seed, data_seed = scenario_streams(4, s.n, s.p, s.alpha, s.rep)
         scm = scenario_scm(s.p, s.alpha, s.setting, scm_seed)
-        data = simulate(scm, effective_setting(scm, s.setting), s.n, data_seed)
-        assert s.scenario_id == f"{kind}-n{s.n}-p{s.p}-a{s.alpha:g}-r{s.rep}"
+        data = simulate(scm, s.setting, s.n, data_seed)
         assert s.truth.coefficients == scm.coefficients and s.truth.hidden == scm.hidden
         assert s.data.names == data.names and bitwise_equal(s.data.values, data.values)
     # every replicate but the first was handed to one helper, and each draw
@@ -638,7 +649,7 @@ def test_grid_caller_draws_the_queued_replicate_while_the_helper_draws(helpers, 
     stolen = threading.Event()
     taken = _helper_draw(monkeypatch, lambda: stolen.wait(10))
     drawn = {}  # rep -> the thread that drew it
-    draw = simulate_module._Replicate.draw
+    draw = simulate_module._draw
 
     def recorded(replicate):
         drawn[replicate.rep] = threading.current_thread()
@@ -646,7 +657,7 @@ def test_grid_caller_draws_the_queued_replicate_while_the_helper_draws(helpers, 
             stolen.set()
         return draw(replicate)
 
-    monkeypatch.setattr(simulate_module._Replicate, "draw", recorded)
+    monkeypatch.setattr(simulate_module, "_draw", recorded)
     grid = GridSpec((300,), (4,), (1.5,))
     scenarios = simulate_grid(grid, reps=3, seed=5)
     pipelined = [next(scenarios)]
@@ -689,14 +700,33 @@ def _set_up(grid, reps):
             for cell in grid.cells() for rep in range(reps)]
 
 
+def test_set_up_replicate_is_the_yielded_scenario_without_its_data(helpers):
+    # one record: the grid yields each replicate set_up_replicate returns,
+    # with its Dataset assigned and every other field as it was
+    grid = GridSpec((40, 300), (3, 5), (1.5,), settings=("linear", "hidden_confounders"))
+    yielded = list(simulate_grid(grid, reps=2, seed=0))
+    assert helpers.submitted
+    for s, r in zip(yielded, _set_up(grid, 2), strict=True):
+        assert type(s) is type(r) is Scenario
+        assert r.data is None and isinstance(s.data, Dataset)
+        for field in dataclasses.fields(Scenario):
+            a, b = getattr(s, field.name), getattr(r, field.name)
+            if field.name == "truth":
+                assert scm_to_dict(a) == scm_to_dict(b)
+            elif field.name == "data_seed":
+                assert (a.entropy, a.spawn_key) == (b.entropy, b.spawn_key)
+            elif field.name != "data":
+                assert a == b, field.name
+
+
 def test_grid_hands_on_two_draws_only_when_both_fit(helpers):
     # the held replicate's simulation_bytes, plus every draw held or in
     # flight: a cap with room for one draw hands one on per replicate, one
     # with room for two hands two on with the first
     n, p = 1000, 4
     replicates = _set_up(GridSpec((n,), (p,), (1.5,)), 3)
-    (held,) = {simulation_bytes(r.scm, r.drawn, n) for r in replicates}
-    (draw,) = {_draw_bytes(r.scm, n) for r in replicates}
+    (held,) = {simulation_bytes(r.truth, r.setting, n) for r in replicates}
+    (draw,) = {_draw_bytes(r.truth, n) for r in replicates}
     for cap, first in ((held + draw, 1), (held + 2 * draw - 1, 1), (held + 2 * draw, 2)):
         helpers.submitted.clear()
         scenarios = simulate_grid(GridSpec((n,), (p,), (1.5,), memory_cap_bytes=cap), reps=3,
@@ -714,8 +744,8 @@ def test_grid_cancels_a_queued_draw_that_no_longer_fits(helpers, monkeypatch):
     release, started = _stall(helpers, monkeypatch)
     grid = GridSpec((10, 1000), (4,), (1.5,))
     replicates = _set_up(grid, 2)
-    held = [simulation_bytes(r.scm, r.drawn, r.n) for r in replicates]
-    draws = [_draw_bytes(r.scm, r.n) for r in replicates]
+    held = [simulation_bytes(r.truth, r.setting, r.n) for r in replicates]
+    draws = [_draw_bytes(r.truth, r.n) for r in replicates]
     cap = held[1] + draws[2] + draws[3]
     assert held[0] + draws[1] + draws[2] <= cap < held[2] + draws[3]
     scenarios = simulate_grid(dataclasses.replace(grid, memory_cap_bytes=cap), reps=2, seed=0)
