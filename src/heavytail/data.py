@@ -138,6 +138,8 @@ class CoefMatrix:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.names is not None and len(self.names) != v.shape[0]:
             raise ValidationError("names must match the matrix dimension")
+        if self.names is not None and len(set(self.names)) != len(self.names):
+            raise ValidationError("matrix repeats names")
         object.__setattr__(self, "values", v)
 
     @property

@@ -240,7 +240,10 @@ def matrix_from_dict(doc: dict) -> CoefMatrix:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"matrix 'values' must be equal-length rows of numbers or null: {exc}") from exc
-    return CoefMatrix(values, kind, tuple(names), bool(doc.get("estimated", False)))
+    estimated = doc.get("estimated", False)
+    if not isinstance(estimated, bool):
+        raise ValidationError("matrix 'estimated' must be true or false")
+    return CoefMatrix(values, kind, tuple(names), estimated)
 
 
 def order_to_dict(order: CausalOrder, names) -> dict:

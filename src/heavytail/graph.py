@@ -176,10 +176,12 @@ class CausalOrder:
 class Scm:
     """Linear SCM: a DAG plus nonzero edge coefficients and per-node noise.
 
-    ``mode`` is "positive" when every coefficient is strictly positive (the
-    one-sided-tail model) and "real" otherwise. ``hidden`` marks nodes that
-    simulation drops from emitted data. All noise variables must share one
-    tail index.
+    ``coefficients`` maps each edge ``(parent, child)`` to its beta, the only
+    store of the edge weights. ``mode`` is "positive" when every coefficient
+    is strictly positive (the one-sided-tail model) and "real" otherwise.
+    ``hidden`` marks nodes that simulation drops from emitted data, and
+    ``observed`` lists the others ascending. All noise variables must share
+    one tail index.
     """
 
     def __init__(self, dag: Dag, coefficients, noise, mode: str = POSITIVE,
@@ -217,6 +219,7 @@ class Scm:
         self.noise = noise
         self.mode = mode
         self.hidden = hidden
+        self.observed = tuple(j for j in range(dag.p) if j not in hidden)
         self.names = names
 
     @property
@@ -227,19 +230,8 @@ class Scm:
     def alpha(self) -> float:
         return self.noise[0].alpha
 
-    @property
-    def observed(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.p) if j not in self.hidden)
-
     def node_name(self, j: int) -> str:
         return self.names[j] if self.names is not None else f"x{j}"
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """B with B[child, parent] = beta, zero elsewhere."""
-        b = np.zeros((self.p, self.p))
-        for (parent, child), beta in self.coefficients.items():
-            b[child, parent] = beta
-        return b
 
     def __repr__(self):
         return (f"Scm(p={self.p}, edges={len(self.coefficients)}, mode={self.mode!r}, "
@@ -249,16 +241,16 @@ class Scm:
 def path_weights(scm: Scm) -> np.ndarray:
     """Exact path-weight matrix H by back-substitution along a topological order.
 
-    ``H[j, k]`` sums the weighted directed paths k -> j; it solves (I - B) @ H = I.
+    ``H[j, k]`` sums the weighted directed paths k -> j; it solves (I - B) @ H = I,
+    ``B[j, k]`` the coefficient of the edge k -> j.
     """
     p = scm.p
     h = np.zeros((p, p))
-    b = scm.coefficient_matrix()
     for j in scm.dag.topological_order:
         row = np.zeros(p)
         row[j] = 1.0
         for parent in scm.dag.parents(j):
-            row += b[j, parent] * h[parent]
+            row += scm.coefficients[parent, j] * h[parent]
         h[j] = row
     return h
 

@@ -146,7 +146,6 @@ def _add_parent_terms(scm: Scm, setting: SimSetting, noise: list) -> np.ndarray:
         for c, j in enumerate(nodes):
             x[j] = array[:, c]
 
-    b = scm.coefficient_matrix()
     nonlinear = setting.kind == "nonlinear"
     thresholds = {}  # parent -> _quantile_threshold of its column, computed once
     # a column that overflows is refused by the Dataset, not warned about here
@@ -159,7 +158,7 @@ def _add_parent_terms(scm: Scm, setting: SimSetting, noise: list) -> np.ndarray:
                     if parent not in thresholds:
                         thresholds[parent] = _quantile_threshold(col, setting.nonlinear_quantile)
                     col = col * (col >= thresholds[parent])
-                x[j] += b[j, parent] * col
+                x[j] += scm.coefficients[parent, j] * col
     return observed
 
 
@@ -308,14 +307,16 @@ def _draw_bytes(scm: Scm, n: int) -> int:
 
 
 # Bytes per p**2 that scenario_scm holds at its peak drawing an SCM of p
-# observed nodes: path_weights' float64 coefficient and path-weight matrices
-# over every node, the confounders included (tracemalloc, p from 150 to 2000,
-# up to 40 seeds each: 16.4 to 19.2 without confounders, 27.0 to 37.3 with
-# them), rounded up. A small SCM's Dag, dicts and per-node tuples cost a few
-# KB besides: below p = 150 the peaks exceed the p**2 term by up to 16.4 KB
-# (40 seeds, p = 1 to 100), which _SCM_FIXED_BYTES covers.
-_SCM_BYTES_PER_P2 = 20
-_CONFOUNDED_SCM_BYTES_PER_P2 = 40
+# observed nodes: path_weights' float64 path-weight matrix over every node,
+# the confounders included, and check_path_faithful's ancestor mask and the
+# weights it gathers (tracemalloc, p from 150 to 2000, 40 seeds each: 9.5 to
+# 15.7 without confounders, 16.1 to 25.0 with them), rounded up. A small
+# SCM's Dag, dicts and per-node tuples cost a few KB besides: below p = 150
+# the peaks exceed the p**2 term by up to 13.6 KB, 25.8 KB with confounders
+# (40 seeds, p = 1 to 150), which _SCM_FIXED_BYTES covers; at 25 bytes per
+# p**2 with confounders that excess would be 32.2 KB, too close to it.
+_SCM_BYTES_PER_P2 = 16
+_CONFOUNDED_SCM_BYTES_PER_P2 = 26
 _SCM_FIXED_BYTES = 1 << 15
 
 

@@ -172,7 +172,7 @@ def test_evaluate_refuses_over_cap_p_before_building_the_dag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("p, n, subject", [
-    (8000, 10, "drawing an SCM of 8000 nodes"),  # 20 p**2 bytes, refused before the draw
+    (9000, 10, "drawing an SCM of 9000 nodes"),  # 16 p**2 bytes, refused before the draw
     (6, 10**12, "simulating n=1000000000000 rows of 6 nodes"),  # refused after the draw
 ], ids=["p-over-the-scm-bound", "n-over-the-simulation-bound"])
 def test_simulate_over_the_memory_cap_exits_2(tmp_path, capsys, p, n, subject):
@@ -615,12 +615,34 @@ def test_benchmark_results_write_error_exits_2(tmp_path, capsys):
     {"kind": "gamma", "names": 2, "values": [[None, 0.5], [0.5, None]]},
     {"kind": "gamma", "names": ["a", "b"], "values": [[None, 10 ** 400], [0.5, None]]},
     {"kind": "gamma", "names": ["a", "b"], "values": [[None, True], [0.5, None]]},
+    # "estimated" is a JSON boolean: bool() would read "no" and [0] as true
+    *({"kind": "gamma", "names": ["a", "b"], "values": [[None, 0.5], [0.5, None]],
+       "estimated": estimated} for estimated in ("no", [0], 0, 1, None)),
 ])
 def test_discover_malformed_matrix_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     assert run("discover", "--matrix", path, "--out", tmp_path / "o.json") == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_discover_matrix_with_repeated_names_exits_2(tmp_path, capsys):
+    # an order naming a variable twice is one evaluate would refuse to read
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"kind": "gamma", "names": ["a", "a"],
+                                "values": [[None, 0.5], [0.5, None]]}))
+    out = tmp_path / "o.json"
+    assert run("discover", "--matrix", path, "--out", out) == 2
+    assert capsys.readouterr().err == "error: matrix repeats names\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, estimated", [({"estimated": True}, True),
+                                            ({"estimated": False}, False), ({}, False)])
+def test_matrix_estimated_reads_a_boolean_or_its_default(doc, estimated):
+    matrix = matrix_from_dict({"kind": "gamma", "names": ["a", "b"],
+                               "values": [[None, 0.5], [0.5, None]], **doc})
+    assert matrix.estimated is estimated
 
 
 @pytest.mark.parametrize("doc", [["x0", "x1"], {"pi_inverse": "x0x1"}, {"pi_inverse": None}])

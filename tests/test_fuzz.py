@@ -14,11 +14,11 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavytail.cli import main
-from heavytail.formats import scm_to_dict
+from heavytail.formats import order_names_from_dict, read_json, scm_to_dict
 
 from conftest import make_chain
 
@@ -79,8 +79,11 @@ csv_text = st.builds(
 csv_bytes = st.binary(max_size=64) | csv_text.map(str.encode)
 
 
-def run_cli(files: dict, argv_for):
-    """Write ``files`` to a fresh directory, run the CLI and check the outcome."""
+def run_cli(files: dict, argv_for, check_output=None):
+    """Write ``files`` to a fresh directory, run the CLI and check the outcome.
+
+    On exit 0, ``check_output(d)`` is called on the directory, still there.
+    """
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -88,6 +91,8 @@ def run_cli(files: dict, argv_for):
         for name, content in files.items():
             (d / name).write_bytes(content)
         code = main([str(a) for a in argv_for(d)])
+        if code == 0 and check_output is not None:
+            check_output(d)
     err = err.getvalue()
     assert code in (0, 2), err
     assert "internal error" not in err
@@ -111,11 +116,17 @@ def test_tail_index_fuzz(content, tail):
         "tail-index", "--data", d / "d.csv", "--column", "a", "--k", 2, "--tail", tail])
 
 
+def _order_reads_back(d: Path) -> None:
+    """The order document discover wrote is one evaluate's reader accepts."""
+    order_names_from_dict(read_json(d / "o.json"))
+
+
 @FUZZ
 @given(json_values | mutated(VALID_MATRIX))
+@example({**VALID_MATRIX, "names": ["a", "a", "c"]})
 def test_discover_matrix_fuzz(doc):
     run_cli({"m.json": _json_bytes(doc)}, lambda d: [
-        "discover", "--matrix", d / "m.json", "--out", d / "o.json"])
+        "discover", "--matrix", d / "m.json", "--out", d / "o.json"], _order_reads_back)
 
 
 @FUZZ

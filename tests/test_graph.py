@@ -143,8 +143,11 @@ def test_path_weights_chain_product():
 def test_path_weights_residual(p):
     scm = random_scm(p, 1.5, GeneratorConfig(), seed=p)
     # H solves (I - B) @ H = I up to float rounding
+    b = np.zeros((p, p))
+    for (parent, child), beta in scm.coefficients.items():
+        b[child, parent] = beta
     eye = np.eye(p)
-    residual = (eye - scm.coefficient_matrix()) @ path_weights(scm) - eye
+    residual = (eye - b) @ path_weights(scm) - eye
     assert np.abs(residual).max() < 1e-10
 
 

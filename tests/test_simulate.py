@@ -215,7 +215,7 @@ def test_grid_keeps_integral_float_sizes():
 
 
 def test_grid_memory_cap_is_checked_before_the_scm_draw():
-    # the SCM draw alone holds p x p float64 arrays, 64 MB at p = 2000
+    # the SCM draw alone holds a p x p float64 array, 32 MB at p = 2000
     grid = GridSpec((10,), (2000,), (1.5,), memory_cap_bytes=10**5)
     tracemalloc.start()
     try:
@@ -339,6 +339,24 @@ def test_memory_cap_bounds_what_simulate_allocates(kind, p):
             tracemalloc.stop()
         assert peak <= simulation_bytes(scm, setting, n) + 64 * 1024
         assert data.n == n
+
+
+@pytest.mark.parametrize("p", [1000, 2000])
+def test_simulate_holds_no_p_by_p_array(p):
+    # at n = 10 the columns are tiny, so a p x p coefficient matrix (8 MB at
+    # p = 1000) would dwarf the count; beyond it simulate holds each node's
+    # column view and name, under 256 bytes a node
+    for scm_setting in (SimSetting("linear"), SimSetting("hidden_confounders")):
+        scm = scenario_scm(p, 1.5, scm_setting, scenario_streams(0, 10, p, 1.5, 0)[0])
+        for kind in SETTINGS:
+            setting = SimSetting(kind)
+            tracemalloc.start()
+            try:
+                simulate(scm, setting, 10, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= simulation_bytes(scm, setting, 10) + 64 * 1024 + 256 * scm.p, kind
 
 
 def test_simulate_holds_one_column_per_node():
