@@ -9,6 +9,7 @@ depend on evaluation order or thread schedule.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -28,19 +29,23 @@ def as_rng(seed) -> np.random.Generator:
     raise ValidationError(f"unsupported seed type: {type(seed).__name__}")
 
 
+# The largest float key part whose scaling to micro-units stays finite.
+FLOAT_KEY_MAX = math.nextafter(sys.float_info.max / 1_000_000, 0.0)
+
+
 def derived_seed(*parts) -> np.random.SeedSequence:
     """Deterministic SeedSequence from integer key parts.
 
-    Floats are admitted as keys by scaling to micro-units, so a grid cell
-    (seed, n, p, alpha, rep) always maps to the same stream.
+    Floats up to FLOAT_KEY_MAX are admitted as keys by scaling to micro-units,
+    so a grid cell (seed, n, p, alpha, rep) always maps to the same stream.
     """
     entropy = []
     for part in parts:
         if isinstance(part, (int, np.integer)):
             entropy.append(int(part))
         elif isinstance(part, float):
-            if not math.isfinite(part):
-                raise ValidationError(f"seed key parts must be finite, got {part}")
+            if not abs(part) <= FLOAT_KEY_MAX:
+                raise ValidationError(f"seed key floats must be at most {FLOAT_KEY_MAX}, got {part}")
             entropy.append(int(round(part * 1_000_000)))
         else:
             raise ValidationError(f"seed key parts must be numeric, got {type(part).__name__}")

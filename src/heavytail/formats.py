@@ -28,7 +28,7 @@ from . import __version__
 from .data import CoefMatrix, Dataset
 from .errors import ValidationError, check_bytes, whole_number
 from .evaluate import RESULT_HEADER, OrderScore
-from .graph import POSITIVE, REAL, CausalOrder, Dag, Scm
+from .graph import POSITIVE, REAL, CausalOrder, Scm
 from .noise import NoiseSpec
 
 
@@ -193,13 +193,12 @@ def scm_from_dict(doc: dict) -> Scm:
     names = doc.get("names")
     if names is not None:
         _check_names(names, "SCM 'names'")
-    dag = Dag(p, coefficients.keys())
     noise = ([_noise_from_dict(s, alpha) for s in raw_noise] if isinstance(raw_noise, list)
              else _noise_from_dict(raw_noise, alpha))
     mode = doc.get("mode")
     if mode is None:
         mode = POSITIVE if all(v > 0 for v in coefficients.values()) else REAL
-    return Scm(dag, coefficients, noise, mode=mode, hidden=hidden, names=names)
+    return Scm(p, coefficients, noise, mode=mode, hidden=hidden, names=names)
 
 
 # Bytes per p**2 that writing the JSON document of a p x p matrix holds at its

@@ -174,23 +174,23 @@ class CausalOrder:
 
 
 class Scm:
-    """Linear SCM: a DAG plus nonzero edge coefficients and per-node noise.
+    """Linear SCM on nodes ``0 .. p-1``: nonzero edge coefficients and per-node noise.
 
     ``coefficients`` maps each edge ``(parent, child)`` to its beta, the only
-    store of the edge weights. ``mode`` is "positive" when every coefficient
+    store of the edge weights; its keys are the edges of ``dag``, the Dag
+    built from them. ``mode`` is "positive" when every coefficient
     is strictly positive (the one-sided-tail model) and "real" otherwise.
     ``hidden`` marks nodes that simulation drops from emitted data, and
     ``observed`` lists the others ascending. All noise variables must share
     one tail index.
     """
 
-    def __init__(self, dag: Dag, coefficients, noise, mode: str = POSITIVE,
+    def __init__(self, p: int, coefficients, noise, mode: str = POSITIVE,
                  hidden=(), names=None):
         if mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
         coeffs = {(int(a), int(b)): float(v) for (a, b), v in dict(coefficients).items()}
-        if set(coeffs) != set(dag.edges):
-            raise ValidationError("coefficients must be given exactly for the DAG's edges")
+        dag = Dag(p, coeffs)
         for (a, b), v in coeffs.items():
             if v == 0.0 or not np.isfinite(v):
                 raise ValidationError(f"coefficient for edge ({a}, {b}) must be finite and nonzero")
@@ -386,5 +386,4 @@ def _draw_scm(p: int, alpha: float, config: GeneratorConfig, rng) -> Scm:
                 edges[(conf, i)] = _draw_coefficient(rng, config)
                 edges[(conf, j)] = _draw_coefficient(rng, config)
 
-    dag = Dag(total, edges.keys())
-    return Scm(dag, edges, NoiseSpec("student_t", alpha), mode=config.mode, hidden=hidden)
+    return Scm(total, edges, NoiseSpec("student_t", alpha), mode=config.mode, hidden=hidden)

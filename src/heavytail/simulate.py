@@ -13,8 +13,8 @@ noise column in place; every parent term added and every column the
 estimators rank is contiguous. Under uniform margins each emitted column is
 its own max-rank ECDF: the columns are ranked once, and the ranks become the
 Dataset's rank array, so the estimators never rank them again. The
-hidden-confounders setting differs only in the SCM it draws
-(:func:`scenario_scm`); its assignment is the linear one.
+hidden-confounders setting differs only in the SCM :func:`set_up_replicate`
+draws for it; its assignment is the linear one.
 
 A grid replicate is one :class:`Scenario`: its cell, the SCM it was drawn
 from (its truth), its data stream and, once assigned, its Dataset.
@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._rng import as_rng, derived_seed
+from ._rng import FLOAT_KEY_MAX, as_rng, derived_seed
 from .data import Dataset, ranking_bytes
 from .errors import (MEMORY_CAP_BYTES, DomainError, HeavytailError, ValidationError,
                      check_bytes, whole_number)
@@ -184,11 +183,11 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> Dataset:
     column, computed once from the ranks the Dataset then holds, so
     estimating it ranks nothing.
     """
-    _check_simulation(scm, setting, n)
+    _check_simulation(setting, n)
     return _assign(scm, setting, _draw_noise(scm, n, as_rng(seed)))
 
 
-def _check_simulation(scm: Scm, setting: SimSetting, n: int) -> None:
+def _check_simulation(setting: SimSetting, n: int) -> None:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if setting.kind in ("nonlinear", "uniform_margins") and n < 2:
@@ -200,10 +199,11 @@ class GridSpec:
     """Cartesian scenario grid over sample sizes, dimensions, tail indices, settings.
 
     n, p and ``memory_cap_bytes`` are whole numbers of at least 1, and alpha
-    values are positive and finite. Every replicate is checked against the
-    cap by :func:`set_up_replicate`, and a replicate's noise is drawn ahead
-    only when the held one's :func:`simulation_bytes`, plus the bytes of
-    every draw held or in flight, plus that draw's bytes fit under it too.
+    values are positive and finite, at most FLOAT_KEY_MAX, the largest that
+    keys a seed stream. Every replicate is checked against the cap by
+    :func:`set_up_replicate`, and a replicate's noise is drawn ahead only
+    when the held one's :func:`simulation_bytes`, plus the bytes of every
+    draw held or in flight, plus that draw's bytes fit under it too.
     """
 
     n_values: tuple[int, ...]
@@ -218,8 +218,9 @@ class GridSpec:
             object.__setattr__(self, field, values)
         alphas = tuple(self.alpha_values)
         if not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
-                   and 0 < a <= sys.float_info.max for a in alphas):
-            raise ValidationError(f"grid alpha values must be positive and finite, got {alphas}")
+                   and 0 < a <= FLOAT_KEY_MAX for a in alphas):
+            raise ValidationError(f"grid alpha values must be positive and finite, "
+                                  f"at most {FLOAT_KEY_MAX}, got {alphas}")
         object.__setattr__(self, "alpha_values", tuple(float(a) for a in alphas))
         settings = tuple(
             s if isinstance(s, SimSetting) else SimSetting(str(s)) for s in self.settings)
@@ -254,14 +255,6 @@ class Scenario:
     truth: Scm
     data_seed: np.random.SeedSequence
     data: Dataset | None = None
-
-
-def scenario_scm(p: int, alpha: float, setting: SimSetting, seed, mode: str = REAL,
-                 coefficient_law: str = "intervals") -> Scm:
-    """Random SCM for one scenario; confounders only under that setting."""
-    config = GeneratorConfig(mode=mode, coefficient_law=coefficient_law,
-                             hidden_confounders=setting.kind == "hidden_confounders")
-    return random_scm(p, alpha, config, seed)
 
 
 def scenario_streams(seed, n: int, p: int, alpha: float, rep: int):
@@ -306,7 +299,7 @@ def _draw_bytes(scm: Scm, n: int) -> int:
     return n * (8 * scm.p + _draw_scratch(scm))
 
 
-# Bytes per p**2 that scenario_scm holds at its peak drawing an SCM of p
+# Bytes per p**2 that random_scm holds at its peak drawing an SCM of p
 # observed nodes: path_weights' float64 path-weight matrix over every node,
 # the confounders included, and check_path_faithful's ancestor mask and the
 # weights it gathers (tracemalloc, p from 150 to 2000, 40 seeds each: 9.5 to
@@ -327,32 +320,33 @@ def _draw(replicate: Scenario) -> list:
 
 def set_up_replicate(seed, cap_bytes: int, setting: SimSetting, n: int, p: int, alpha: float,
                      rep: int, mode: str = REAL, coefficient_law: str = "intervals") -> Scenario:
-    """Replicate ``rep`` of the cell (setting, n, p, alpha), its SCM drawn by scenario_scm.
+    """Replicate ``rep`` of the cell (setting, n, p, alpha), its SCM drawn by random_scm.
 
-    The Scenario's ``data`` is None: ``simulate(s.truth, s.setting, s.n,
-    s.data_seed)`` is the Dataset :func:`simulate_grid` yields for it.
+    The SCM has hidden confounders exactly under the hidden-confounders
+    setting. The Scenario's ``data`` is None: ``simulate(s.truth, s.setting,
+    s.n, s.data_seed)`` is the Dataset :func:`simulate_grid` yields for it.
     Raises CapacityError if the replicate would exceed ``cap_bytes``: the
     SCM draw is bounded from p and the setting before it is made (with
     confounders the total node count is known only after it), and
     :func:`simulation_bytes` of the drawn SCM before anything is simulated.
-    Raises ValidationError for a p, an n or an alpha out of range before
-    any seed is derived, and for an n too small for the setting.
+    Raises ValidationError for an n, a p or an alpha out of range, and
+    DomainError for an n too small for the setting, before any seed is
+    derived or SCM drawn.
     """
+    _check_simulation(setting, n)
     if p < 1:  # before p * p is taken as a size
         raise ValidationError(f"p must be >= 1, got {p}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if not (0 < alpha <= sys.float_info.max):
-        raise ValidationError(f"alpha must be positive and finite, got {alpha}")
+    if not (0 < alpha <= FLOAT_KEY_MAX):
+        raise ValidationError(f"alpha must be positive and finite, at most {FLOAT_KEY_MAX}, "
+                              f"got {alpha}")
     confounded = setting.kind == "hidden_confounders"
     per_p2 = _CONFOUNDED_SCM_BYTES_PER_P2 if confounded else _SCM_BYTES_PER_P2
     scm_bytes = per_p2 * p * p + _SCM_FIXED_BYTES
     check_bytes(scm_bytes, f"drawing an SCM of {p} nodes", cap_bytes)
     scm_seed, data_seed = scenario_streams(seed, n, p, alpha, rep)
-    scm = scenario_scm(p, alpha, setting, scm_seed, mode, coefficient_law)
+    scm = random_scm(p, alpha, GeneratorConfig(mode, coefficient_law, confounded), scm_seed)
     check_bytes(simulation_bytes(scm, setting, n), f"simulating n={n} rows of {scm.p} nodes",
                 cap_bytes)
-    _check_simulation(scm, setting, n)
     return Scenario(setting, n, p, alpha, rep, scm, data_seed)
 
 

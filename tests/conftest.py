@@ -38,21 +38,18 @@ def student_noise(alpha: float) -> NoiseSpec:
 @pytest.fixture
 def diamond_scm():
     """0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3, all coefficients 1, alpha 1."""
-    dag = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     coeffs = {(0, 1): 1.0, (0, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
-    return Scm(dag, coeffs, student_noise(1.0), mode="positive")
+    return Scm(4, coeffs, student_noise(1.0), mode="positive")
 
 
 @pytest.fixture
 def chain2_scm():
-    dag = Dag(2, [(0, 1)])
-    return Scm(dag, {(0, 1): 1.0}, student_noise(1.0), mode="positive")
+    return Scm(2, {(0, 1): 1.0}, student_noise(1.0), mode="positive")
 
 
 @pytest.fixture
 def disconnected_scm():
-    dag = Dag(2, [])
-    return Scm(dag, {}, student_noise(1.5), mode="positive")
+    return Scm(2, {}, student_noise(1.5), mode="positive")
 
 
 @pytest.fixture
@@ -99,9 +96,8 @@ def bitwise_equal(a, b) -> bool:
 
 def make_chain(betas, alpha=1.0, mode="positive", family="student_t"):
     p = len(betas) + 1
-    dag = Dag(p, [(j, j + 1) for j in range(p - 1)])
     coeffs = {(j, j + 1): float(b) for j, b in enumerate(betas)}
-    return Scm(dag, coeffs, NoiseSpec(family, alpha), mode=mode)
+    return Scm(p, coeffs, NoiseSpec(family, alpha), mode=mode)
 
 
 def mistake_rate(scm, n, config, reps, seed):

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from heavytail import (Dag, EstimatorConfig, GeneratorConfig, GridSpec, NoiseSpec,
+from heavytail import (EstimatorConfig, GeneratorConfig, GridSpec, NoiseSpec,
                        Scm, SimSetting, benchmark, classify_pair,
                        coefficient_matrix, ease, ease_trace, gamma_estimate,
                        gamma_population, hill_tail_index, k_sensitivity, psi_estimate,
@@ -78,7 +78,7 @@ def test_a3_estimator_to_oracle_convergence():
         assert config.k is None  # resolves to floor(1e6 ** 0.4) = 251
 
         def chain(beta, mode):
-            return Scm(Dag(2, [(0, 1)]), {(0, 1): beta},
+            return Scm(2, {(0, 1): beta},
                        NoiseSpec("student_t", 1.0), mode=mode)
 
         positive, negative = chain(1.0, "positive"), chain(-1.0, "real")

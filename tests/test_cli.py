@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from heavytail import Dataset, EstimatorConfig, SimSetting, coefficient_matrix, ease
+from heavytail._rng import FLOAT_KEY_MAX
 from heavytail.cli import main
 from heavytail.formats import (_BLOCK_ROWS, dataset_from_csv, dataset_to_csv,
                                matrix_from_dict, read_json, scm_from_dict, scm_to_dict,
@@ -112,9 +113,9 @@ def test_oracle_diamond(tmp_path, diamond_scm):
 
 
 def test_oracle_disconnected_and_mode_error(tmp_path):
-    from heavytail import Dag, NoiseSpec, Scm
+    from heavytail import NoiseSpec, Scm
 
-    scm = Scm(Dag(2), {}, NoiseSpec("student_t", 1.5), mode="positive")
+    scm = Scm(2, {}, NoiseSpec("student_t", 1.5), mode="positive")
     path = tmp_path / "scm.json"
     write_json(path, scm_to_dict(scm))
     out = tmp_path / "m.json"
@@ -394,12 +395,20 @@ def test_benchmark_memory_cap_exits_2(tmp_path, capsys):
     assert "memory cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0"])
+# 1.9e302 overflows the seed key's micro-unit scaling
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1", "0", "1.9e302"])
 def test_simulate_non_finite_alpha_exits_2(tmp_path, capsys, alpha):
     assert run("simulate", "--p", 3, "--n", 10, "--alpha", alpha,
                "--out", tmp_path / "d.csv", "--truth", tmp_path / "t.json") == 2
     assert (capsys.readouterr().err
-            == f"error: alpha must be positive and finite, got {float(alpha)}\n")
+            == f"error: alpha must be positive and finite, at most {FLOAT_KEY_MAX}, "
+               f"got {float(alpha)}\n")
+
+
+@pytest.mark.parametrize("alpha", [1.7e302, FLOAT_KEY_MAX])
+def test_simulate_alpha_up_to_the_seed_key_bound_exits_0(tmp_path, alpha):
+    assert run("simulate", "--p", 3, "--n", 50, "--alpha", repr(alpha),
+               "--out", tmp_path / "d.csv", "--truth", tmp_path / "t.json") == 0
 
 
 @pytest.mark.parametrize("p", [-100000, -3, 0])
@@ -440,6 +449,7 @@ _ARRAYS = "grid file needs 'n', 'p', and 'alpha' arrays"
     ("grid.json", '{"n": [true], "p": [2], "alpha": [2.5]}',
      "grid n value must be a whole number, got True"),
     ("grid.json", '{"n": [50], "p": [2], "alpha": ["2.5"]}', _ALPHA),
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [1.5, 1.9e302]}', _ALPHA),
     ("grid.json", '{"n": [50], "p": [2], "alpha": [2.5], "memory_cap_bytes": 5.7}',
      "grid memory_cap_bytes must be a whole number, got 5.7"),
     ("grid.json", '{"n": [50], "p": [2], "alpha": [2.5], "memory_cap_bytes": true}',
@@ -451,8 +461,9 @@ _ARRAYS = "grid file needs 'n', 'p', and 'alpha' arrays"
     ("grid.json", '{"n": [50], "p": [2], "alpha": [2.5], "settings": "linear"}', _ARRAYS),
     ("grid.json", '[50, 2, 2.5]', _ARRAYS),
 ], ids=["json-nan", "json-inf", "toml-nan", "toml-inf", "fractional-n", "fractional-p",
-        "p-over-the-cap", "nan-n", "bool-n", "string-alpha", "fractional-cap", "bool-cap",
-        "negative-cap", "missing-alpha", "scalar-n", "scalar-settings", "not-an-object"])
+        "p-over-the-cap", "nan-n", "bool-n", "string-alpha", "huge-alpha", "fractional-cap",
+        "bool-cap", "negative-cap", "missing-alpha", "scalar-n", "scalar-settings",
+        "not-an-object"])
 def test_benchmark_grid_values_exit_2(tmp_path, capsys, name, text, message):
     grid_path = tmp_path / name
     grid_path.write_text(text)

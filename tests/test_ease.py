@@ -181,9 +181,9 @@ def test_matches_reference_loop_on_tied_matrices():
 
 
 def test_mistake_rate_trivial():
-    from heavytail import Dag, NoiseSpec, Scm
+    from heavytail import NoiseSpec, Scm
 
-    single = Scm(Dag(1), {}, NoiseSpec("student_t", 1.5), mode="positive")
+    single = Scm(1, {}, NoiseSpec("student_t", 1.5), mode="positive")
     assert mistake_rate(single, n=100, config=EstimatorConfig(), reps=3, seed=0) == (0.0, 0.0)
 
 

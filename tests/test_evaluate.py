@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heavytail import (CapacityError, CausalOrder, Dag, EstimatorConfig, GeneratorConfig,
+from heavytail import (CapacityError, CausalOrder, EstimatorConfig, GeneratorConfig,
                        GridSpec, NoiseSpec, Scm, SimSetting, ValidationError, benchmark,
                        k_sensitivity, random_scm, score_order, sensitivity_rows_to_csv,
                        simulate)
 from heavytail._rng import derived_seed
-from heavytail.simulate import scenario_scm, scenario_streams, simulation_bytes
+from heavytail.simulate import scenario_streams, simulation_bytes
 from heavytail.evaluate import (_SCORE_BYTES_PER_PAIR, RESULT_HEADER, check_score_capacity,
                                 recover_order)
 
@@ -37,15 +37,14 @@ def test_score_order_node_set_mismatch(diamond_scm):
 
 
 def test_score_order_counts_pairs_through_hidden_nodes():
-    dag = Dag(3, [(0, 1), (1, 2)])
-    scm = Scm(dag, {(0, 1): 1.0, (1, 2): 1.0}, NoiseSpec("student_t", 1.5),
+    scm = Scm(3, {(0, 1): 1.0, (1, 2): 1.0}, NoiseSpec("student_t", 1.5),
               mode="positive", hidden=[1])
     score = score_order(scm, CausalOrder([2, 0]))
     assert not score.valid and score.violations == 1 and score.ancestral_pairs == 1
 
 
 def test_score_order_no_pairs_fraction_zero():
-    scm = Scm(Dag(2), {}, NoiseSpec("student_t", 1.5))
+    scm = Scm(2, {}, NoiseSpec("student_t", 1.5))
     score = score_order(scm, CausalOrder([1, 0]))
     assert score.valid and score.violation_fraction == 0.0
 
@@ -125,7 +124,7 @@ def test_benchmark_draws_the_next_replicates_noise_ahead():
 def test_benchmark_holds_one_replicate_at_a_time():
     # a cap that holds a replicate but not the next one's noise besides: the
     # next replicate is drawn only once the held one is dropped
-    scm = scenario_scm(4, 1.5, SimSetting("linear"), scenario_streams(0, 50000, 4, 1.5, 0)[0])
+    scm = random_scm(4, 1.5, GeneratorConfig(), scenario_streams(0, 50000, 4, 1.5, 0)[0])
     dataset_bytes = 8 * 50000 * 4
     cap = simulation_bytes(scm, SimSetting("linear"), 50000) + dataset_bytes - 1
     one = _benchmark_peak(1, cap)
@@ -140,7 +139,8 @@ def test_k_sensitivity_rows_and_guards():
     # an exponent is refused by EstimatorConfig, p, alpha and reps by GridSpec and simulate_grid
     for exponents, bad in [([], {}), ([1.2], {}), ([0.4], {"n": None}), ([0.4], {"n": 1}),
                            ([0.4], {"p": None}), ([0.4], {"p": 0}), ([0.4], {"alpha": None}),
-                           ([0.4], {"alpha": True}), ([0.4], {"reps": 0})]:
+                           ([0.4], {"alpha": True}), ([0.4], {"alpha": 1.9e302}),
+                           ([0.4], {"reps": 0})]:
         with pytest.raises(ValidationError):
             k_sensitivity(exponents, **{**cell, **bad})
 
@@ -150,12 +150,11 @@ def test_score_validity_matches_enumeration_with_hidden_nodes():
 
     from brute_oracles import all_causal_orders
 
-    dag = Dag(4, [(0, 1), (1, 2), (0, 3)])
-    scm = Scm(dag, {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 1.0},
+    scm = Scm(4, {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 1.0},
               NoiseSpec("student_t", 1.5), mode="positive", hidden=[1])
     observed = scm.observed
     restricted = {tuple(v for v in o if v in observed)
-                  for o in all_causal_orders(dag)}
+                  for o in all_causal_orders(scm.dag)}
     for perm in itertools.permutations(observed):
         assert score_order(scm, CausalOrder(perm)).valid == (perm in restricted)
 
@@ -202,7 +201,7 @@ def test_score_order_peak_stays_under_its_capacity_constant(p, complete, hidden)
     # enough that numpy's fixed ufunc buffer is small against p**2 bytes.
     edges = [(i, j) for i in range(p) for j in range(i + 1, p)] if complete else [
         (j, j + 1) for j in range(p - 1)]
-    truth = Scm(Dag(p, edges), {e: 1.0 for e in edges}, NoiseSpec("student_t", 1.5),
+    truth = Scm(p, {e: 1.0 for e in edges}, NoiseSpec("student_t", 1.5),
                 hidden=hidden)
     order = CausalOrder(truth.observed[::-1])
     tracemalloc.start()

@@ -3,8 +3,9 @@
 CSV bytes go through ``coefficients`` and ``tail-index``; JSON documents
 (arbitrary values, and valid matrix / order / SCM documents with fields
 replaced, deleted or nested wrongly) through ``discover --matrix``,
-``evaluate`` and ``oracle``. Integers are kept small so that no document
-asks for a graph of millions of nodes.
+``evaluate`` and ``oracle``; an alpha anywhere in the positive floats through
+``simulate`` and ``benchmark --grid``. Integers are kept small so that no
+document asks for a graph of millions of nodes.
 """
 
 import contextlib
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 from heavytail.cli import main
 from heavytail.formats import order_names_from_dict, read_json, scm_to_dict
+from heavytail.graph import COEFFICIENT_LAWS, MODES
+from heavytail.simulate import SETTINGS
 
 from conftest import make_chain
 
@@ -96,6 +99,8 @@ def run_cli(files: dict, argv_for, check_output=None):
     err = err.getvalue()
     assert code in (0, 2), err
     assert "internal error" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def _json_bytes(doc) -> bytes:
@@ -150,3 +155,33 @@ def test_json_readers_fuzz_raw_bytes(content):
         "discover", "--matrix", d / "m.json", "--out", d / "o.json"])
     run_cli({"o.json": content, "t.json": _json_bytes(VALID_SCM)}, lambda d: [
         "evaluate", "--order", d / "o.json", "--truth", d / "t.json"])
+
+
+# every positive float, subnormals and the largest finite one included; 1.9e302
+# overflowed the seed key's micro-unit scaling and exited 1
+alphas = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FEW = settings(max_examples=40, deadline=None)
+
+
+@FEW
+@given(st.integers(0, 4), st.integers(0, 30), alphas, st.sampled_from(SETTINGS),
+       st.sampled_from(MODES), st.sampled_from(COEFFICIENT_LAWS), st.integers(0, 3))
+@example(3, 50, 1.9e302, "linear", "real", "intervals", 0)
+def test_simulate_alpha_fuzz(p, n, alpha, setting, mode, law, seed):
+    run_cli({}, lambda d: [
+        "simulate", "--p", p, "--n", n, "--alpha", repr(alpha), "--setting", setting,
+        "--mode", mode, "--coefficient-law", law, "--seed", seed,
+        "--out", d / "d.csv", "--truth", d / "t.json"])
+
+
+@FEW
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=2),
+       st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       st.lists(alphas, min_size=1, max_size=2),
+       st.lists(st.sampled_from(SETTINGS), min_size=1, max_size=2, unique=True),
+       st.integers(1, 2))
+@example([50], [3], [1.9e302], ["linear"], 1)
+def test_benchmark_grid_alpha_fuzz(n, p, alpha, kinds, reps):
+    grid = {"n": n, "p": p, "alpha": alpha, "settings": kinds}
+    run_cli({"g.json": _json_bytes(grid)}, lambda d: [
+        "benchmark", "--grid", d / "g.json", "--reps", reps, "--out", d / "r.csv"])

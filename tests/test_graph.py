@@ -129,7 +129,7 @@ def test_path_weights_diamond(diamond_scm):
 
 
 def test_path_weights_empty_graph():
-    scm = Scm(Dag(3), {}, NoiseSpec("student_t", 2.0))
+    scm = Scm(3, {}, NoiseSpec("student_t", 2.0))
     assert np.array_equal(path_weights(scm), np.eye(3))
 
 
@@ -275,14 +275,14 @@ def test_generated_scms_are_path_faithful():
 
 
 def test_scm_invariants():
-    dag = Dag(2, [(0, 1)])
     noise = NoiseSpec("student_t", 1.5)
     with pytest.raises(ValidationError, match="nonzero"):
-        Scm(dag, {(0, 1): 0.0}, noise)
+        Scm(2, {(0, 1): 0.0}, noise)
     with pytest.raises(ValidationError, match="positive"):
-        Scm(dag, {(0, 1): -1.0}, noise, mode="positive")
-    with pytest.raises(ValidationError, match="edges"):
-        Scm(dag, {}, noise)
+        Scm(2, {(0, 1): -1.0}, noise, mode="positive")
     with pytest.raises(ValidationError, match="alpha"):
-        Scm(dag, {(0, 1): 1.0}, (noise, NoiseSpec("student_t", 2.0)))
-    Scm(dag, {(0, 1): -1.0}, noise, mode="real")
+        Scm(2, {(0, 1): 1.0}, (noise, NoiseSpec("student_t", 2.0)))
+    with pytest.raises(ValidationError, match="cycle"):
+        Scm(2, {(0, 1): 1.0, (1, 0): 1.0}, noise)
+    # the coefficient keys are the DAG's edges
+    assert Scm(2, {(0, 1): -1.0}, noise, mode="real").dag == Dag(2, [(0, 1)])

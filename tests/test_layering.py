@@ -126,6 +126,18 @@ def test_no_private_name_crosses_a_module():
     assert private_crossings(PACKAGE) == []
 
 
+def test_only_graph_builds_a_dag():
+    # one construction: an SCM builds its Dag from its coefficient keys, so no
+    # other module states an edge set a second time
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "Dag" in (getattr(node.func, "id", None),
+                                                        getattr(node.func, "attr", None)):
+                callers.append(path.stem)
+    assert set(callers) == {"graph"}
+
+
 def test_all_names_resolve_and_none_is_a_module():
     assert len(set(heavytail.__all__)) == len(heavytail.__all__)
     values = [getattr(heavytail, name) for name in heavytail.__all__]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heavytail import (COMMON_CAUSE, I_CAUSES_J, INDETERMINATE, J_CAUSES_I,
-                       NO_CAUSAL_LINK, CoefMatrix, Dag, DomainError, ModeError, NoiseSpec, Scm,
+                       NO_CAUSAL_LINK, CoefMatrix, DomainError, ModeError, NoiseSpec, Scm,
                        ValidationError, classify_pair, gamma_population,
                        mistake_bound_margin, psi_population)
 
@@ -42,8 +42,7 @@ def test_gamma_mode_and_scale_guards():
     scm = make_chain([-0.7], mode="real")
     with pytest.raises(ModeError):
         gamma_population(scm)
-    dag = Dag(2, [(0, 1)])
-    uneven = Scm(dag, {(0, 1): 1.0},
+    uneven = Scm(2, {(0, 1): 1.0},
                  (NoiseSpec("symmetric_pareto", 1.0, scale_upper=1.0),
                   NoiseSpec("symmetric_pareto", 1.0, scale_upper=2.0, scale_lower=2.0)),
                  mode="positive")
@@ -53,9 +52,8 @@ def test_gamma_mode_and_scale_guards():
 
 def test_gamma_invariant_to_common_scale():
     def build(scale):
-        dag = Dag(3, [(0, 1), (1, 2)])
         spec = NoiseSpec("symmetric_pareto", 1.5, scale_upper=scale, scale_lower=scale)
-        return Scm(dag, {(0, 1): 0.5, (1, 2): 0.8}, spec, mode="positive")
+        return Scm(3, {(0, 1): 0.5, (1, 2): 0.8}, spec, mode="positive")
 
     a = gamma_population(build(1.0)).values
     b = gamma_population(build(3.0)).values
@@ -78,17 +76,15 @@ def test_psi_negative_chain():
 
 
 def test_psi_disconnected():
-    dag = Dag(2, [])
-    scm = Scm(dag, {}, NoiseSpec("student_t", 1.5), mode="real")
+    scm = Scm(2, {}, NoiseSpec("student_t", 1.5), mode="real")
     psi = psi_population(scm).values
     assert psi[0, 1] == 0.5 and psi[1, 0] == 0.5
 
 
 def test_psi_asymmetric_scales_shift_value():
     # a negative path maps the source's upper tail into the target's lower tail
-    dag = Dag(2, [(0, 1)])
     spec = NoiseSpec("symmetric_pareto", 1.0, scale_upper=4.0, scale_lower=1.0)
-    scm = Scm(dag, {(0, 1): -1.0}, (spec, spec), mode="real")
+    scm = Scm(2, {(0, 1): -1.0}, (spec, spec), mode="real")
     psi = psi_population(scm).values
     assert psi[0, 1] == pytest.approx(1.0, abs=1e-15)
     # upper ratio 4/(4+4), lower ratio 1/(1+1) by the flipped constants
@@ -142,7 +138,7 @@ def test_margin_strictly_below_one():
 
 
 def test_margin_needs_two_nodes():
-    scm = Scm(Dag(1), {}, NoiseSpec("student_t", 1.5), mode="positive")
+    scm = Scm(1, {}, NoiseSpec("student_t", 1.5), mode="positive")
     with pytest.raises(ValidationError):
         mistake_bound_margin(scm)
 
@@ -151,7 +147,7 @@ def test_margin_needs_two_nodes():
 OVERFLOWING_CHAIN = make_chain([2.0] * 11, alpha=100.0)
 # two roots whose weights into the child are finite, 1e308 each, but whose sum
 # is not: the child's row read 0.5, finite and wrong, before the sums were checked
-OVERFLOWING_SUM = Scm(Dag(3, [(0, 2), (1, 2)]), {(0, 2): 1e154, (1, 2): 1e154},
+OVERFLOWING_SUM = Scm(3, {(0, 2): 1e154, (1, 2): 1e154},
                       NoiseSpec("student_t", 2.0), mode="positive")
 
 

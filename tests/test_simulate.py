@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heavytail import (CapacityError, Dag, Dataset, DomainError, EstimatorConfig,
+from heavytail import (CapacityError, Dataset, DomainError, EstimatorConfig,
                        GeneratorConfig, GridSpec, NoiseSpec, Scenario, Scm, SimSetting,
                        ValidationError,
                        coefficient_matrix, gamma_estimate, random_scm, simulate,
@@ -24,12 +24,18 @@ from heavytail.data import rank_kernel
 from heavytail.errors import MEMORY_CAP_BYTES
 from heavytail.formats import scm_from_dict, scm_to_dict
 from heavytail.simulate import (SETTINGS, _draw_bytes, _draw_noise, _noise_runs,
-                                _quantile_threshold, scenario_scm, scenario_streams,
-                                set_up_replicate, simulation_bytes)
+                                _quantile_threshold, scenario_streams, set_up_replicate,
+                                simulation_bytes)
 
 from conftest import bitwise_equal, make_chain, reference_noise
 
 simulate_module = importlib.import_module("heavytail.simulate")
+CONFOUNDED = GeneratorConfig(hidden_confounders=True)
+
+
+def scm_config(setting: SimSetting) -> GeneratorConfig:
+    """The generator config of set_up_replicate: confounders under that setting only."""
+    return GeneratorConfig(hidden_confounders=setting.kind == "hidden_confounders")
 
 
 def test_setting_validation():
@@ -50,6 +56,18 @@ def test_simulate_guards():
         simulate(scm, SimSetting("uniform_margins"), 1, seed=0)
 
 
+def test_set_up_replicate_refuses_a_small_n_before_drawing(monkeypatch):
+    # the setting's n check comes first: no seed derived, no SCM drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew for a replicate that is refused")
+
+    monkeypatch.setattr(simulate_module, "random_scm", refuse)
+    monkeypatch.setattr(simulate_module, "scenario_streams", refuse)
+    for kind in ("nonlinear", "uniform_margins"):
+        with pytest.raises(DomainError):
+            set_up_replicate(0, MEMORY_CAP_BYTES, SimSetting(kind), 1, 4, 1.5, 0)
+
+
 @pytest.mark.parametrize("family, scale_upper", [
     ("symmetric_pareto", 1.0), ("shifted_pareto", 1.0), ("shifted_pareto", 3.0)],
     ids=["symmetric_pareto", "shifted_pareto", "shifted_pareto-scale3"])
@@ -58,7 +76,7 @@ def test_pareto_overflow_is_refused_without_a_warning(family, scale_upper):
     # uniforms, and so does the shifted family's scale 3 ** 1000; the Dataset
     # refuses the sample, and numpy does not warn
     spec = NoiseSpec(family, 0.001, scale_upper=scale_upper)
-    scm = Scm(Dag(2, [(0, 1)]), {(0, 1): 1.0}, spec)
+    scm = Scm(2, {(0, 1): 1.0}, spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="non-finite"):
@@ -161,8 +179,8 @@ def test_ols_recovers_coefficients_in_finite_variance_regime():
 def test_hidden_confounders_setting_assigns_any_scm_as_linear():
     # the setting chooses the SCM generator only: on an SCM without hidden
     # nodes, as on one with them, simulate assigns the linear sample
-    confounded = next(s for s in (scenario_scm(5, 1.5, SimSetting("hidden_confounders"), seed)
-                                  for seed in range(50)) if s.hidden)
+    confounded = next(s for s in (random_scm(5, 1.5, CONFOUNDED, seed) for seed in range(50))
+                      if s.hidden)
     for scm in (make_chain([1.0, -0.5], mode="real"), confounded):
         hidden = simulate(scm, SimSetting("hidden_confounders"), 100, seed=3)
         linear = simulate(scm, SimSetting("linear"), 100, seed=3)
@@ -234,7 +252,7 @@ def test_scm_memory_bound_covers_the_scm_draw(kind):
         seed = scenario_streams(0, 10, p, 1.5, 0)[0]
         tracemalloc.start()
         try:
-            scenario_scm(p, 1.5, setting, seed)
+            random_scm(p, 1.5, scm_config(setting), seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -254,7 +272,7 @@ def test_scm_memory_bound_covers_small_scm_draws(kind, p):
         seed = scenario_streams(0, 10, p, 1.5, rep)[0]
         tracemalloc.start()
         try:
-            scenario_scm(p, 1.5, setting, seed)
+            random_scm(p, 1.5, scm_config(setting), seed)
             peak = max(peak, tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -288,7 +306,7 @@ def test_grid_memory_cap():
 
 def test_memory_cap_counts_hidden_nodes_and_copies():
     setting = SimSetting("hidden_confounders")
-    scm = scenario_scm(8, 2.5, setting, seed=3)
+    scm = random_scm(8, 2.5, CONFOUNDED, seed=3)
     assert scm.hidden
     n = 100
     p_obs = len(scm.observed)
@@ -308,7 +326,7 @@ def test_memory_cap_counts_hidden_nodes_and_copies():
     assert simulation_bytes(chain, SimSetting("linear"), 256) == 256 * (10 * 3 + 8 * 3)
     # a run draw that fills its array is that array; a shorter run's draw
     # (9 bytes a value for symmetric_pareto) is held until copied into place
-    mixed = Scm(Dag(10, []), {}, (NoiseSpec("student_t", 1.5),)
+    mixed = Scm(10, {}, (NoiseSpec("student_t", 1.5),)
                 + (NoiseSpec("symmetric_pareto", 1.5),) * 9)
     assert simulation_bytes(mixed, SimSetting("linear"), n) == n * (8 * 10 + 9 * 9)
     # set_up_replicate passes a cap of exactly this count and refuses one byte
@@ -330,7 +348,7 @@ def test_memory_cap_bounds_what_simulate_allocates(kind, p):
     # every setting also runs on a confounded SCM: its hidden columns must die
     # before simulate ranks the Dataset under uniform margins
     for seed, scm_setting in itertools.product(range(2), (setting, confounded)):
-        scm = scenario_scm(p, 1.5, scm_setting, seed)
+        scm = random_scm(p, 1.5, scm_config(scm_setting), seed)
         tracemalloc.start()
         try:
             data = simulate(scm, setting, n, seed)
@@ -347,7 +365,7 @@ def test_simulate_holds_no_p_by_p_array(p):
     # p = 1000) would dwarf the count; beyond it simulate holds each node's
     # column view and name, under 256 bytes a node
     for scm_setting in (SimSetting("linear"), SimSetting("hidden_confounders")):
-        scm = scenario_scm(p, 1.5, scm_setting, scenario_streams(0, 10, p, 1.5, 0)[0])
+        scm = random_scm(p, 1.5, scm_config(scm_setting), scenario_streams(0, 10, p, 1.5, 0)[0])
         for kind in SETTINGS:
             setting = SimSetting(kind)
             tracemalloc.start()
@@ -364,7 +382,7 @@ def test_simulate_holds_one_column_per_node():
     # no x[:, observed] copy and no Dataset copy, only one noise draw on top
     n = 20_000
     setting = SimSetting("hidden_confounders")
-    scm = next(s for s in (scenario_scm(10, 1.5, setting, seed) for seed in range(50))
+    scm = next(s for s in (random_scm(10, 1.5, CONFOUNDED, seed) for seed in range(50))
                if len(s.hidden) >= 3)
     assert len(scm.observed) == 10
     tracemalloc.start()
@@ -381,7 +399,7 @@ def test_simulate_holds_one_column_per_node():
 def test_memory_cap_counts_the_noise_draw(family):
     n = 20_000
     for scm in (make_chain([1.0, 0.5], alpha=1.5, family=family),
-                Scm(Dag(2, [(0, 1)]), {(0, 1): 1.0},
+                Scm(2, {(0, 1): 1.0},
                     (NoiseSpec(family, 1.5), NoiseSpec("symmetric_pareto", 1.5, 1.0, 1e6)))):
         tracemalloc.start()
         try:
@@ -417,10 +435,7 @@ def test_uniform_margins_ranks_each_column_once(monkeypatch):
 
 
 def test_mixed_noise_families_supported():
-    from heavytail import Dag, Scm
-
-    dag = Dag(2, [(0, 1)])
-    scm = Scm(dag, {(0, 1): 1.0},
+    scm = Scm(2, {(0, 1): 1.0},
               (NoiseSpec("student_t", 1.5), NoiseSpec("symmetric_pareto", 1.5)),
               mode="positive")
     sample = simulate(scm, SimSetting("linear"), 500, seed=0)
@@ -443,7 +458,7 @@ def _per_column_noise(scm, n, seed):
 def _mixed_family_scm():
     t, sym, shifted = (NoiseSpec("student_t", 1.5), NoiseSpec("symmetric_pareto", 1.5, 1.0, 1e6),
                        NoiseSpec("shifted_pareto", 1.5, 2.0, 0.5))
-    return Scm(make_chain([1.0] * 9, alpha=1.5).dag, {(j, j + 1): 0.5 for j in range(9)},
+    return Scm(10, {(j, j + 1): 0.5 for j in range(9)},
                (t, t, t, sym, sym, shifted, t, t, sym, sym))
 
 
@@ -461,8 +476,8 @@ def _interleaved_hidden_scm():
 
 @pytest.mark.parametrize("n", [1, 7, 31, 1001])
 def test_run_draws_match_per_column_draws_bitwise(n):
-    confounded = next(s for s in (scenario_scm(6, 1.5, SimSetting("hidden_confounders"), seed)
-                                  for seed in range(50)) if s.hidden)
+    confounded = next(s for s in (random_scm(6, 1.5, CONFOUNDED, seed) for seed in range(50))
+                      if s.hidden)
     for scm in (_mixed_family_scm(), _interleaved_hidden_scm(), confounded):
         observed, hidden = _draw_noise(scm, n, np.random.default_rng(5))
         ref_observed, ref_hidden = _per_column_noise(scm, n, 5)
@@ -533,7 +548,7 @@ def test_grid_pipeline_matches_sequential_simulate(kind, helpers):
     assert [(s.setting, s.n, s.p, s.alpha, s.rep) for s in scenarios] == expected
     for s in scenarios:
         scm_seed, data_seed = scenario_streams(4, s.n, s.p, s.alpha, s.rep)
-        scm = scenario_scm(s.p, s.alpha, s.setting, scm_seed)
+        scm = random_scm(s.p, s.alpha, scm_config(s.setting), scm_seed)
         data = simulate(scm, s.setting, s.n, data_seed)
         assert s.truth.coefficients == scm.coefficients and s.truth.hidden == scm.hidden
         assert s.data.names == data.names and bitwise_equal(s.data.values, data.values)
@@ -688,7 +703,8 @@ def test_grid_caller_draws_the_queued_replicate_while_the_helper_draws(helpers, 
     for a, b in zip(pipelined, simulate_grid(grid, reps=3, seed=5), strict=True):
         assert bitwise_equal(a.data.values, b.data.values)
         scm_seed, data_seed = scenario_streams(5, a.n, a.p, a.alpha, a.rep)
-        alone = simulate(scenario_scm(a.p, a.alpha, a.setting, scm_seed), a.setting, a.n, data_seed)
+        scm = random_scm(a.p, a.alpha, scm_config(a.setting), scm_seed)
+        alone = simulate(scm, a.setting, a.n, data_seed)
         assert bitwise_equal(a.data.values, alone.values)
 
 
@@ -703,7 +719,7 @@ def test_grid_capacity_error_surfaces_when_its_replicate_is_asked_for(helpers):
 
 def test_grid_draws_ahead_only_when_both_replicates_fit(helpers):
     n, p = 1000, 4
-    scms = [scenario_scm(p, 1.5, SimSetting("linear"), scenario_streams(0, n, p, 1.5, rep)[0])
+    scms = [random_scm(p, 1.5, GeneratorConfig(), scenario_streams(0, n, p, 1.5, rep)[0])
             for rep in range(3)]
     (need,) = {simulation_bytes(a, SimSetting("linear"), n) + _draw_bytes(b, n)
                for a, b in zip(scms, scms[1:])}
