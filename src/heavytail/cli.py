@@ -18,12 +18,12 @@ from .estimators import EstimatorConfig, coefficient_matrix
 from .evaluate import METHODS, benchmark, check_score_capacity, score_order
 from .formats import (check_matrix_document, dataset_from_csv, dataset_to_csv, json_text,
                       matrix_from_dict, matrix_to_dict, meta_block, order_names_from_dict,
-                      order_to_dict, read_json, results_to_csv, scm_from_dict,
+                      order_to_dict, read_grid, read_json, results_to_csv, scm_from_dict,
                       scm_node_count, scm_to_dict, score_to_dict, write_json)
 from .graph import COEFFICIENT_LAWS, MODES, CausalOrder, GeneratorConfig, Scm
 from .noise import hill_tail_index
 from .oracle import gamma_population, psi_population
-from .simulate import SETTINGS, GridSpec, SimSetting, set_up_replicate, simulate
+from .simulate import SETTINGS, SimSetting, set_up_replicate, simulate
 
 
 def _emit(args, doc: dict, path=None, seed=None) -> int:
@@ -91,36 +91,8 @@ def cmd_evaluate(args) -> int:
     return _emit(args, score_to_dict(score_order(truth, order)))
 
 
-def _load_grid(path) -> GridSpec:
-    if str(path).endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError:  # Python < 3.11
-            try:
-                import tomli as tomllib
-            except ImportError as exc:
-                raise ValidationError(
-                    "TOML grids need Python >= 3.11 or the tomli package; use JSON") from exc
-        try:
-            with open(path, "rb") as fh:
-                doc = tomllib.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
-        except ValueError as exc:  # TOMLDecodeError, or bytes that are not UTF-8
-            raise ValidationError(f"malformed TOML in {path}: {exc}") from exc
-    else:
-        doc = read_json(path)
-    arrays = isinstance(doc, dict) and all(isinstance(doc.get(key), list)
-                                           for key in ("n", "p", "alpha"))
-    if not arrays or not isinstance(doc.get("settings", []), list):
-        raise ValidationError(
-            "grid file needs 'n', 'p', and 'alpha' arrays, and 'settings', if given, an array")
-    optional = {key: doc[key] for key in ("settings", "memory_cap_bytes") if key in doc}
-    return GridSpec(doc["n"], doc["p"], doc["alpha"], **optional)
-
-
 def cmd_benchmark(args) -> int:
-    grid = _load_grid(args.grid)
+    grid = read_grid(args.grid)
     methods = tuple(args.methods.split(","))
     rows = benchmark(grid, methods=methods, reps=args.reps, seed=args.seed)
     results_to_csv(rows, args.out)

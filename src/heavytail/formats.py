@@ -10,7 +10,9 @@ get their JSON from json_text, which refuses NaN and infinities.
 
 Every file problem is a ValidationError naming the path: a missing,
 unreadable or unwritable file (any OSError), bytes that are not UTF-8, and a
-document of the wrong shape or type.
+document of the wrong shape or type. A JSON object that repeats a key is
+refused, and grid, SCM and noise spec documents refuse any key but theirs
+and "meta".
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import ValidationError, check_bytes, whole_number
 from .evaluate import RESULT_HEADER, OrderScore
 from .graph import POSITIVE, REAL, CausalOrder, Scm
 from .noise import NoiseSpec
+from .simulate import GridSpec
 
 
 def meta_block(seed=None, config: dict | None = None) -> dict:
@@ -60,13 +63,65 @@ def write_json(path, payload: dict) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _json_object(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key raises ValueError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_json(path) -> dict:
     with _file_errors(path, "read"):
         text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _check_keys(doc: dict, keys: tuple, what: str) -> None:
+    """Raise a ValidationError naming the first key of ``doc`` not in ``keys`` or "meta"."""
+    unknown = [key for key in doc if key not in keys and key != "meta"]
+    if unknown:
+        raise ValidationError(f"{what} has unknown key {unknown[0]!r}; "
+                              f"its keys are {', '.join(keys)} and meta")
+
+
+# A grid document's keys; it may also have "meta", as may a noise spec and an SCM.
+_GRID_KEYS = ("n", "p", "alpha", "settings", "memory_cap_bytes")
+
+
+def read_grid(path) -> GridSpec:
+    """The grid file at ``path``: TOML if its name ends in .toml, else JSON."""
+    if str(path).endswith(".toml"):
+        try:
+            import tomllib
+        except ImportError:  # Python < 3.11
+            try:
+                import tomli as tomllib
+            except ImportError as exc:
+                raise ValidationError(
+                    "TOML grids need Python >= 3.11 or the tomli package; use JSON") from exc
+        try:
+            with open(path, "rb") as fh:
+                doc = tomllib.load(fh)
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # TOMLDecodeError, or bytes that are not UTF-8
+            raise ValidationError(f"malformed TOML in {path}: {exc}") from exc
+    else:
+        doc = read_json(path)
+    arrays = isinstance(doc, dict) and all(isinstance(doc.get(key), list)
+                                           for key in ("n", "p", "alpha"))
+    if not arrays or not isinstance(doc.get("settings", []), list):
+        raise ValidationError(
+            "grid file needs 'n', 'p', and 'alpha' arrays, and 'settings', if given, an array")
+    _check_keys(doc, _GRID_KEYS, "grid file")
+    optional = {key: doc[key] for key in ("settings", "memory_cap_bytes") if key in doc}
+    return GridSpec(doc["n"], doc["p"], doc["alpha"], **optional)
 
 
 def dataset_to_csv(data: Dataset, path) -> None:
@@ -142,9 +197,14 @@ def scm_to_dict(scm: Scm) -> dict:
     return out
 
 
+# A noise spec's keys.
+_NOISE_KEYS = ("family", "scale_upper", "scale_lower")
+
+
 def _noise_from_dict(spec_doc, alpha: float) -> NoiseSpec:
     if not isinstance(spec_doc, dict):
         raise ValidationError(f"noise spec must be an object, got {spec_doc!r}")
+    _check_keys(spec_doc, _NOISE_KEYS, "noise spec")
     family = spec_doc.get("family")
     if not isinstance(family, str):
         raise ValidationError(f"noise spec needs a string 'family', got {family!r}")
@@ -165,8 +225,13 @@ def scm_node_count(doc: dict) -> int:
         raise ValidationError(f"SCM document missing field {exc}") from exc
 
 
+# An SCM document's keys.
+_SCM_KEYS = ("p", "edges", "alpha", "noise", "hidden", "mode", "names")
+
+
 def scm_from_dict(doc: dict) -> Scm:
     p = scm_node_count(doc)
+    _check_keys(doc, _SCM_KEYS, "SCM document")
     try:
         alpha = _number(doc["alpha"])
         raw_edges = doc["edges"]
@@ -182,10 +247,13 @@ def scm_from_dict(doc: dict) -> Scm:
         try:
             parent, child, beta = entry
             edge = whole_number(parent, "SCM edge id"), whole_number(child, "SCM edge id")
-            coefficients[edge] = _number(beta)
+            beta = _number(beta)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"edge entries must be [parent, child, beta], got {entry!r}") from exc
+        if edge in coefficients:
+            raise ValidationError(f"SCM document repeats edge {edge}")
+        coefficients[edge] = beta
     try:
         hidden = [whole_number(h, "SCM 'hidden' entry") for h in doc.get("hidden", [])]
     except (TypeError, ValueError, OverflowError) as exc:

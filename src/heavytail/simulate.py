@@ -19,18 +19,9 @@ draws for it; its assignment is the linear one.
 A grid replicate is one :class:`Scenario`: its cell, the SCM it was drawn
 from (its truth), its data stream and, once assigned, its Dataset.
 
-:func:`simulate_grid` has each replicate's noise drawn by whichever thread
-is free: the caller, or the one worker of a
-``concurrent.futures.ThreadPoolExecutor``. While the caller holds replicate
-r, the helper is handed the draws of r + 1 and r + 2, one running and one
-queued. A caller that would wait on a draw in flight draws the queued one
-itself instead, and a draw the helper has not started when its replicate is
-asked for is cancelled and drawn by the caller. A draw starts only if it
-fits under the grid's memory cap beside the held replicate and every draw
-held or in flight. The draw spends its time in numpy's C loops, which
-release the GIL; each replicate draws from its own stream, so every output
-is that of drawing each replicate in turn, whichever thread drew it. The
-helper draws noise only: assignment and ranking stay on the caller.
+:func:`simulate_grid` draws the noise of the replicates beyond the one its
+caller holds on a helper thread, within the grid's memory cap; the schedule
+is :class:`_DrawWindow`'s.
 """
 
 from __future__ import annotations
@@ -201,9 +192,8 @@ class GridSpec:
     n, p and ``memory_cap_bytes`` are whole numbers of at least 1, and alpha
     values are positive and finite, at most FLOAT_KEY_MAX, the largest that
     keys a seed stream. Every replicate is checked against the cap by
-    :func:`set_up_replicate`, and a replicate's noise is drawn ahead only
-    when the held one's :func:`simulation_bytes`, plus the bytes of every
-    draw held or in flight, plus that draw's bytes fit under it too.
+    :func:`set_up_replicate`, and :func:`simulate_grid` draws noise ahead
+    only within it.
     """
 
     n_values: tuple[int, ...]
@@ -361,19 +351,134 @@ _AHEAD_MIN_VALUES = 8000
 _DRAWS_AHEAD = 2
 
 
-class _Ahead:
-    """A replicate set up beyond the held one (or its set-up error), and its draw.
+def _next_draw_change(cap: int, held: int, slots):
+    """The cap rule: the index of the first slot whose draw must change, or None.
 
-    ``draw`` is None until a draw is started: then the helper's future, or a
-    finished future the caller made when it took the draw over.
+    ``held`` is the held replicate's simulation_bytes, and ``slots`` lists,
+    in replicate order, the (bytes, draw) of each slot beyond it that may be
+    drawn ahead, ``draw`` None for no draw, False for a queued one and True
+    for one started. Beside ``held``, each draw counts in order: a queued
+    one that does not fit beside those before it is the one to cancel, and a
+    started one counts whatever it takes. Failing that, the first slot with
+    no draw that fits beside every draw is the one to hand on. A total equal
+    to ``cap`` fits.
+    """
+    total = held
+    for i, (size, draw) in enumerate(slots):
+        if draw is False and total + size > cap:
+            return i
+        total += 0 if draw is None else size
+    return next((i for i, (size, draw) in enumerate(slots)
+                 if draw is None and total + size <= cap), None)
+
+
+class _Slot:
+    """A replicate in the window (or its set-up error), and its draw.
+
+    ``bytes`` is its _draw_bytes if it may be drawn ahead (a Scenario of at
+    least _AHEAD_MIN_VALUES values), else None. ``draw`` is None until a
+    draw is started: then the helper's future, or a finished future the
+    caller made when it took the draw over.
     """
 
-    __slots__ = ("replicate", "bytes", "draw")
-
     def __init__(self, replicate):
-        self.replicate, self.draw = replicate, None
-        if isinstance(replicate, Scenario):
+        self.replicate, self.bytes, self.draw = replicate, None, None
+        if isinstance(replicate, Scenario) and replicate.n * replicate.truth.p >= _AHEAD_MIN_VALUES:
             self.bytes = _draw_bytes(replicate.truth, replicate.n)
+
+
+class _DrawWindow:
+    """The replicates of a grid call from the held one on, and their noise draws.
+
+    ``replicates`` yields each replicate set up, or the HeavytailError that
+    setting it up raised; ``slots`` holds the held replicate first, then the
+    replicates set up beyond it. Each replicate's noise is drawn from its own
+    stream by whichever thread is free: the caller, or the one worker of a
+    thread pool executor, the helper. The draw spends its time in numpy's C
+    loops, which release the GIL, and every output is that of drawing each
+    replicate in turn, whichever thread drew it. The helper draws noise
+    only: assignment and ranking stay on the caller.
+
+    While the caller holds replicate r, the helper is handed the draws of
+    r + 1 and r + 2, one running and one queued (r + 2 is set up only once
+    r + 1's draw has started). A draw is handed on only if it has at least
+    _AHEAD_MIN_VALUES values and fits under ``cap`` beside simulation_bytes
+    of the held replicate and the _draw_bytes of every draw held or in
+    flight; a queued draw that no longer fits once the caller holds the next
+    replicate is cancelled (the rule is :func:`_next_draw_change`).
+
+    :meth:`take` hands the held replicate over with its noise. A draw of it
+    that the helper has not started is cancelled, the next draws are handed
+    on, and the caller draws it, as it does the first replicate; a draw of
+    it in flight is waited on only after the caller has drawn the draw
+    queued behind it itself. What a set-up or a draw raised is raised again
+    when its replicate is taken, and nothing beyond a set-up error is set
+    up or drawn. The executor is started with the first draw handed on, so
+    a one-replicate grid starts no thread, and :meth:`close` shuts it down:
+    a queued draw is cancelled, one in flight finishes, and the worker is
+    joined.
+    """
+
+    def __init__(self, replicates, cap: int):
+        self.replicates, self.cap, self.helper = replicates, cap, None
+        self.slots = [_Slot(next(replicates))]
+
+    def take(self):
+        """The held replicate and its noise, _draw_noise's list; its slot leaves the window."""
+        held = self.slots[0]
+        if isinstance(held.replicate, HeavytailError):
+            raise held.replicate
+        if held.draw is not None and held.draw.cancel():
+            held.draw = None  # the helper never started it
+        self.hand_on(held.replicate)
+        self.slots.pop(0)
+        if held.draw is not None and not held.draw.done():
+            self.take_over()
+        return held.replicate, _draw(held.replicate) if held.draw is None else held.draw.result()
+
+    def hand_on(self, held: Scenario) -> None:
+        """Cancel queued draws that no longer fit, then hand on the next ones."""
+        held_bytes = simulation_bytes(held.truth, held.setting, held.n)
+        started = set()  # slots whose draw could not be cancelled
+        while True:
+            ahead = [slot for slot in self.slots[1:] if slot.bytes is not None]
+            i = _next_draw_change(self.cap, held_bytes, [
+                (slot.bytes, None if slot.draw is None else slot in started) for slot in ahead])
+            if i is None:
+                # r + 2 is set up only behind a draw of r + 1, and nothing
+                # beyond a set-up error, which has no draw
+                if (len(self.slots) > _DRAWS_AHEAD or self.slots[1:] and self.slots[-1].draw is None
+                        or (replicate := next(self.replicates, None)) is None):
+                    return
+                self.slots.append(_Slot(replicate))
+            elif ahead[i].draw is None:
+                if self.helper is None:
+                    import concurrent.futures  # only a call that draws ahead needs it
+
+                    self.helper = concurrent.futures.ThreadPoolExecutor(1, "heavytail-draw-ahead")
+                ahead[i].draw = self.helper.submit(_draw, ahead[i].replicate)
+            elif ahead[i].draw.cancel():
+                ahead[i].draw = None
+            else:
+                started.add(ahead[i])
+
+    def take_over(self) -> None:
+        """Draw on the calling thread the first draw the helper has not started."""
+        import concurrent.futures
+
+        for slot in self.slots:
+            if slot.draw is not None and slot.draw.cancel():
+                slot.draw = concurrent.futures.Future()
+                try:
+                    slot.draw.set_result(_draw(slot.replicate))
+                except Exception as exc:  # raised when its replicate is taken
+                    slot.draw.set_exception(exc)
+                return
+
+    def close(self) -> None:
+        if self.helper is not None:
+            # a draw still in flight is of a replicate nobody asked for
+            self.helper.shutdown(wait=True, cancel_futures=True)
 
 
 def simulate_grid(grid: GridSpec, reps: int, seed=None):
@@ -383,107 +488,27 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
     Each replicate is set up (its SCM drawn, its memory checked) and
     assigned on the calling thread; an error setting up a replicate is
     raised when that replicate is asked for, and nothing beyond it is set
-    up or drawn.
-
-    Each replicate's noise is drawn from its own stream by whichever thread
-    is free: the caller, or the one worker of a thread pool executor. While
-    the caller holds replicate r, the helper is handed the draws of r + 1
-    and r + 2, one running and one queued (r + 2 is set up only once r + 1's
-    draw has started). A draw is handed on only if it has at least
-    _AHEAD_MIN_VALUES values and fits under ``grid.memory_cap_bytes``
-    beside simulation_bytes of the held replicate and the _draw_bytes of
-    every draw held or in flight; a queued draw that no longer fits once the
-    caller holds the next replicate is cancelled. When a replicate is asked
-    for, a draw of it that the helper has not started is cancelled, the
-    next draws are handed on, and the caller draws it, as it does the first
-    replicate; a draw of it in flight is waited on only after the caller has
-    drawn the draw queued behind it itself. What a draw raised is raised
-    again when its replicate is asked for. The executor is started with the
-    first draw handed on, so a one-replicate call starts no thread, and
-    closing the generator shuts it down: a queued draw is cancelled, one in
-    flight finishes, and the worker is joined.
+    up or drawn. Noise is drawn ahead on a helper thread as
+    :class:`_DrawWindow` describes, within ``grid.memory_cap_bytes``.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    cap = grid.memory_cap_bytes
-    keys = ((setting, n, p, alpha, rep)
-            for setting, n, p, alpha in grid.cells() for rep in range(reps))
 
-    def set_up(key):
+    def set_up(cell, rep):
         # an error is returned, to be raised when its replicate is asked for
         try:
-            return set_up_replicate(seed, cap, *key)
+            return set_up_replicate(seed, grid.memory_cap_bytes, *cell, rep)
         except HeavytailError as exc:
             return exc
 
-    futures = helper = None  # the module and the executor, with the first draw handed on
-    ahead = []  # _Ahead of the replicates after the held one, in order
-
-    def hand_on(held: Scenario) -> None:
-        """Cancel queued draws that no longer fit, then hand on the next ones."""
-        nonlocal futures, helper
-        total = simulation_bytes(held.truth, held.setting, held.n)
-        for slot in ahead:
-            if slot.draw is not None:
-                if total + slot.bytes > cap and slot.draw.cancel():
-                    slot.draw = None
-                else:
-                    total += slot.bytes
-        for i in range(_DRAWS_AHEAD):
-            if i == len(ahead):
-                if i and ahead[-1].draw is None:
-                    return  # r + 2 is set up only behind a started draw of r + 1
-                key = next(keys, None)
-                if key is None:
-                    return
-                ahead.append(_Ahead(set_up(key)))
-            slot = ahead[i]
-            if not isinstance(slot.replicate, Scenario):
-                return
-            replicate = slot.replicate
-            if (slot.draw is None and replicate.n * replicate.truth.p >= _AHEAD_MIN_VALUES
-                    and total + slot.bytes <= cap):
-                if helper is None:
-                    import concurrent.futures as futures  # only a call that draws ahead needs it
-
-                    helper = futures.ThreadPoolExecutor(1, "heavytail-draw-ahead")
-                slot.draw = helper.submit(_draw, replicate)
-                total += slot.bytes
-
-    def take_over_queued() -> None:
-        """Draw on the calling thread the first draw the helper has not started."""
-        for slot in ahead:
-            if slot.draw is not None and slot.draw.cancel():
-                slot.draw = futures.Future()
-                try:
-                    slot.draw.set_result(_draw(slot.replicate))
-                except Exception as exc:  # raised when its replicate is asked for
-                    slot.draw.set_exception(exc)
-                return
-
-    current, draw = set_up(next(keys)), None
+    window = _DrawWindow(itertools.starmap(set_up, itertools.product(grid.cells(), range(reps))),
+                         grid.memory_cap_bytes)
     try:
-        while True:
-            if isinstance(current, HeavytailError):
-                raise current
-            if draw is not None and draw.cancel():
-                draw = None  # the helper never started it
-            hand_on(current)
-            if draw is None:
-                noise = _draw(current)
-            else:
-                if not draw.done():
-                    take_over_queued()
-                noise = draw.result()
+        while window.slots:
+            replicate, noise = window.take()
             # the assignment empties noise and no local keeps the data across
             # the yield, so a consumer that drops each scenario holds one
             # replicate's data, plus the draws held or in flight
-            yield replace(current, data=_assign(current.truth, current.setting, noise))
-            if not ahead:
-                return
-            slot = ahead.pop(0)
-            current, draw = slot.replicate, slot.draw
+            yield replace(replicate, data=_assign(replicate.truth, replicate.setting, noise))
     finally:
-        if helper is not None:
-            # a draw still in flight is of a replicate nobody asked for
-            helper.shutdown(wait=True, cancel_futures=True)
+        window.close()

@@ -19,6 +19,7 @@ from heavytail.formats import (_BLOCK_ROWS, dataset_from_csv, dataset_to_csv,
                                write_json)
 from heavytail.simulate import scenario_streams, simulate
 from heavytail.graph import random_scm, GeneratorConfig
+from heavytail.oracle import psi_population
 
 from conftest import make_chain
 
@@ -460,19 +461,70 @@ _ARRAYS = "grid file needs 'n', 'p', and 'alpha' arrays"
     ("grid.json", '{"n": 50, "p": [2], "alpha": [2.5]}', _ARRAYS),
     ("grid.json", '{"n": [50], "p": [2], "alpha": [2.5], "settings": "linear"}', _ARRAYS),
     ("grid.json", '[50, 2, 2.5]', _ARRAYS),
+    # a misspelt key was ignored: the grid ran the linear setting
+    ("grid.json", '{"n": [50], "p": [2], "alpha": [2.5], "setting": ["nonlinear"]}',
+     "grid file has unknown key 'setting'"),
+    pytest.param("grid.toml", 'n = [50]\np = [2]\nalpha = [2.5]\nsetting = ["nonlinear"]\n',
+                 "grid file has unknown key 'setting'",
+                 marks=pytest.mark.skipif(_NO_TOML, reason="no TOML parser")),
 ], ids=["json-nan", "json-inf", "toml-nan", "toml-inf", "fractional-n", "fractional-p",
         "p-over-the-cap", "nan-n", "bool-n", "string-alpha", "huge-alpha", "fractional-cap",
         "bool-cap", "negative-cap", "missing-alpha", "scalar-n", "scalar-settings",
-        "not-an-object"])
+        "not-an-object", "misspelt-settings", "toml-misspelt-settings"])
 def test_benchmark_grid_values_exit_2(tmp_path, capsys, name, text, message):
     grid_path = tmp_path / name
     grid_path.write_text(text)
     assert run("benchmark", "--grid", grid_path, "--reps", 1, "--methods", "random_order",
                "--out", tmp_path / "results.csv") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
     if message != _ARRAYS:
         assert _ARRAYS not in err
+
+
+_SCM_TEXT = '"alpha": 1.5, "noise": {"family": "student_t"}'
+
+
+@pytest.mark.parametrize("text, named", [
+    # a misspelt key was ignored: node 2 was read as observed
+    ('{"p": 3, "edges": [[0, 1, 0.5]], ' + _SCM_TEXT + ', "hiden": [2]}',
+     "SCM document has unknown key 'hiden'"),
+    ('{"p": 2, "edges": [[0, 1, 0.5]], "alpha": 1.5, '
+     '"noise": {"family": "student_t", "scale": 2.0}}',
+     "noise spec has unknown key 'scale'"),
+    # the last "p" won: oracle wrote a 3-node matrix
+    ('{"p": 2, "p": 3, "edges": [[0, 1, 0.5]], ' + _SCM_TEXT + '}',
+     "repeated key 'p'"),
+    # the last beta won, -0.7
+    ('{"p": 2, "edges": [[0, 1, 0.5], [0, 1.0, -0.7]], ' + _SCM_TEXT + '}',
+     "SCM document repeats edge (0, 1)"),
+], ids=["misspelt-scm-key", "misspelt-noise-key", "repeated-json-key", "repeated-edge"])
+def test_oracle_strict_scm_exits_2_naming_the_key_or_edge(tmp_path, capsys, text, named):
+    path, out = tmp_path / "scm.json", tmp_path / "m.json"
+    path.write_text(text)
+    assert run("oracle", "--scm", path, "--kind", "psi", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+def test_simulate_truth_reads_back_unchanged(tmp_path, capsys):
+    # the truth simulate writes, meta included, is the SCM oracle and evaluate read
+    truth = tmp_path / "t.json"
+    assert run("simulate", "--setting", "hidden_confounders", "--p", 5, "--n", 50,
+               "--alpha", 1.5, "--seed", 3, "--out", tmp_path / "d.csv", "--truth", truth) == 0
+    doc = read_json(truth)
+    scm = scm_from_dict(doc)
+    assert "meta" in doc and scm.hidden
+    assert scm_to_dict(scm) == {key: value for key, value in doc.items() if key != "meta"}
+    assert run("oracle", "--scm", truth, "--kind", "psi", "--out", tmp_path / "m.json") == 0
+    written = matrix_from_dict(read_json(tmp_path / "m.json"))
+    assert np.array_equal(written.values, psi_population(scm).values, equal_nan=True)
+    order = [scm.node_name(j) for j in scm.dag.topological_order if j in scm.observed]
+    write_json(tmp_path / "o.json", {"pi_inverse": order})
+    capsys.readouterr()
+    assert run("evaluate", "--order", tmp_path / "o.json", "--truth", truth) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
 def test_tail_index_command(tmp_path, capsys):

@@ -5,7 +5,8 @@ CSV bytes go through ``coefficients`` and ``tail-index``; JSON documents
 replaced, deleted or nested wrongly) through ``discover --matrix``,
 ``evaluate`` and ``oracle``; an alpha anywhere in the positive floats through
 ``simulate`` and ``benchmark --grid``. Integers are kept small so that no
-document asks for a graph of millions of nodes.
+document asks for a graph of millions of nodes. A grid or SCM document with
+a key not its own, a repeated key or a repeated edge must exit 2.
 """
 
 import contextlib
@@ -19,7 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavytail.cli import main
-from heavytail.formats import order_names_from_dict, read_json, scm_to_dict
+from heavytail.formats import (_GRID_KEYS, _SCM_KEYS, order_names_from_dict, read_json,
+                               scm_to_dict)
 from heavytail.graph import COEFFICIENT_LAWS, MODES
 from heavytail.simulate import SETTINGS
 
@@ -185,3 +187,52 @@ def test_benchmark_grid_alpha_fuzz(n, p, alpha, kinds, reps):
     grid = {"n": n, "p": p, "alpha": alpha, "settings": kinds}
     run_cli({"g.json": _json_bytes(grid)}, lambda d: [
         "benchmark", "--grid", d / "g.json", "--reps", reps, "--out", d / "r.csv"])
+
+
+VALID_GRID = {"n": [50], "p": [3], "alpha": [1.5], "settings": ["linear"]}
+FEW_STRICT = settings(max_examples=25, deadline=None)
+
+
+def _refused(d):
+    raise AssertionError("the document was read")
+
+
+def _run_document(kind: str, text: bytes):
+    """Run the CLI on a grid or SCM document, which must be refused."""
+    if kind == "grid":
+        run_cli({"g.json": text}, lambda d: [
+            "benchmark", "--grid", d / "g.json", "--reps", 1, "--methods", "random_order",
+            "--out", d / "r.csv"], _refused)
+    else:
+        run_cli({"s.json": text}, lambda d: [
+            "oracle", "--scm", d / "s.json", "--kind", "psi", "--out", d / "m.json"], _refused)
+
+
+@FEW_STRICT
+@given(st.sampled_from(["grid", "scm"]), st.text(max_size=8), json_values)
+def test_document_with_a_key_not_its_own_exits_2(kind, key, value):
+    doc, keys = (VALID_GRID, _GRID_KEYS) if kind == "grid" else (VALID_SCM, _SCM_KEYS)
+    if key in keys or key == "meta":
+        key += "_"
+    _run_document(kind, _json_bytes({**doc, key: value}))
+
+
+@FEW_STRICT
+@given(st.sampled_from(["grid", "scm"]), st.data())
+def test_document_with_a_repeated_key_exits_2(kind, data):
+    doc = VALID_GRID if kind == "grid" else VALID_SCM
+    key = data.draw(st.sampled_from(sorted(doc) + ["meta"]))
+    value = data.draw(json_values)
+    # the repeated member goes first, so the last one would be the valid one
+    text = "{" + json.dumps(key) + ": " + json.dumps(value) + ", " + json.dumps(
+        {**doc, "meta": {}})[1:]
+    _run_document(kind, text.encode())
+
+
+@FEW_STRICT
+@given(st.sampled_from(VALID_SCM["edges"]), st.floats(allow_nan=False, allow_infinity=False),
+       st.booleans())
+def test_scm_with_a_repeated_edge_exits_2(edge, beta, as_floats):
+    parent, child, _ = edge
+    repeated = [float(parent), float(child), beta] if as_floats else [parent, child, beta]
+    _run_document("scm", _json_bytes({**VALID_SCM, "edges": VALID_SCM["edges"] + [repeated]}))

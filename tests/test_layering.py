@@ -138,6 +138,17 @@ def test_only_graph_builds_a_dag():
     assert set(callers) == {"graph"}
 
 
+def test_no_module_keeps_state_in_closures():
+    # state that outlives a call lives in an object, where a test can reach
+    # it, not in a closure's nonlocal cells
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Nonlocal):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
+
+
 def test_all_names_resolve_and_none_is_a_module():
     assert len(set(heavytail.__all__)) == len(heavytail.__all__)
     values = [getattr(heavytail, name) for name in heavytail.__all__]

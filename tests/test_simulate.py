@@ -23,9 +23,9 @@ from heavytail import (CapacityError, Dataset, DomainError, EstimatorConfig,
 from heavytail.data import rank_kernel
 from heavytail.errors import MEMORY_CAP_BYTES
 from heavytail.formats import scm_from_dict, scm_to_dict
-from heavytail.simulate import (SETTINGS, _draw_bytes, _draw_noise, _noise_runs,
-                                _quantile_threshold, scenario_streams, set_up_replicate,
-                                simulation_bytes)
+from heavytail.simulate import (SETTINGS, _draw_bytes, _draw_noise, _next_draw_change,
+                                _noise_runs, _quantile_threshold, scenario_streams,
+                                set_up_replicate, simulation_bytes)
 
 from conftest import bitwise_equal, make_chain, reference_noise
 
@@ -798,3 +798,65 @@ def test_grid_cancels_a_queued_draw_that_no_longer_fits(helpers, monkeypatch):
     monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 1 << 62)
     assert all(bitwise_equal(a.data.values, b.data.values)
                for a, b in zip(drawn, simulate_grid(grid, reps=2, seed=0), strict=True))
+
+
+def test_grid_counts_a_finished_draw_that_no_longer_fits(helpers):
+    # as above, but the helper finishes every draw before the next replicate
+    # is asked for: replicate 3's draw can no longer be cancelled once
+    # replicate 2 is held, so it counts beside it and its result is read
+    grid = GridSpec((10, 1000), (4,), (1.5,))
+    replicates = _set_up(grid, 2)
+    held = [simulation_bytes(r.truth, r.setting, r.n) for r in replicates]
+    draws = [_draw_bytes(r.truth, r.n) for r in replicates]
+    cap = held[1] + draws[2] + draws[3]
+    assert held[2] + draws[3] > cap
+    scenarios = simulate_grid(dataclasses.replace(grid, memory_cap_bytes=cap), reps=2, seed=0)
+    drawn = []
+    for _ in range(4):
+        drawn.append(next(scenarios))
+        # the helper's one worker runs its jobs in order: this one ends last
+        ThreadPoolExecutor.submit(helpers.helpers[0], lambda: None).result(timeout=10)
+    assert next(scenarios, None) is None
+    assert [(r.n, r.rep) for r in helpers.submitted] == [(10, 1), (1000, 0), (1000, 1)]
+    assert len(helpers.read) == 3 and not any(future.cancelled() for future in helpers.read)
+    assert all(bitwise_equal(s.data.values, simulate(r.truth, r.setting, r.n, r.data_seed).values)
+               for s, r in zip(drawn, replicates, strict=True))
+
+# The cap rule at the caps the threaded tests above compute, without threads.
+# Replicates are indexed in grid order: SAME holds three alike (n = 1000),
+# GROWING two of n = 10, then two of n = 1000. A slot is (replicate, draw):
+# draw None for no draw, False for a queued one, True for one started.
+SAME, GROWING = GridSpec((1000,), (4,), (1.5,)), GridSpec((10, 1000), (4,), (1.5,))
+_CAP_RULE_CASES = {
+    # test_grid_draws_ahead_only_when_both_replicates_fit
+    "r + 1 does not fit": (SAME, 0, [(1, None)], lambda h, d: h[0] + d[1] - 1, None),
+    "r + 1 fits": (SAME, 0, [(1, None)], lambda h, d: h[0] + d[1] + 1, 0),
+    # test_grid_hands_on_two_draws_only_when_both_fit
+    "r + 2 does not fit": (SAME, 0, [(1, False), (2, None)],
+                           lambda h, d: h[0] + d[1] + d[2] - 1, None),
+    "r + 2 fits": (SAME, 0, [(1, False), (2, None)], lambda h, d: h[0] + d[1] + d[2] + 1, 1),
+    # test_grid_cancels_a_queued_draw_that_no_longer_fits
+    "both fit beside the small one": (GROWING, 1, [(2, False), (3, None)],
+                                      lambda h, d: h[1] + d[2] + d[3], 1),
+    "the queued one no longer fits": (GROWING, 2, [(3, False)],
+                                      lambda h, d: h[1] + d[2] + d[3], 0),
+    "a started one counts anyway": (GROWING, 2, [(3, True)],
+                                    lambda h, d: h[1] + d[2] + d[3], None),
+    "a queued one behind a started one that takes its room": (
+        GROWING, 0, [(2, True), (3, False)], lambda h, d: h[0] + d[2] + d[3] - 1, 1),
+    # a total equal to the cap fits
+    "boundary, one draw": (SAME, 0, [(1, None)], lambda h, d: h[0] + d[1], 0),
+    "boundary, two draws": (SAME, 0, [(1, False), (2, None)],
+                            lambda h, d: h[0] + d[1] + d[2], 1),
+}
+
+
+@pytest.mark.parametrize("case", _CAP_RULE_CASES)
+def test_cap_rule_without_threads(case):
+    grid, held, slots, cap, expected = _CAP_RULE_CASES[case]
+    replicates = _set_up(grid, 3 if grid is SAME else 2)
+    h = [simulation_bytes(r.truth, r.setting, r.n) for r in replicates]
+    d = [_draw_bytes(r.truth, r.n) for r in replicates]
+    threads = threading.active_count()
+    assert _next_draw_change(cap(h, d), h[held], [(d[j], draw) for j, draw in slots]) == expected
+    assert threading.active_count() == threads
