@@ -144,6 +144,7 @@ def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None) -> lis
     taken ``reps`` per cell in grid order: their streams are shared across
     settings (so rank-invariant settings produce identical score columns)
     and, for the SCM draw, across sample sizes (so trends in n are paired).
+    A grid whose cells share a scenario id is refused before any is set up.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -154,15 +155,22 @@ def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None) -> lis
     if len(set(methods)) < len(methods):
         raise ValidationError(f"methods must not repeat, got {methods}")
 
+    cells = {}  # the results CSV keys each cell's rows on its id
+    for setting, n, p, alpha in grid.cells():
+        scenario_id = f"{setting.kind}-n{n}-p{p}-a{alpha:g}"
+        if scenario_id in cells:
+            raise ValidationError(f"grid cells repeat the scenario id {scenario_id!r}")
+        cells[scenario_id] = setting, n, p, alpha
+
     scenarios = simulate_grid(grid, reps, seed)
     orderers = [functools.partial(_method_order, method, seed) for method in methods]
     rows = []
-    for setting, n, p, alpha in grid.cells():
+    for scenario_id, (setting, n, p, alpha) in cells.items():
         per_method = _scores(orderers, itertools.islice(scenarios, reps))
         for method, results in zip(methods, per_method):
             mean, se, mistake = _aggregate(results)
             rows.append(BenchmarkRow(
-                scenario_id=f"{setting.kind}-n{n}-p{p}-a{alpha:g}",
+                scenario_id=scenario_id,
                 setting=setting.kind, n=n, p=p, alpha=alpha, method=method,
                 mean_violation_fraction=mean, se=se, mistake_rate=mistake,
                 wall_ms=math.fsum(ms for _, ms in results)))

@@ -11,8 +11,8 @@ get their JSON from json_text, which refuses NaN and infinities.
 Every file problem is a ValidationError naming the path: a missing,
 unreadable or unwritable file (any OSError), bytes that are not UTF-8, and a
 document of the wrong shape or type. A JSON object that repeats a key is
-refused, and grid, SCM and noise spec documents refuse any key but theirs
-and "meta".
+refused, and so is a grid, SCM, noise spec, matrix or order document that is
+not an object, misses a key it needs or has a key neither its own nor "meta".
 """
 
 from __future__ import annotations
@@ -82,16 +82,23 @@ def read_json(path) -> dict:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _check_keys(doc: dict, keys: tuple, what: str) -> None:
-    """Raise a ValidationError naming the first key of ``doc`` not in ``keys`` or "meta"."""
+# Each reader's document keys, (required, optional), stand beside it as _<KIND>_KEYS.
+def _document(doc, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """``doc``, refused unless an object with the ``required`` keys and none but these or meta."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValidationError(f"{what} missing field {missing[0]!r}")
+    keys = required + optional
     unknown = [key for key in doc if key not in keys and key != "meta"]
     if unknown:
         raise ValidationError(f"{what} has unknown key {unknown[0]!r}; "
                               f"its keys are {', '.join(keys)} and meta")
+    return doc
 
 
-# A grid document's keys; it may also have "meta", as may a noise spec and an SCM.
-_GRID_KEYS = ("n", "p", "alpha", "settings", "memory_cap_bytes")
+_GRID_KEYS = ("n", "p", "alpha"), ("settings", "memory_cap_bytes")
 
 
 def read_grid(path) -> GridSpec:
@@ -115,12 +122,12 @@ def read_grid(path) -> GridSpec:
     else:
         doc = read_json(path)
     arrays = isinstance(doc, dict) and all(isinstance(doc.get(key), list)
-                                           for key in ("n", "p", "alpha"))
+                                           for key in _GRID_KEYS[0])
     if not arrays or not isinstance(doc.get("settings", []), list):
         raise ValidationError(
             "grid file needs 'n', 'p', and 'alpha' arrays, and 'settings', if given, an array")
-    _check_keys(doc, _GRID_KEYS, "grid file")
-    optional = {key: doc[key] for key in ("settings", "memory_cap_bytes") if key in doc}
+    _document(doc, "grid file", *_GRID_KEYS)
+    optional = {key: doc[key] for key in _GRID_KEYS[1] if key in doc}
     return GridSpec(doc["n"], doc["p"], doc["alpha"], **optional)
 
 
@@ -197,47 +204,33 @@ def scm_to_dict(scm: Scm) -> dict:
     return out
 
 
-# A noise spec's keys.
-_NOISE_KEYS = ("family", "scale_upper", "scale_lower")
+_NOISE_KEYS = ("family",), ("scale_upper", "scale_lower")
 
 
 def _noise_from_dict(spec_doc, alpha: float) -> NoiseSpec:
-    if not isinstance(spec_doc, dict):
-        raise ValidationError(f"noise spec must be an object, got {spec_doc!r}")
-    _check_keys(spec_doc, _NOISE_KEYS, "noise spec")
-    family = spec_doc.get("family")
+    family = _document(spec_doc, "noise spec", *_NOISE_KEYS)["family"]
     if not isinstance(family, str):
         raise ValidationError(f"noise spec needs a string 'family', got {family!r}")
     try:
-        scales = {key: _number(spec_doc.get(key, 1.0)) for key in ("scale_upper", "scale_lower")}
+        scales = {key: _number(spec_doc.get(key, 1.0)) for key in _NOISE_KEYS[1]}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"noise scales must be numbers: {exc}") from exc
     return NoiseSpec(family, alpha, **scales)
 
 
+_SCM_KEYS = ("p", "edges", "alpha", "noise"), ("hidden", "mode", "names")
+
+
 def scm_node_count(doc: dict) -> int:
     """The node count ``p`` an SCM document declares, read before anything is built."""
-    if not isinstance(doc, dict):
-        raise ValidationError("SCM document must be a JSON object")
-    try:
-        return whole_number(doc["p"], "SCM 'p'")
-    except KeyError as exc:
-        raise ValidationError(f"SCM document missing field {exc}") from exc
-
-
-# An SCM document's keys.
-_SCM_KEYS = ("p", "edges", "alpha", "noise", "hidden", "mode", "names")
+    return whole_number(_document(doc, "SCM document", *_SCM_KEYS)["p"], "SCM 'p'")
 
 
 def scm_from_dict(doc: dict) -> Scm:
     p = scm_node_count(doc)
-    _check_keys(doc, _SCM_KEYS, "SCM document")
+    raw_edges, raw_noise = doc["edges"], doc["noise"]
     try:
         alpha = _number(doc["alpha"])
-        raw_edges = doc["edges"]
-        raw_noise = doc["noise"]
-    except KeyError as exc:
-        raise ValidationError(f"SCM document missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"SCM 'alpha' must be a number: {exc}") from exc
     if not isinstance(raw_edges, list):
@@ -292,38 +285,33 @@ def matrix_to_dict(matrix: CoefMatrix) -> dict:
             "estimated": matrix.estimated}
 
 
+_MATRIX_KEYS = ("kind", "names", "values"), ("estimated",)
+
+
 def matrix_from_dict(doc: dict) -> CoefMatrix:
-    if not isinstance(doc, dict):
-        raise ValidationError("matrix document must be a JSON object")
-    try:
-        kind = doc["kind"]
-        names = doc["names"]
-        raw = doc["values"]
-    except KeyError as exc:
-        raise ValidationError(f"matrix document missing field {exc}") from exc
+    names = _document(doc, "matrix document", *_MATRIX_KEYS)["names"]
     _check_names(names, "matrix 'names'")
     try:
-        values = np.array([[np.nan if v is None else _number(v) for v in row] for row in raw])
+        values = np.array([[np.nan if v is None else _number(v) for v in row]
+                           for row in doc["values"]])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"matrix 'values' must be equal-length rows of numbers or null: {exc}") from exc
     estimated = doc.get("estimated", False)
     if not isinstance(estimated, bool):
         raise ValidationError("matrix 'estimated' must be true or false")
-    return CoefMatrix(values, kind, tuple(names), estimated)
+    return CoefMatrix(values, doc["kind"], tuple(names), estimated)
 
 
 def order_to_dict(order: CausalOrder, names) -> dict:
     return {"pi_inverse": [names[node] for node in order.sequence]}
 
 
+_ORDER_KEYS = ("pi_inverse",), ()
+
+
 def order_names_from_dict(doc: dict) -> list[str]:
-    if not isinstance(doc, dict):
-        raise ValidationError("order document must be a JSON object")
-    try:
-        names = doc["pi_inverse"]
-    except KeyError as exc:
-        raise ValidationError(f"order document missing field {exc}") from exc
+    names = _document(doc, "order document", *_ORDER_KEYS)["pi_inverse"]
     _check_names(names, "order 'pi_inverse'")
     if len(set(names)) != len(names):
         raise ValidationError("order repeats names")

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from heavytail import Dataset, EstimatorConfig, SimSetting, coefficient_matrix, ease
+from heavytail import CausalOrder, Dataset, EstimatorConfig, SimSetting, coefficient_matrix, ease
 from heavytail._rng import FLOAT_KEY_MAX
 from heavytail.cli import main
 from heavytail.formats import (_BLOCK_ROWS, dataset_from_csv, dataset_to_csv,
-                               matrix_from_dict, read_json, scm_from_dict, scm_to_dict,
+                               matrix_from_dict, matrix_to_dict, order_names_from_dict,
+                               order_to_dict, read_json, scm_from_dict, scm_to_dict,
                                write_json)
 from heavytail.simulate import scenario_streams, simulate
 from heavytail.graph import random_scm, GeneratorConfig
@@ -467,10 +468,16 @@ _ARRAYS = "grid file needs 'n', 'p', and 'alpha' arrays"
     pytest.param("grid.toml", 'n = [50]\np = [2]\nalpha = [2.5]\nsetting = ["nonlinear"]\n',
                  "grid file has unknown key 'setting'",
                  marks=pytest.mark.skipif(_NO_TOML, reason="no TOML parser")),
+    # cells sharing a scenario id ran: their rows carried one id in the results CSV
+    ("grid.json", '{"n": [50, 50], "p": [3], "alpha": [2, 2.0]}',
+     "grid cells repeat the scenario id 'linear-n50-p3-a2'"),
+    ("grid.json", '{"n": [50], "p": [3], "alpha": [1.5, 1.5000001]}',
+     "grid cells repeat the scenario id 'linear-n50-p3-a1.5'"),
 ], ids=["json-nan", "json-inf", "toml-nan", "toml-inf", "fractional-n", "fractional-p",
         "p-over-the-cap", "nan-n", "bool-n", "string-alpha", "huge-alpha", "fractional-cap",
         "bool-cap", "negative-cap", "missing-alpha", "scalar-n", "scalar-settings",
-        "not-an-object", "misspelt-settings", "toml-misspelt-settings"])
+        "not-an-object", "misspelt-settings", "toml-misspelt-settings", "repeated-n",
+        "alphas-equal-under-g"])
 def test_benchmark_grid_values_exit_2(tmp_path, capsys, name, text, message):
     grid_path = tmp_path / name
     grid_path.write_text(text)
@@ -525,6 +532,29 @@ def test_simulate_truth_reads_back_unchanged(tmp_path, capsys):
     capsys.readouterr()
     assert run("evaluate", "--order", tmp_path / "o.json", "--truth", truth) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def _order_document(names) -> dict:
+    return order_to_dict(CausalOrder(range(len(names))), names)
+
+
+@pytest.mark.parametrize("argv, read, write", [
+    (lambda d: ["coefficients", "--data", d / "d.csv", "--kind", "gamma"],
+     matrix_from_dict, matrix_to_dict),
+    (lambda d: ["oracle", "--scm", d / "t.json", "--kind", "psi"],
+     matrix_from_dict, matrix_to_dict),
+    (lambda d: ["discover", "--data", d / "d.csv", "--kind", "psi"],
+     order_names_from_dict, _order_document),
+], ids=["coefficients", "oracle", "discover"])
+def test_written_document_reads_back_unchanged(tmp_path, argv, read, write):
+    # like the truth above: the document a command writes, read and written again, less meta
+    assert run("simulate", "--p", 4, "--n", 300, "--alpha", 1.5, "--seed", 3,
+               "--out", tmp_path / "d.csv", "--truth", tmp_path / "t.json") == 0
+    out = tmp_path / "out.json"
+    assert run(*argv(tmp_path), "--out", out) == 0
+    doc = read_json(out)
+    assert "meta" in doc
+    assert write(read(doc)) == {key: value for key, value in doc.items() if key != "meta"}
 
 
 def test_tail_index_command(tmp_path, capsys):

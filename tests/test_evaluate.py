@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from heavytail import (CapacityError, CausalOrder, EstimatorConfig, GeneratorCon
                        simulate)
 from heavytail._rng import derived_seed
 from heavytail.simulate import scenario_streams, simulation_bytes
+import heavytail.evaluate as evaluate_module
 from heavytail.evaluate import (_SCORE_BYTES_PER_PAIR, RESULT_HEADER, check_score_capacity,
                                 recover_order)
 
@@ -95,6 +97,20 @@ def test_benchmark_header_and_validation():
         benchmark(grid, reps=0, seed=0)
     with pytest.raises(ValidationError, match="repeat"):
         benchmark(grid, methods=("ease_psi", "random_order", "ease_psi"), reps=1, seed=0)
+
+
+@pytest.mark.parametrize("grid, scenario_id", [
+    (GridSpec((50, 50), (3,), (2, 2.0)), "linear-n50-p3-a2"),
+    (GridSpec((50,), (3,), (1.5, 1.5000001)), "linear-n50-p3-a1.5"),
+    (GridSpec((50,), (3,), (1.5,), settings=(SimSetting("nonlinear", 0.9),
+                                             SimSetting("nonlinear", 0.95))),
+     "nonlinear-n50-p3-a1.5"),
+], ids=["repeated-n", "alphas-equal-under-g", "nonlinear-quantiles"])
+def test_benchmark_refuses_cells_sharing_a_scenario_id(monkeypatch, grid, scenario_id):
+    # the results CSV would hold both cells' rows under one id; nothing is set up first
+    monkeypatch.setattr(evaluate_module, "simulate_grid", None)
+    with pytest.raises(ValidationError, match=re.escape(f"scenario id {scenario_id!r}")):
+        benchmark(grid, methods=("random_order",), reps=2, seed=0)
 
 
 def test_benchmark_enforces_memory_cap():

@@ -5,8 +5,9 @@ CSV bytes go through ``coefficients`` and ``tail-index``; JSON documents
 replaced, deleted or nested wrongly) through ``discover --matrix``,
 ``evaluate`` and ``oracle``; an alpha anywhere in the positive floats through
 ``simulate`` and ``benchmark --grid``. Integers are kept small so that no
-document asks for a graph of millions of nodes. A grid or SCM document with
-a key not its own, a repeated key or a repeated edge must exit 2.
+document asks for a graph of millions of nodes. A grid, SCM, matrix or order
+document with a key not its own or a repeated key, and an SCM document with a
+repeated edge, must exit 2.
 """
 
 import contextlib
@@ -20,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavytail.cli import main
-from heavytail.formats import (_GRID_KEYS, _SCM_KEYS, order_names_from_dict, read_json,
-                               scm_to_dict)
+from heavytail.formats import (_GRID_KEYS, _MATRIX_KEYS, _ORDER_KEYS, _SCM_KEYS,
+                               order_names_from_dict, read_json, scm_to_dict)
 from heavytail.graph import COEFFICIENT_LAWS, MODES
 from heavytail.simulate import SETTINGS
 
@@ -197,30 +198,50 @@ def _refused(d):
     raise AssertionError("the document was read")
 
 
-def _run_document(kind: str, text: bytes):
-    """Run the CLI on a grid or SCM document, which must be refused."""
-    if kind == "grid":
-        run_cli({"g.json": text}, lambda d: [
-            "benchmark", "--grid", d / "g.json", "--reps", 1, "--methods", "random_order",
-            "--out", d / "r.csv"], _refused)
-    else:
-        run_cli({"s.json": text}, lambda d: [
-            "oracle", "--scm", d / "s.json", "--kind", "psi", "--out", d / "m.json"], _refused)
+# Per strict document kind: a valid document, its (required, optional) keys and
+# the command that reads it from doc.json (evaluate scores an order against t.json).
+STRICT = {
+    "grid": (VALID_GRID, _GRID_KEYS, lambda d: [
+        "benchmark", "--grid", d / "doc.json", "--reps", 1, "--methods", "random_order",
+        "--out", d / "r.csv"]),
+    "scm": (VALID_SCM, _SCM_KEYS, lambda d: [
+        "oracle", "--scm", d / "doc.json", "--kind", "psi", "--out", d / "m.json"]),
+    "matrix": (VALID_MATRIX, _MATRIX_KEYS, lambda d: [
+        "discover", "--matrix", d / "doc.json", "--out", d / "o.json"]),
+    "order": (VALID_ORDER, _ORDER_KEYS, lambda d: [
+        "evaluate", "--order", d / "doc.json", "--truth", d / "t.json"]),
+}
+
+
+def _run_document(kind: str, text: bytes, check_output=_refused):
+    """Run the CLI on a document of ``kind``, which must be refused unless told otherwise."""
+    run_cli({"doc.json": text, "t.json": _json_bytes(VALID_SCM)}, STRICT[kind][2], check_output)
+
+
+def test_each_strict_document_is_read_when_valid():
+    # so the refusals below are of the key, not of the rest of the document
+    read = []
+    for kind, (doc, _, _) in STRICT.items():
+        _run_document(kind, _json_bytes({**doc, "meta": {}}), lambda d: read.append(kind))
+    assert read == list(STRICT)
 
 
 @FEW_STRICT
-@given(st.sampled_from(["grid", "scm"]), st.text(max_size=8), json_values)
+@given(st.sampled_from(sorted(STRICT)), st.text(max_size=8), json_values)
+# a misspelt "estimated" was ignored: the matrix was read as not estimated
+@example("matrix", "estimatd", True)
+@example("order", "pi", ["x0", "x1", "x2"])
 def test_document_with_a_key_not_its_own_exits_2(kind, key, value):
-    doc, keys = (VALID_GRID, _GRID_KEYS) if kind == "grid" else (VALID_SCM, _SCM_KEYS)
-    if key in keys or key == "meta":
+    doc, (required, optional), _ = STRICT[kind]
+    if key in required + optional or key == "meta":
         key += "_"
     _run_document(kind, _json_bytes({**doc, key: value}))
 
 
 @FEW_STRICT
-@given(st.sampled_from(["grid", "scm"]), st.data())
+@given(st.sampled_from(sorted(STRICT)), st.data())
 def test_document_with_a_repeated_key_exits_2(kind, data):
-    doc = VALID_GRID if kind == "grid" else VALID_SCM
+    doc = STRICT[kind][0]
     key = data.draw(st.sampled_from(sorted(doc) + ["meta"]))
     value = data.draw(json_values)
     # the repeated member goes first, so the last one would be the valid one

@@ -138,6 +138,25 @@ def test_only_graph_builds_a_dag():
     assert set(callers) == {"graph"}
 
 
+def test_every_document_reader_goes_through_one_rule():
+    # one document rule: each reader hands its document to formats._document,
+    # and no reader maps a missing key of its own by catching KeyError
+    readers = {"read_grid", "_noise_from_dict", "scm_node_count", "matrix_from_dict",
+               "order_names_from_dict"}
+    catching_key_errors = {"KeyError", "LookupError", "Exception", "BaseException"}
+    callers, catchers = set(), []
+    for node in ast.walk(ast.parse((PACKAGE / "formats.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_document"
+                for call in ast.walk(node)):
+            callers.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and (node.type is None or catching_key_errors & {
+                getattr(name, "id", None) for name in ast.walk(node.type)}):
+            catchers.append(node.lineno)
+    assert readers - callers == set()
+    assert catchers == []
+
+
 def test_no_module_keeps_state_in_closures():
     # state that outlives a call lives in an object, where a test can reach
     # it, not in a closure's nonlocal cells
