@@ -193,7 +193,8 @@ class GridSpec:
     values are positive and finite, at most FLOAT_KEY_MAX, the largest that
     keys a seed stream. Every replicate is checked against the cap by
     :func:`set_up_replicate`, and :func:`simulate_grid` draws noise ahead
-    only within it.
+    only within it: the held replicate's simulation_bytes plus the draws
+    handed on beyond it stay within the cap at every step.
     """
 
     n_values: tuple[int, ...]
@@ -351,40 +352,34 @@ _AHEAD_MIN_VALUES = 8000
 _DRAWS_AHEAD = 2
 
 
-def _next_draw_change(cap: int, held: int, slots):
-    """The cap rule: the index of the first slot whose draw must change, or None.
+def _fits(cap: int, held, draws) -> bool:
+    """The cap rule: whether each replicate in the window fits once held.
 
-    ``held`` is the held replicate's simulation_bytes, and ``slots`` lists,
-    in replicate order, the (bytes, draw) of each slot beyond it that may be
-    drawn ahead, ``draw`` None for no draw, False for a queued one and True
-    for one started. Beside ``held``, each draw counts in order: a queued
-    one that does not fit beside those before it is the one to cancel, and a
-    started one counts whatever it takes. Failing that, the first slot with
-    no draw that fits beside every draw is the one to hand on. A total equal
-    to ``cap`` fits.
+    ``held`` lists the simulation_bytes of each replicate in the window, in
+    replicate order, and ``draws`` the _draw_bytes of each draw handed on
+    beyond the first, in order. Replicate i fits if ``held[i]`` plus the
+    draws after it, ``sum(draws[i:])``, is at most ``cap``: a total equal to
+    ``cap`` fits.
     """
-    total = held
-    for i, (size, draw) in enumerate(slots):
-        if draw is False and total + size > cap:
-            return i
-        total += 0 if draw is None else size
-    return next((i for i, (size, draw) in enumerate(slots)
-                 if draw is None and total + size <= cap), None)
+    return all(size + sum(draws[i:]) <= cap for i, size in enumerate(held))
 
 
 class _Slot:
     """A replicate in the window (or its set-up error), and its draw.
 
+    ``held`` is the replicate's simulation_bytes, 0 for a set-up error.
     ``bytes`` is its _draw_bytes if it may be drawn ahead (a Scenario of at
     least _AHEAD_MIN_VALUES values), else None. ``draw`` is None until a
-    draw is started: then the helper's future, or a finished future the
+    draw is handed on: then the helper's future, or a finished future the
     caller made when it took the draw over.
     """
 
     def __init__(self, replicate):
-        self.replicate, self.bytes, self.draw = replicate, None, None
-        if isinstance(replicate, Scenario) and replicate.n * replicate.truth.p >= _AHEAD_MIN_VALUES:
-            self.bytes = _draw_bytes(replicate.truth, replicate.n)
+        self.replicate, self.held, self.bytes, self.draw = replicate, 0, None, None
+        if isinstance(replicate, Scenario):
+            self.held = simulation_bytes(replicate.truth, replicate.setting, replicate.n)
+            if replicate.n * replicate.truth.p >= _AHEAD_MIN_VALUES:
+                self.bytes = _draw_bytes(replicate.truth, replicate.n)
 
 
 class _DrawWindow:
@@ -401,11 +396,15 @@ class _DrawWindow:
 
     While the caller holds replicate r, the helper is handed the draws of
     r + 1 and r + 2, one running and one queued (r + 2 is set up only once
-    r + 1's draw has started). A draw is handed on only if it has at least
-    _AHEAD_MIN_VALUES values and fits under ``cap`` beside simulation_bytes
-    of the held replicate and the _draw_bytes of every draw held or in
-    flight; a queued draw that no longer fits once the caller holds the next
-    replicate is cancelled (the rule is :func:`_next_draw_change`).
+    r + 1's draw is handed on). A draw is handed on only if it has at least
+    _AHEAD_MIN_VALUES values and the window fits with it (:func:`_fits`):
+    once held, each replicate in the window must fit under ``cap`` beside
+    the _draw_bytes of every draw after it. The check is made once, when a
+    draw is handed on, and holds from then until the draw is taken, so no
+    draw is ever withdrawn for the cap: the draws go out in replicate order,
+    only the last slot can lack one, and the held replicate's
+    simulation_bytes plus every draw handed on and not yet taken is within
+    ``cap`` at every step.
 
     :meth:`take` hands the held replicate over with its noise. A draw of it
     that the helper has not started is cancelled, the next draws are handed
@@ -430,37 +429,30 @@ class _DrawWindow:
             raise held.replicate
         if held.draw is not None and held.draw.cancel():
             held.draw = None  # the helper never started it
-        self.hand_on(held.replicate)
+        self.hand_on()
         self.slots.pop(0)
         if held.draw is not None and not held.draw.done():
             self.take_over()
         return held.replicate, _draw(held.replicate) if held.draw is None else held.draw.result()
 
-    def hand_on(self, held: Scenario) -> None:
-        """Cancel queued draws that no longer fit, then hand on the next ones."""
-        held_bytes = simulation_bytes(held.truth, held.setting, held.n)
-        started = set()  # slots whose draw could not be cancelled
+    def hand_on(self) -> None:
+        """Hand on the last slot's draw if the window fits with it, then set up the next one."""
         while True:
-            ahead = [slot for slot in self.slots[1:] if slot.bytes is not None]
-            i = _next_draw_change(self.cap, held_bytes, [
-                (slot.bytes, None if slot.draw is None else slot in started) for slot in ahead])
-            if i is None:
-                # r + 2 is set up only behind a draw of r + 1, and nothing
-                # beyond a set-up error, which has no draw
-                if (len(self.slots) > _DRAWS_AHEAD or self.slots[1:] and self.slots[-1].draw is None
-                        or (replicate := next(self.replicates, None)) is None):
+            last = self.slots[-1]
+            if len(self.slots) > 1 and last.draw is None:
+                # a slot with no draw ends the window: beyond it, and beyond
+                # a set-up error, which has none, nothing is set up
+                if last.bytes is None or not _fits(self.cap, [slot.held for slot in self.slots],
+                                                   [slot.bytes for slot in self.slots[1:]]):
                     return
-                self.slots.append(_Slot(replicate))
-            elif ahead[i].draw is None:
                 if self.helper is None:
                     import concurrent.futures  # only a call that draws ahead needs it
 
                     self.helper = concurrent.futures.ThreadPoolExecutor(1, "heavytail-draw-ahead")
-                ahead[i].draw = self.helper.submit(_draw, ahead[i].replicate)
-            elif ahead[i].draw.cancel():
-                ahead[i].draw = None
-            else:
-                started.add(ahead[i])
+                last.draw = self.helper.submit(_draw, last.replicate)
+            if len(self.slots) > _DRAWS_AHEAD or (replicate := next(self.replicates, None)) is None:
+                return
+            self.slots.append(_Slot(replicate))
 
     def take_over(self) -> None:
         """Draw on the calling thread the first draw the helper has not started."""

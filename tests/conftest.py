@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,76 @@ def random_positive_scm_pool(count, p_range=(2, 8), alphas=(1.0, 1.5, 2.5), seed
         alpha = float(alphas[int(rng.integers(0, len(alphas)))])
         pool.append(random_scm(p, alpha, config, seed=int(rng.integers(0, 2**31))))
     return pool
+
+
+class RecordedDraw:
+    """A future of the draw-ahead executor that records when it is settled:
+    cancelled, or its result read."""
+
+    def __init__(self, future, settled):
+        self._future, self._settled = future, settled
+
+    def cancel(self):
+        cancelled = self._future.cancel()
+        if cancelled:
+            self._settled.append(self._future)
+        return cancelled
+
+    def done(self):
+        return self._future.done()
+
+    def result(self):
+        self._settled.append(self._future)
+        return self._future.result()
+
+
+class RecordingExecutor(ThreadPoolExecutor):
+    """The draw-ahead executor, recording itself, each replicate whose draw is
+    submitted, and each submitted draw once it is settled."""
+
+    helpers, submitted, read = [], [], []
+
+    @classmethod
+    def record(cls):
+        """The class, its records emptied: patch it in as concurrent.futures.ThreadPoolExecutor."""
+        cls.helpers, cls.submitted, cls.read = [], [], []
+        return cls
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.helpers.append(self)
+
+    def submit(self, draw, replicate):
+        self.submitted.append(replicate)
+        return RecordedDraw(super().submit(draw, replicate), self.read)
+
+
+def take_each_checking_the_cap(grid, reps, seed) -> None:
+    """Run simulate_grid, the helper let finish each draw before the next take.
+
+    RecordingExecutor must be patched in as the executor. At each take, the
+    held replicate's simulation_bytes plus the _draw_bytes of every draw
+    handed on and not yet taken must be within the grid's memory cap, and
+    each scenario's data must be bit-identical to simulating its replicate
+    alone, as set_up_replicate sets it up.
+    """
+    from heavytail import simulate, simulate_grid
+    from heavytail.simulate import _draw_bytes, set_up_replicate, simulation_bytes
+
+    def key(r):
+        return r.setting, r.n, r.p, r.alpha, r.rep
+
+    cap = grid.memory_cap_bytes
+    replicates = [set_up_replicate(seed, cap, *cell, rep)
+                  for cell in grid.cells() for rep in range(reps)]
+    order = [key(r) for r in replicates]
+    for i, (s, alone) in enumerate(zip(simulate_grid(grid, reps, seed), replicates, strict=True)):
+        ahead = [r for r in RecordingExecutor.submitted if order.index(key(r)) > i]
+        held = simulation_bytes(s.truth, s.setting, s.n) + sum(
+            _draw_bytes(r.truth, r.n) for r in ahead)
+        assert held <= cap, f"replicate {i} taken with {held} bytes held, over the cap of {cap}"
+        assert key(s) == key(alone) and bitwise_equal(
+            s.data.values, simulate(alone.truth, alone.setting, alone.n, alone.data_seed).values)
+        for helper in RecordingExecutor.helpers:
+            # the one worker runs its jobs in order: this one ends last
+            ThreadPoolExecutor.submit(helper, lambda: None).result(timeout=10)

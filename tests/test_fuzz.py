@@ -8,25 +8,37 @@ replaced, deleted or nested wrongly) through ``discover --matrix``,
 document asks for a graph of millions of nodes. A grid, SCM, matrix or order
 document with a key not its own or a repeated key, and an SCM document with a
 repeated edge, must exit 2.
+
+simulate_grid's draw-ahead schedule is fuzzed too: on small grids at caps
+between the largest replicate's simulation_bytes and the sum of them all,
+the cap holds at every take, and the outputs are those of simulating each
+replicate alone.
 """
 
+import concurrent.futures
 import contextlib
 import copy
+import dataclasses
+import importlib
 import io
 import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from heavytail import GridSpec, HeavytailError
 from heavytail.cli import main
 from heavytail.formats import (_GRID_KEYS, _MATRIX_KEYS, _ORDER_KEYS, _SCM_KEYS,
                                order_names_from_dict, read_json, scm_to_dict)
 from heavytail.graph import COEFFICIENT_LAWS, MODES
-from heavytail.simulate import SETTINGS
+from heavytail.simulate import SETTINGS, set_up_replicate, simulation_bytes
 
-from conftest import make_chain
+from conftest import RecordingExecutor, make_chain, take_each_checking_the_cap
+
+simulate_module = importlib.import_module("heavytail.simulate")
 
 FUZZ = settings(max_examples=120, deadline=None)
 
@@ -257,3 +269,34 @@ def test_scm_with_a_repeated_edge_exits_2(edge, beta, as_floats):
     parent, child, _ = edge
     repeated = [float(parent), float(child), beta] if as_floats else [parent, child, beta]
     _run_document("scm", _json_bytes({**VALID_SCM, "edges": VALID_SCM["edges"] + [repeated]}))
+
+
+def _replicates(grid, reps, seed):
+    return [set_up_replicate(seed, grid.memory_cap_bytes, *cell, rep)
+            for cell in grid.cells() for rep in range(reps)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 400), min_size=1, max_size=3, unique=True), st.integers(2, 5),
+       st.integers(1, 3), st.lists(st.sampled_from(SETTINGS), min_size=1, unique=True),
+       st.floats(0, 1), st.integers(0, 2**16))
+# the cap at which replicate 3's draw, once handed on beside replicate 1,
+# went over it when replicate 2 was taken
+@example([10, 1000], 4, 2, ["linear"], 0.25, 0)
+def test_grid_draws_ahead_within_the_cap_at_every_take(n_values, p, reps, kinds, share, seed):
+    grid = GridSpec(tuple(n_values), (p,), (1.5,), settings=tuple(kinds))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 0)
+        # the SCM draw's fixed 32 KB would refuse these small grids at most
+        # caps; the schedule reads only simulation_bytes and _draw_bytes
+        patch.setattr(simulate_module, "_SCM_FIXED_BYTES", 0)
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor.record())
+        try:
+            sizes = [simulation_bytes(r.truth, r.setting, r.n)
+                     for r in _replicates(grid, reps, seed)]
+            grid = dataclasses.replace(
+                grid, memory_cap_bytes=max(sizes) + round(share * (sum(sizes) - max(sizes))))
+            _replicates(grid, reps, seed)
+        except HeavytailError:
+            reject()  # n = 1 under a setting that needs two rows, or an SCM draw over the cap
+        take_each_checking_the_cap(grid, reps, seed)

@@ -23,11 +23,12 @@ from heavytail import (CapacityError, Dataset, DomainError, EstimatorConfig,
 from heavytail.data import rank_kernel
 from heavytail.errors import MEMORY_CAP_BYTES
 from heavytail.formats import scm_from_dict, scm_to_dict
-from heavytail.simulate import (SETTINGS, _draw_bytes, _draw_noise, _next_draw_change,
-                                _noise_runs, _quantile_threshold, scenario_streams,
-                                set_up_replicate, simulation_bytes)
+from heavytail.simulate import (SETTINGS, _draw_bytes, _draw_noise, _fits, _noise_runs,
+                                _quantile_threshold, scenario_streams, set_up_replicate,
+                                simulation_bytes)
 
-from conftest import bitwise_equal, make_chain, reference_noise
+from conftest import (RecordingExecutor, bitwise_equal, make_chain, reference_noise,
+                      take_each_checking_the_cap)
 
 simulate_module = importlib.import_module("heavytail.simulate")
 CONFOUNDED = GeneratorConfig(hidden_confounders=True)
@@ -489,42 +490,6 @@ def test_run_draws_match_per_column_draws_bitwise(n):
     assert len(list(_noise_runs(_interleaved_hidden_scm()))) == 5
 
 
-class _RecordedDraw:
-    """A future of the draw-ahead executor that records when it is settled:
-    cancelled, or its result read."""
-
-    def __init__(self, future, settled):
-        self._future, self._settled = future, settled
-
-    def cancel(self):
-        cancelled = self._future.cancel()
-        if cancelled:
-            self._settled.append(self._future)
-        return cancelled
-
-    def done(self):
-        return self._future.done()
-
-    def result(self):
-        self._settled.append(self._future)
-        return self._future.result()
-
-
-class _RecordingExecutor(ThreadPoolExecutor):
-    """The draw-ahead executor, recording itself, each replicate whose draw is
-    submitted, and each submitted draw once it is settled."""
-
-    helpers, submitted, read = [], [], []
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.helpers.append(self)
-
-    def submit(self, draw, replicate):
-        self.submitted.append(replicate)
-        return _RecordedDraw(super().submit(draw, replicate), self.read)
-
-
 def _alive(helper):
     return any(thread.is_alive() for thread in helper._threads)
 
@@ -532,11 +497,9 @@ def _alive(helper):
 @pytest.fixture
 def helpers(monkeypatch):
     # draw ahead however small the draw, so that small grids run the pipeline
-    _RecordingExecutor.helpers, _RecordingExecutor.submitted = [], []
-    _RecordingExecutor.read = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor.record())
     monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 0)
-    return _RecordingExecutor
+    return RecordingExecutor
 
 
 @pytest.mark.parametrize("kind", SETTINGS)
@@ -579,12 +542,11 @@ def test_grid_pipeline_under_a_short_switch_interval(helpers, monkeypatch):
 
 
 def test_grid_draws_ahead_only_draws_of_enough_values(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingExecutor)
     for n, ahead in ((simulate_module._AHEAD_MIN_VALUES // 4 - 1, 0),
                      (simulate_module._AHEAD_MIN_VALUES // 4, 2)):
-        _RecordingExecutor.submitted = []
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor.record())
         list(simulate_grid(GridSpec((n,), (4,), (1.5,)), reps=3, seed=0))
-        assert len(_RecordingExecutor.submitted) == ahead
+        assert len(RecordingExecutor.submitted) == ahead
 
 
 def test_grid_single_replicate_starts_no_thread(helpers):
@@ -771,92 +733,73 @@ def test_grid_hands_on_two_draws_only_when_both_fit(helpers):
         assert [r.rep for r in helpers.submitted] == [1, 2]
 
 
-def test_grid_cancels_a_queued_draw_that_no_longer_fits(helpers, monkeypatch):
-    # replicates 2 and 3 (n = 1000) are queued while replicate 1 (n = 10) is
-    # held; once replicate 2 is held, replicate 3's draw no longer fits
-    # beside it, so it is cancelled before the caller draws it
-    release, started = _stall(helpers, monkeypatch)
-    grid = GridSpec((10, 1000), (4,), (1.5,))
-    replicates = _set_up(grid, 2)
-    held = [simulation_bytes(r.truth, r.setting, r.n) for r in replicates]
-    draws = [_draw_bytes(r.truth, r.n) for r in replicates]
-    cap = held[1] + draws[2] + draws[3]
-    assert held[0] + draws[1] + draws[2] <= cap < held[2] + draws[3]
-    scenarios = simulate_grid(dataclasses.replace(grid, memory_cap_bytes=cap), reps=2, seed=0)
-    drawn = [next(scenarios)]
-    assert [r.rep for r in helpers.submitted] == [1, 0]
-    drawn.append(next(scenarios))
-    assert [(r.n, r.rep) for r in helpers.submitted] == [(10, 1), (1000, 0), (1000, 1)]
-    assert len(helpers.read) == 1
-    drawn.append(next(scenarios))
-    # replicate 2's draw was cancelled and drawn by the caller, 3's withdrawn
-    assert len(helpers.read) == 3 and all(future.cancelled() for future in helpers.read)
-    drawn.append(next(scenarios))
-    assert len(helpers.submitted) == 3
-    release.set()
-    assert next(scenarios, None) is None and started[0].result(timeout=10)
-    monkeypatch.setattr(simulate_module, "_AHEAD_MIN_VALUES", 1 << 62)
-    assert all(bitwise_equal(a.data.values, b.data.values)
-               for a, b in zip(drawn, simulate_grid(grid, reps=2, seed=0), strict=True))
-
-
-def test_grid_counts_a_finished_draw_that_no_longer_fits(helpers):
-    # as above, but the helper finishes every draw before the next replicate
-    # is asked for: replicate 3's draw can no longer be cancelled once
-    # replicate 2 is held, so it counts beside it and its result is read
-    grid = GridSpec((10, 1000), (4,), (1.5,))
-    replicates = _set_up(grid, 2)
-    held = [simulation_bytes(r.truth, r.setting, r.n) for r in replicates]
-    draws = [_draw_bytes(r.truth, r.n) for r in replicates]
-    cap = held[1] + draws[2] + draws[3]
-    assert held[2] + draws[3] > cap
-    scenarios = simulate_grid(dataclasses.replace(grid, memory_cap_bytes=cap), reps=2, seed=0)
-    drawn = []
-    for _ in range(4):
-        drawn.append(next(scenarios))
-        # the helper's one worker runs its jobs in order: this one ends last
-        ThreadPoolExecutor.submit(helpers.helpers[0], lambda: None).result(timeout=10)
-    assert next(scenarios, None) is None
-    assert [(r.n, r.rep) for r in helpers.submitted] == [(10, 1), (1000, 0), (1000, 1)]
-    assert len(helpers.read) == 3 and not any(future.cancelled() for future in helpers.read)
-    assert all(bitwise_equal(s.data.values, simulate(r.truth, r.setting, r.n, r.data_seed).values)
-               for s, r in zip(drawn, replicates, strict=True))
-
-# The cap rule at the caps the threaded tests above compute, without threads.
 # Replicates are indexed in grid order: SAME holds three alike (n = 1000),
-# GROWING two of n = 10, then two of n = 1000. A slot is (replicate, draw):
-# draw None for no draw, False for a queued one, True for one started.
+# GROWING two of n = 10, then two of n = 1000. At _growing_cap replicate 3's
+# draw fits beside replicate 1 held, but not beside replicate 2.
 SAME, GROWING = GridSpec((1000,), (4,), (1.5,)), GridSpec((10, 1000), (4,), (1.5,))
+
+
+def _sizes(grid):
+    """simulation_bytes and _draw_bytes of each replicate of the grid (3 reps of SAME, else 2)."""
+    replicates = _set_up(grid, 3 if grid is SAME else 2)
+    return ([simulation_bytes(r.truth, r.setting, r.n) for r in replicates],
+            [_draw_bytes(r.truth, r.n) for r in replicates])
+
+
+def _growing_cap(held, draws):
+    return held[1] + draws[2] + draws[3]
+
+
+def test_grid_keeps_the_memory_cap_at_every_take(helpers):
+    # however soon the helper finishes each draw, the held replicate and
+    # the draws handed on beyond it stay within the cap
+    grid = dataclasses.replace(GROWING, memory_cap_bytes=_growing_cap(*_sizes(GROWING)))
+    take_each_checking_the_cap(grid, 2, 0)
+
+
+def test_grid_hands_on_only_draws_that_fit_once_held(helpers, monkeypatch):
+    # replicate 3's draw would not fit beside replicate 2 held, so it is
+    # never handed on: the caller draws it, and no draw is withdrawn
+    drawn = {}  # (n, rep) -> the thread that drew it
+    draw = simulate_module._draw
+
+    def recorded(replicate):
+        drawn[replicate.n, replicate.rep] = threading.current_thread()
+        return draw(replicate)
+
+    monkeypatch.setattr(simulate_module, "_draw", recorded)
+    held, draws = _sizes(GROWING)
+    assert held[0] + draws[1] + draws[2] <= _growing_cap(held, draws) < held[2] + draws[3]
+    take_each_checking_the_cap(
+        dataclasses.replace(GROWING, memory_cap_bytes=_growing_cap(held, draws)), 2, 0)
+    assert [(r.n, r.rep) for r in helpers.submitted] == [(10, 1), (1000, 0)]
+    assert drawn[1000, 1] is threading.main_thread()
+    assert len(helpers.read) == 2 and not any(future.cancelled() for future in helpers.read)
+
+
+# The cap rule at the caps the threaded tests above compute, without
+# threads. A case is (grid, the window's replicates, cap, whether it fits).
 _CAP_RULE_CASES = {
     # test_grid_draws_ahead_only_when_both_replicates_fit
-    "r + 1 does not fit": (SAME, 0, [(1, None)], lambda h, d: h[0] + d[1] - 1, None),
-    "r + 1 fits": (SAME, 0, [(1, None)], lambda h, d: h[0] + d[1] + 1, 0),
+    "r + 1 does not fit": (SAME, [0, 1], lambda h, d: h[0] + d[1] - 1, False),
+    "r + 1 fits": (SAME, [0, 1], lambda h, d: h[0] + d[1] + 1, True),
     # test_grid_hands_on_two_draws_only_when_both_fit
-    "r + 2 does not fit": (SAME, 0, [(1, False), (2, None)],
-                           lambda h, d: h[0] + d[1] + d[2] - 1, None),
-    "r + 2 fits": (SAME, 0, [(1, False), (2, None)], lambda h, d: h[0] + d[1] + d[2] + 1, 1),
-    # test_grid_cancels_a_queued_draw_that_no_longer_fits
-    "both fit beside the small one": (GROWING, 1, [(2, False), (3, None)],
-                                      lambda h, d: h[1] + d[2] + d[3], 1),
-    "the queued one no longer fits": (GROWING, 2, [(3, False)],
-                                      lambda h, d: h[1] + d[2] + d[3], 0),
-    "a started one counts anyway": (GROWING, 2, [(3, True)],
-                                    lambda h, d: h[1] + d[2] + d[3], None),
-    "a queued one behind a started one that takes its room": (
-        GROWING, 0, [(2, True), (3, False)], lambda h, d: h[0] + d[2] + d[3] - 1, 1),
+    "r + 2 does not fit": (SAME, [0, 1, 2], lambda h, d: h[0] + d[1] + d[2] - 1, False),
+    "r + 2 fits": (SAME, [0, 1, 2], lambda h, d: h[0] + d[1] + d[2] + 1, True),
+    # test_grid_hands_on_only_draws_that_fit_once_held
+    "two draws fit beside the small one": (GROWING, [0, 1, 2], _growing_cap, True),
+    "a later held replicate that would not fit refuses the draw": (
+        GROWING, [1, 2, 3], _growing_cap, False),
+    "r + 1 does not fit beside the large one": (GROWING, [2, 3], _growing_cap, False),
     # a total equal to the cap fits
-    "boundary, one draw": (SAME, 0, [(1, None)], lambda h, d: h[0] + d[1], 0),
-    "boundary, two draws": (SAME, 0, [(1, False), (2, None)],
-                            lambda h, d: h[0] + d[1] + d[2], 1),
+    "boundary, one draw": (SAME, [0, 1], lambda h, d: h[0] + d[1], True),
+    "boundary, two draws": (SAME, [0, 1, 2], lambda h, d: h[0] + d[1] + d[2], True),
+    "boundary, a later held replicate": (GROWING, [1, 2, 3], lambda h, d: h[2] + d[3], True),
 }
 
 
 @pytest.mark.parametrize("case", _CAP_RULE_CASES)
 def test_cap_rule_without_threads(case):
-    grid, held, slots, cap, expected = _CAP_RULE_CASES[case]
-    replicates = _set_up(grid, 3 if grid is SAME else 2)
-    h = [simulation_bytes(r.truth, r.setting, r.n) for r in replicates]
-    d = [_draw_bytes(r.truth, r.n) for r in replicates]
-    threads = threading.active_count()
-    assert _next_draw_change(cap(h, d), h[held], [(d[j], draw) for j, draw in slots]) == expected
-    assert threading.active_count() == threads
+    grid, window, cap, expected = _CAP_RULE_CASES[case]
+    h, d = _sizes(grid)
+    assert _fits(cap(h, d), [h[j] for j in window], [d[j] for j in window[1:]]) is expected
