@@ -17,11 +17,15 @@ Both tails are read off the rank column r: the rows above the order
 statistic s[n-k-1] are those with r > n - k, less the rows tied at s[n-k]
 when s[n-k-1] ties it too, and the rows below s[k], the upper exceedances of
 the negated column, are those with r <= k; each is one integer comparison.
-The matrix concatenates every conditioning column's tail rows into one index
-array and gathers the ranks of all averaged columns at those rows, a block
-of conditioning columns at a time; only the gathered ranks are divided by n,
-in float64, which gives exactly the ECDF values fl(r / n), and psi's
-|2u - 1| is applied to each gathered block.
+Every column's tail rows come from one selection over the rank array read
+column after column (a view of its F-order memory): one flatnonzero per
+tail, cut into columns at the multiples of n, gives one index array with
+each conditioning column's tail rows in turn. The matrix gathers the ranks
+of all averaged columns at those rows, a block of conditioning columns at a
+time; a single pair selects from its one conditioning column the same way.
+Only the gathered ranks are divided by n, in float64, which gives exactly
+the ECDF values fl(r / n), and psi's |2u - 1| is applied to each gathered
+block.
 
 Sums are exact: every weight is an integer multiple of a power of two, so
 cutting the weights into limbs narrow enough that no slice's limb sum reaches
@@ -95,23 +99,44 @@ def ecdf_values(column: np.ndarray) -> np.ndarray:
     return ecdf_from_ranks(rank_kernel(column), column.size)
 
 
-def _exceedance_rows(r: np.ndarray, k: int, psi: bool) -> np.ndarray:
-    """Tail rows of a column, read off its max ranks r.
+def _exceedance_rows(ranks: np.ndarray, k: int, psi: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Tail rows of every column of the n x m max ranks, as (rows, bounds).
 
-    The upper rows are those strictly above the order statistic s[n-k-1]: the
-    rows with r > n - k hold the k or more entries >= s[n-k], and when they
-    are more than k, s[n-k-1] ties s[n-k], so the rows at their smallest r
-    are dropped. For psi they are followed by the lower rows, those strictly
-    below s[k], i.e. with r <= k. Ties are included either way.
+    Column c's tail rows are rows[bounds[c]:bounds[c + 1]]. Its upper rows
+    are those strictly above the order statistic s[n-k-1]: the rows with
+    r > n - k hold the k or more entries >= s[n-k], and when they are more
+    than k, s[n-k-1] ties s[n-k], so the rows at their smallest r are
+    dropped. For psi they are followed by the lower rows, those strictly
+    below s[k], i.e. with r <= k. Ties are included either way. Each tail is
+    one selection over the ranks laid out column after column (a view of the
+    F-order rank array), cut into columns at the multiples of n.
     """
-    n = r.size
-    rows = np.flatnonzero(r > n - k)
-    if rows.size > k:
-        top = r[rows]
-        rows = rows[top != top.min()]
-    if psi:
-        rows = np.concatenate([rows, np.flatnonzero(r <= k)])
-    return rows
+    n, m = ranks.shape
+    columns = ranks.T.ravel()
+    starts = np.arange(m + 1) * n
+    upper = np.flatnonzero(columns > n - k)
+    bounds = np.searchsorted(upper, starts)
+    sizes = np.diff(bounds)
+    if sizes.max() > k:
+        # no column has fewer than k upper rows, so no slice is empty
+        top = columns[upper]
+        tied = top == np.repeat(np.minimum.reduceat(top, bounds[:-1]), sizes)
+        tied &= np.repeat(sizes > k, sizes)
+        upper = upper[~tied]
+        bounds = np.searchsorted(upper, starts)
+        sizes = np.diff(bounds)
+    if not psi:
+        return upper - np.repeat(starts[:-1], sizes), bounds
+    lower = np.flatnonzero(columns <= k)
+    lower_bounds = np.searchsorted(lower, starts)
+    lower_sizes = np.diff(lower_bounds)
+    # column c's upper rows go to bounds[c] + lower_bounds[c] onwards, its lower rows after them
+    rows = np.empty(upper.size + lower.size, dtype=np.intp)
+    rows[np.arange(upper.size) + np.repeat(lower_bounds[:-1], sizes)] = (
+        upper - np.repeat(starts[:-1], sizes))
+    rows[np.arange(lower.size) + np.repeat(bounds[1:], lower_sizes)] = (
+        lower - np.repeat(starts[:-1], lower_sizes))
+    return rows, bounds + lower_bounds
 
 
 def _tail_sums(ranks: np.ndarray, rows: np.ndarray, bounds, divisor: int,
@@ -192,8 +217,8 @@ def _pair_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig,
         raise ValidationError(f"columns ({j}, {k_col}) out of range for p={data.p}")
     k = resolve_k(data.n, config)
     ranks = data.ranks()
-    rows = _exceedance_rows(ranks[:, j], k, psi)
-    sums = _tail_sums(ranks[:, k_col:k_col + 1], rows, [0, rows.size], 2 * k if psi else k, psi)
+    rows, bounds = _exceedance_rows(ranks[:, j:j + 1], k, psi)
+    sums = _tail_sums(ranks[:, k_col:k_col + 1], rows, bounds, 2 * k if psi else k, psi)
     return float(sums[0, 0])
 
 
@@ -222,8 +247,7 @@ def coefficient_matrix(data: Dataset, config: EstimatorConfig) -> CoefMatrix:
     k = resolve_k(data.n, config)
     psi = config.kind == "psi"
     ranks = data.ranks()
-    tails = [_exceedance_rows(ranks[:, c], k, psi) for c in range(data.p)]
-    bounds = np.cumsum([0] + [t.size for t in tails])
-    values = _tail_sums(ranks, np.concatenate(tails), bounds, 2 * k if psi else k, psi)
+    rows, bounds = _exceedance_rows(ranks, k, psi)
+    values = _tail_sums(ranks, rows, bounds, 2 * k if psi else k, psi)
     np.fill_diagonal(values, np.nan)
     return CoefMatrix(values, config.kind, data.names, estimated=True)

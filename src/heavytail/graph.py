@@ -10,6 +10,8 @@ order, ``Dag.ancestor_matrix[j, i]`` is true when ``i`` is a strict ancestor of 
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,7 +52,11 @@ class Dag:
         parents = [[] for _ in range(p)]
         children = [[] for _ in range(p)]
         for parent, child in edges:
-            parent, child = int(parent), int(child)
+            try:
+                parent, child = operator.index(parent), operator.index(child)
+            except TypeError:
+                raise ValidationError(
+                    f"edge ({parent!r}, {child!r}) must join integer node ids") from None
             if not (0 <= parent < p and 0 <= child < p):
                 raise ValidationError(f"edge ({parent}, {child}) out of range for p={p}")
             if parent == child:
@@ -131,11 +137,19 @@ class Dag:
         return f"Dag(p={self._p}, edges={sorted(self._edges)})"
 
 
+def _node_ids(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of int node ids; a non-integral id is refused, never truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValidationError(f"{what} node ids must be integers: {exc}") from None
+
+
 class CausalOrder:
     """A permutation of nodes; ``sequence[s]`` is the node placed at position ``s``."""
 
     def __init__(self, sequence):
-        seq = tuple(int(v) for v in sequence)
+        seq = _node_ids(sequence, "order")
         if len(set(seq)) != len(seq):
             raise ValidationError("order contains repeated nodes")
         if any(v < 0 for v in seq):
@@ -189,10 +203,15 @@ class Scm:
                  hidden=(), names=None):
         if mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-        coeffs = {(int(a), int(b)): float(v) for (a, b), v in dict(coefficients).items()}
+        index = operator.index
+        try:
+            coeffs = {(index(a), index(b)): float(v) for (a, b), v in dict(coefficients).items()}
+        except TypeError as exc:
+            raise ValidationError(
+                f"coefficients must map integer (parent, child) pairs to numbers: {exc}") from None
         dag = Dag(p, coeffs)
         for (a, b), v in coeffs.items():
-            if v == 0.0 or not np.isfinite(v):
+            if v == 0.0 or not math.isfinite(v):
                 raise ValidationError(f"coefficient for edge ({a}, {b}) must be finite and nonzero")
             if mode == POSITIVE and v <= 0:
                 raise ValidationError(f"positive mode requires beta > 0, got {v} on edge ({a}, {b})")
@@ -204,7 +223,7 @@ class Scm:
         alphas = {spec.alpha for spec in noise}
         if len(alphas) != 1:
             raise ValidationError("comparable tails require a single alpha across all noise terms")
-        hidden = frozenset(int(h) for h in hidden)
+        hidden = frozenset(_node_ids(hidden, "hidden"))
         for h in hidden:
             if not (0 <= h < dag.p):
                 raise ValidationError(f"hidden node {h} out of range")
@@ -247,11 +266,10 @@ def path_weights(scm: Scm) -> np.ndarray:
     p = scm.p
     h = np.zeros((p, p))
     for j in scm.dag.topological_order:
-        row = np.zeros(p)
+        row = h[j]  # still zero: row j is written once, after its parents' rows
         row[j] = 1.0
         for parent in scm.dag.parents(j):
             row += scm.coefficients[parent, j] * h[parent]
-        h[j] = row
     return h
 
 
@@ -318,6 +336,25 @@ def _draw_coefficient(rng, config: GeneratorConfig) -> float:
     return float(sign * magnitude)
 
 
+def _draw_coefficients(rng, config: GeneratorConfig, count: int) -> list[float]:
+    """``count`` coefficients, drawn as ``count`` calls of _draw_coefficient would draw them.
+
+    An "intervals" magnitude is rng.uniform(0.1, 0.9), which is
+    0.1 + (0.9 - 0.1) * u for the generator's next double u, and a sign is
+    negative when the double after it is below 0.5; so one rng.random call
+    gives them all, in the same order and bit for bit (the graph tests check
+    both against the per-edge calls). "four_point" draws through rng.choice,
+    one edge at a time.
+    """
+    if config.coefficient_law != "intervals":
+        return [_draw_coefficient(rng, config) for _ in range(count)]
+    if config.mode == POSITIVE:
+        return [0.1 + (0.9 - 0.1) * u for u in rng.random(count).tolist()]
+    draws = rng.random(2 * count).tolist()
+    magnitudes = (0.1 + (0.9 - 0.1) * u for u in draws[0::2])
+    return [m if v < 0.5 else -m for m, v in zip(magnitudes, draws[1::2])]
+
+
 def random_scm(p: int, alpha: float, config: GeneratorConfig | None = None, seed=None) -> Scm:
     """Random SCM: shuffled causal order, binomial parent counts, optional
     hidden confounders.
@@ -360,16 +397,16 @@ def _draw_scm(p: int, alpha: float, config: GeneratorConfig, rng) -> Scm:
     by_position = np.argsort(position)
     q = min(5.0 / (p - 1), 0.5) if p > 1 else 0.5
 
+    nodes = by_position.tolist()
     edges = {}
     for rank in range(1, p):
-        node = int(by_position[rank])
+        node = nodes[rank]
         n_parents = rng.binomial(rank, q)
         if n_parents == 0:
             continue
-        candidates = by_position[:rank]
-        parents = rng.choice(candidates, size=n_parents, replace=False)
-        for parent in sorted(int(v) for v in parents):
-            edges[(parent, node)] = _draw_coefficient(rng, config)
+        parents = sorted(rng.choice(by_position[:rank], size=n_parents, replace=False).tolist())
+        for parent, beta in zip(parents, _draw_coefficients(rng, config, n_parents)):
+            edges[(parent, node)] = beta
 
     hidden = []
     total = p
@@ -379,11 +416,12 @@ def _draw_scm(p: int, alpha: float, config: GeneratorConfig, rng) -> Scm:
         n_conf = rng.binomial(n_pairs, q_conf)
         if n_conf > 0:
             chosen = np.sort(rng.choice(n_pairs, size=n_conf, replace=False))
+            betas = iter(_draw_coefficients(rng, config, 2 * n_conf))
             for i, j in zip(*_node_pairs(chosen, p)):
                 conf = total
                 total += 1
                 hidden.append(conf)
-                edges[(conf, i)] = _draw_coefficient(rng, config)
-                edges[(conf, j)] = _draw_coefficient(rng, config)
+                edges[(conf, i)] = next(betas)
+                edges[(conf, j)] = next(betas)
 
     return Scm(total, edges, NoiseSpec("student_t", alpha), mode=config.mode, hidden=hidden)

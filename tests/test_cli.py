@@ -76,6 +76,32 @@ def test_coefficients_k_too_large_exits_2(tmp_path):
                "--k", 20, "--out", tmp_path / "m.json") == 2
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # main parses with one parser per process: no call's flags, usage error
+    # or exit may leak into the next
+    csv_path = tmp_path / "d.csv"
+    dataset_to_csv(Dataset(["a", "b"], np.random.default_rng(2).random((50, 2))), csv_path)
+    configs = []
+    for extra in (("--k", 5), ()):
+        out = tmp_path / "m.json"
+        assert run("coefficients", "--data", csv_path, "--kind", "psi", *extra, "--out", out) == 0
+        configs.append(json.loads(out.read_text())["meta"]["config"])
+    assert configs[0]["k"] == 5 and configs[1]["k"] is None
+    assert {key: value for key, value in configs[0].items() if key != "k"} == {
+        key: value for key, value in configs[1].items() if key != "k"}
+    with pytest.raises(SystemExit) as exc:
+        run("coefficients", "--data", csv_path, "--kind", "delta", "--out", tmp_path / "x.json")
+    assert exc.value.code == 2
+    assert run("coefficients", "--data", csv_path, "--kind", "gamma",
+               "--out", tmp_path / "g.json") == 0
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run("--version")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("heavytail ")
+
+
 def test_discover_financial_fixture(tmp_path):
     out = tmp_path / "order.json"
     assert run("discover", "--matrix", FIXTURE, "--out", out) == 0

@@ -234,26 +234,66 @@ tied_columns = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]),
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(tied_columns, st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30)),
-       st.data())
-def test_rank_kernel_matches_sort_formulas(values, draw):
-    # the reference: max ranks as searchsorted counts over a sorted copy,
-    # tails by masks over one sort of the column and one of its negation;
-    # the tails under test are read off the kernel's ranks
+@given(st.one_of(tied_columns, st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30)))
+def test_rank_kernel_matches_sort_formulas(values):
+    # the reference: max ranks as searchsorted counts over a sorted copy
     column = np.array(values)
     n = column.size
-    k = draw.draw(st.integers(1, n - 1))  # k >= n/2 makes the two tails overlap
     ranks = rank_kernel(column)
     counts = np.searchsorted(np.sort(column), column, side="right")
     assert ranks.dtype == np.uint8 and np.array_equal(ranks, counts)
     assert np.array_equal(ecdf_values(column), counts / n)
     out = np.zeros(n, dtype=np.int64)
     assert rank_kernel(column, out) is out and np.array_equal(out, counts)
-    expected_upper = np.flatnonzero(column > np.sort(column)[n - k - 1])
-    expected_lower = np.flatnonzero(-column > np.sort(-column)[n - k - 1])
-    assert np.array_equal(_exceedance_rows(ranks, k, psi=False), expected_upper)
-    both = _exceedance_rows(ranks, k, psi=True)
-    assert np.array_equal(both, np.concatenate([expected_upper, expected_lower]))
+
+
+@st.composite
+def tail_samples(draw):
+    """An n x m sample whose columns are tied or continuous, and a k in [1, n - 1]."""
+    n = draw(st.integers(2, 30))
+    column = st.one_of(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]),
+                                min_size=n, max_size=n),
+                       st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    values = np.column_stack([draw(column) for _ in range(draw(st.integers(1, 4)))])
+    return values, draw(st.integers(1, n - 1))  # k >= n/2 makes the two tails overlap
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_samples(), st.booleans())
+def test_exceedance_rows_match_per_column_masks(sample, psi):
+    # the reference: each column's strict tails by masks over one sort of it,
+    # the upper rows first; the selection under test reads the Dataset's ranks
+    values, k = sample
+    n, m = values.shape
+    ranks = Dataset([f"x{c}" for c in range(m)], values).ranks()
+    assert np.shares_memory(ranks.T.ravel(), ranks)  # the column-after-column layout is a view
+    rows, bounds = _exceedance_rows(ranks, k, psi)
+    assert bounds.shape == (m + 1,) and bounds[0] == 0 and bounds[-1] == rows.size
+    for c in range(m):
+        s = np.sort(values[:, c])
+        expected = np.flatnonzero(values[:, c] > s[n - k - 1])
+        if psi:
+            expected = np.concatenate([expected, np.flatnonzero(values[:, c] < s[k])])
+        assert np.array_equal(rows[bounds[c]:bounds[c + 1]], expected)
+    # a C-order copy of the ranks, and each column alone, select the same rows
+    copied = _exceedance_rows(np.ascontiguousarray(ranks), k, psi)
+    assert np.array_equal(copied[0], rows) and np.array_equal(copied[1], bounds)
+    for c in range(m):
+        alone, ends = _exceedance_rows(ranks[:, c:c + 1], k, psi)
+        assert np.array_equal(alone, rows[bounds[c]:bounds[c + 1]])
+        assert ends.tolist() == [0, alone.size]
+
+
+def test_exceedance_rows_drop_the_rows_tied_at_the_threshold():
+    # column 0: s[n-k-1] = s[n-k] = 2 for k = 2, so only the 3 exceeds it;
+    # column 1 has no tie there and keeps exactly k upper rows
+    values = np.array([[2.0, 0.0], [3.0, 5.0], [2.0, 1.0], [1.0, 4.0], [0.0, 2.0]])
+    ranks = Dataset(["a", "b"], values).ranks()
+    rows, bounds = _exceedance_rows(ranks, 2, psi=False)
+    assert rows.tolist() == [1, 1, 3] and bounds.tolist() == [0, 1, 3]
+    rows, bounds = _exceedance_rows(ranks, 2, psi=True)
+    # the lower rows, below s[2], follow each column's upper rows
+    assert rows.tolist() == [1, 3, 4, 1, 3, 0, 2] and bounds.tolist() == [0, 3, 7]
 
 
 def fresh_estimates(values, k):

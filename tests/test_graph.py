@@ -7,7 +7,9 @@ import pytest
 from heavytail import (CausalOrder, Dag, GeneratorConfig, NoiseSpec, Scm, ValidationError,
                        check_path_faithful, path_weights, random_scm)
 
-from heavytail.graph import _REDUCE_PARENTS, _node_pairs, backward_pairs
+from heavytail import graph
+from heavytail.graph import (COEFFICIENT_LAWS, MODES, _REDUCE_PARENTS, _draw_coefficient,
+                             _node_pairs, backward_pairs)
 
 from brute_oracles import all_causal_orders, brute_ancestors, brute_backward_pairs
 
@@ -31,6 +33,26 @@ def test_dag_validation():
         Dag(2, [(0, 1), (0, 1)])
     with pytest.raises(ValidationError, match="cycle"):
         Dag(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def test_non_integral_node_ids_are_refused_not_truncated():
+    noise = NoiseSpec("student_t", 1.5)
+    for edge in [(0.7, 1.2), (0, 1.0), (np.float64(0.0), 1), ("0", 1)]:
+        with pytest.raises(ValidationError, match="integer node ids"):
+            Dag(3, [edge])
+        with pytest.raises(ValidationError, match="integer"):
+            Scm(3, {edge: 0.5}, noise)
+    for hidden in ([2.9], [2.0], [np.float64(1.0)]):
+        with pytest.raises(ValidationError, match="hidden node ids must be integers"):
+            Scm(3, {(0, 1): 0.5}, noise, hidden=hidden)
+    for sequence in ([0.9, 1.2, 2.5], [0, 1, 2.0], np.arange(3.0)):
+        with pytest.raises(ValidationError, match="order node ids must be integers"):
+            CausalOrder(sequence)
+    # ints of any integer type are node ids
+    ids = np.arange(3)
+    assert Dag(3, [(ids[0], ids[1]), (np.int32(1), 2)]).edges == {(0, 1), (1, 2)}
+    assert Scm(3, {(ids[0], ids[2]): 0.5}, noise, hidden=ids[1:2]).hidden == {1}
+    assert CausalOrder(ids[::-1]).sequence == (2, 1, 0)
 
 
 def strict_ancestors(dag, j):
@@ -259,6 +281,32 @@ def test_random_scm_confounders_are_parentless_extra_nodes():
         assert h >= 8
         assert scm.dag.parents(h) == ()
         assert sum(parent == h for parent, _ in scm.dag.edges) == 2
+
+
+def test_batched_coefficient_draws_match_per_edge_draws(monkeypatch):
+    # the reference draws every coefficient by its own _draw_coefficient call,
+    # edge by edge; the SCMs drawn (before any path-faithfulness resampling)
+    # must be equal and the two streams left at the same position
+    def per_edge(rng, config, count):
+        return [_draw_coefficient(rng, config) for _ in range(count)]
+
+    configs = [GeneratorConfig(mode, law, confounded) for mode, law, confounded in
+               itertools.product(MODES, COEFFICIENT_LAWS, (False, True))]
+    drawn = []
+    for seed in range(2000):
+        p = 2 + seed % 29
+        config = configs[seed % len(configs)]
+        rng = np.random.default_rng(seed)
+        scm = graph._draw_scm(p, 1.5, config, rng)
+        drawn.append((p, config, seed, scm, rng.random()))
+    monkeypatch.setattr(graph, "_draw_coefficients", per_edge)
+    for p, config, seed, scm, after in drawn:
+        rng = np.random.default_rng(seed)
+        reference = graph._draw_scm(p, 1.5, config, rng)
+        assert list(scm.coefficients.items()) == list(reference.coefficients.items())
+        assert scm.hidden == reference.hidden and scm.p == reference.p
+        assert rng.random() == after
+    assert sum(len(scm.hidden) > 0 for _, _, _, scm, _ in drawn) > 500
 
 
 def test_confounded_pairs_index_the_row_major_pair_list():
