@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 KINDS = ("gamma", "psi")
 
@@ -78,7 +78,7 @@ class Dataset:
         return self.values.shape[1]
 
     def column(self, j: int) -> np.ndarray:
-        if not (0 <= j < self.p):
+        if not (0 <= integer(j, "column") < self.p):
             raise ValidationError(f"column {j} out of range for p={self.p}")
         return self.values[:, j]
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import KINDS, CoefMatrix, Dataset, ecdf_from_ranks, rank_kernel
-from .errors import ConfigError, ValidationError, check_bytes
+from .errors import ConfigError, ValidationError, check_bytes, integer
 
 # Weights _tail_sums gathers at a time: its scratch memory stays bounded
 # whatever p and k are.
@@ -73,8 +73,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.k is not None and self.k_exponent is not None:
             raise ConfigError("give either an explicit k or an exponent, not both")
-        if self.k is not None and self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.k is not None:
+            object.__setattr__(self, "k", integer(self.k, "k", 1, ConfigError))
         if self.k_exponent is not None and not (0 < self.k_exponent < 1):
             raise ConfigError(f"k_exponent must lie in (0, 1), got {self.k_exponent}")
         if self.kind not in KINDS:
@@ -83,8 +83,7 @@ class EstimatorConfig:
 
 def resolve_k(n: int, config: EstimatorConfig) -> int:
     """Concrete exceedance count for a sample of size n."""
-    if n < 2:
-        raise ValidationError(f"need n >= 2 to estimate, got {n}")
+    n = integer(n, "n", 2)
     if config.k is not None:
         if config.k > n - 1:
             raise ConfigError(f"k={config.k} out of range for n={n} (need k <= n - 1)")
@@ -211,6 +210,7 @@ def _slice_sums(block: np.ndarray, whole: np.ndarray, starts: np.ndarray,
 
 def _pair_estimate(data: Dataset, j: int, k_col: int, config: EstimatorConfig,
                    psi: bool) -> float:
+    j, k_col = integer(j, "column"), integer(k_col, "column")
     if j == k_col:
         raise ValidationError("conditioning and averaged columns must differ")
     if not (0 <= j < data.p and 0 <= k_col < data.p):

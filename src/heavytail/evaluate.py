@@ -26,7 +26,7 @@ import numpy as np
 from ._rng import as_rng, derived_seed
 from .data import Dataset
 from .ease import ease
-from .errors import ValidationError, check_bytes
+from .errors import ValidationError, check_bytes, integer
 from .estimators import EstimatorConfig, coefficient_matrix, resolve_k
 from .graph import CausalOrder, Scm, backward_pairs
 from .simulate import GridSpec, Scenario, simulate_grid
@@ -146,8 +146,7 @@ def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None) -> lis
     and, for the SCM draw, across sample sizes (so trends in n are paired).
     A grid whose cells share a scenario id is refused before any is set up.
     """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    reps = integer(reps, "reps", 1)
     methods = tuple(methods)
     for m in methods:
         if m not in METHODS:
@@ -199,8 +198,7 @@ def k_sensitivity(exponents, *, p: int | None = None, alpha: float | None = None
     exponents = [float(e) for e in exponents]
     if not exponents:
         raise ValidationError("need at least one exponent")
-    if n is None or n < 2:
-        raise ValidationError("the sweep needs a sample size n >= 2")
+    n = integer(n, "n", 2)
 
     configs = [EstimatorConfig(k_exponent=e, kind=kind) for e in exponents]
     replicates = simulate_grid(GridSpec((n,), (p,), (alpha,)), reps, seed)

@@ -112,13 +112,12 @@ def read_grid(path) -> GridSpec:
             except ImportError as exc:
                 raise ValidationError(
                     "TOML grids need Python >= 3.11 or the tomli package; use JSON") from exc
-        try:
-            with open(path, "rb") as fh:
+        with _file_errors(path, "read"), open(path, "rb") as fh:
+            try:
                 doc = tomllib.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
-        except ValueError as exc:  # TOMLDecodeError, or bytes that are not UTF-8
-            raise ValidationError(f"malformed TOML in {path}: {exc}") from exc
+            # TOMLDecodeError, bytes that are not UTF-8, or arrays nested too deep
+            except (ValueError, RecursionError) as exc:
+                raise ValidationError(f"malformed TOML in {path}: {exc}") from exc
     else:
         doc = read_json(path)
     arrays = isinstance(doc, dict) and all(isinstance(doc.get(key), list)

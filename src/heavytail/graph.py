@@ -11,14 +11,13 @@ order, ``Dag.ancestor_matrix[j, i]`` is true when ``i`` is a strict ancestor of 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._rng import as_rng
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .noise import NoiseSpec
 
 POSITIVE = "positive"
@@ -45,18 +44,12 @@ class Dag:
     """
 
     def __init__(self, p: int, edges=()):
-        if p < 1:
-            raise ValidationError(f"node count must be >= 1, got {p}")
-        self._p = int(p)
+        self._p = p = integer(p, "node count", 1)
         seen = set()
         parents = [[] for _ in range(p)]
         children = [[] for _ in range(p)]
         for parent, child in edges:
-            try:
-                parent, child = operator.index(parent), operator.index(child)
-            except TypeError:
-                raise ValidationError(
-                    f"edge ({parent!r}, {child!r}) must join integer node ids") from None
+            parent, child = integer(parent, "edge node id"), integer(child, "edge node id")
             if not (0 <= parent < p and 0 <= child < p):
                 raise ValidationError(f"edge ({parent}, {child}) out of range for p={p}")
             if parent == child:
@@ -124,7 +117,7 @@ class Dag:
         return a
 
     def _check_node(self, j: int) -> None:
-        if not (0 <= j < self._p):
+        if not (0 <= integer(j, "node id") < self._p):
             raise ValidationError(f"node {j} out of range for p={self._p}")
 
     def __eq__(self, other):
@@ -137,23 +130,13 @@ class Dag:
         return f"Dag(p={self._p}, edges={sorted(self._edges)})"
 
 
-def _node_ids(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of int node ids; a non-integral id is refused, never truncated."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise ValidationError(f"{what} node ids must be integers: {exc}") from None
-
-
 class CausalOrder:
     """A permutation of nodes; ``sequence[s]`` is the node placed at position ``s``."""
 
     def __init__(self, sequence):
-        seq = _node_ids(sequence, "order")
+        seq = tuple(integer(v, "order node id", 0) for v in sequence)
         if len(set(seq)) != len(seq):
             raise ValidationError("order contains repeated nodes")
-        if any(v < 0 for v in seq):
-            raise ValidationError("order contains negative node ids")
         self._sequence = seq
 
     @property
@@ -203,12 +186,12 @@ class Scm:
                  hidden=(), names=None):
         if mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-        index = operator.index
         try:
-            coeffs = {(index(a), index(b)): float(v) for (a, b), v in dict(coefficients).items()}
-        except TypeError as exc:
+            coeffs = {(integer(a, "edge node id"), integer(b, "edge node id")): float(v)
+                      for (a, b), v in dict(coefficients).items()}
+        except (TypeError, ValueError) as exc:
             raise ValidationError(
-                f"coefficients must map integer (parent, child) pairs to numbers: {exc}") from None
+                f"coefficients must map (parent, child) pairs to numbers: {exc}") from None
         dag = Dag(p, coeffs)
         for (a, b), v in coeffs.items():
             if v == 0.0 or not math.isfinite(v):
@@ -223,7 +206,7 @@ class Scm:
         alphas = {spec.alpha for spec in noise}
         if len(alphas) != 1:
             raise ValidationError("comparable tails require a single alpha across all noise terms")
-        hidden = frozenset(_node_ids(hidden, "hidden"))
+        hidden = frozenset(integer(h, "hidden node id") for h in hidden)
         for h in hidden:
             if not (0 <= h < dag.p):
                 raise ValidationError(f"hidden node {h} out of range")
@@ -367,8 +350,7 @@ def random_scm(p: int, alpha: float, config: GeneratorConfig | None = None, seed
     scales. Real-coefficient draws violating path-faithfulness are rejected and
     resampled, up to 100 draws in all.
     """
-    if p < 1:
-        raise ValidationError(f"p must be >= 1, got {p}")
+    p = integer(p, "p", 1)
     if not (alpha > 0):
         raise ValidationError(f"alpha must be positive, got {alpha}")
     config = config or GeneratorConfig()

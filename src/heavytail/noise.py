@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import as_rng
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, integer
 
 FAMILIES = ("student_t", "symmetric_pareto", "shifted_pareto")
 
@@ -74,10 +74,9 @@ def sample_noise(spec: NoiseSpec, n: int, seed=None, *, columns: int | None = No
     ``n x columns`` array whose columns are consecutive draws of ``n``: bit
     for bit what ``columns`` successive calls would return.
     """
-    if n < 1:
-        raise ValidationError(f"sample size must be >= 1, got {n}")
-    if columns is not None and columns < 1:
-        raise ValidationError(f"columns must be >= 1, got {columns}")
+    n = integer(n, "sample size", 1)
+    if columns is not None:
+        columns = integer(columns, "columns", 1)
     rng = as_rng(seed)
     # a C-order (columns, n) draw transposed is the F-order n x columns array
     size = n if columns is None else (columns, n)
@@ -126,8 +125,7 @@ def hill_tail_index(data, k: int) -> HillEstimate:
     raises DomainError when ``xi_hat`` would not be finite: a NaN or an
     infinity among them, or a ratio to the smallest of them past float64.
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    k = integer(k, "k", 2)
     values = np.asarray(data, dtype=float).ravel()
     if values.size < k + 1:
         raise DomainError(f"need at least k + 1 = {k + 1} observations, got {values.size}")

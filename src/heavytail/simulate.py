@@ -35,7 +35,7 @@ import numpy as np
 from ._rng import FLOAT_KEY_MAX, as_rng, derived_seed
 from .data import Dataset, ranking_bytes
 from .errors import (MEMORY_CAP_BYTES, DomainError, HeavytailError, ValidationError,
-                     check_bytes, whole_number)
+                     check_bytes, integer, whole_number)
 from .graph import REAL, GeneratorConfig, Scm, random_scm
 from .noise import SAMPLE_BYTES_PER_VALUE, sample_noise
 
@@ -174,15 +174,16 @@ def simulate(scm: Scm, setting: SimSetting, n: int, seed=None) -> Dataset:
     column, computed once from the ranks the Dataset then holds, so
     estimating it ranks nothing.
     """
-    _check_simulation(setting, n)
+    n = _check_simulation(setting, n)
     return _assign(scm, setting, _draw_noise(scm, n, as_rng(seed)))
 
 
-def _check_simulation(setting: SimSetting, n: int) -> None:
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+def _check_simulation(setting: SimSetting, n: int) -> int:
+    """``n`` as an int, refused unless the setting can simulate that many rows."""
+    n = integer(n, "n", 1)
     if setting.kind in ("nonlinear", "uniform_margins") and n < 2:
         raise DomainError(f"{setting.kind} needs n >= 2 for a non-degenerate empirical CDF")
+    return n
 
 
 @dataclass(frozen=True)
@@ -324,9 +325,8 @@ def set_up_replicate(seed, cap_bytes: int, setting: SimSetting, n: int, p: int, 
     DomainError for an n too small for the setting, before any seed is
     derived or SCM drawn.
     """
-    _check_simulation(setting, n)
-    if p < 1:  # before p * p is taken as a size
-        raise ValidationError(f"p must be >= 1, got {p}")
+    n = _check_simulation(setting, n)
+    p = integer(p, "p", 1)  # before p * p is taken as a size
     if not (0 < alpha <= FLOAT_KEY_MAX):
         raise ValidationError(f"alpha must be positive and finite, at most {FLOAT_KEY_MAX}, "
                               f"got {alpha}")
@@ -483,8 +483,7 @@ def simulate_grid(grid: GridSpec, reps: int, seed=None):
     up or drawn. Noise is drawn ahead on a helper thread as
     :class:`_DrawWindow` describes, within ``grid.memory_cap_bytes``.
     """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
+    reps = integer(reps, "reps", 1)
 
     def set_up(cell, rep):
         # an error is returned, to be raised when its replicate is asked for

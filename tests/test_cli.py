@@ -499,11 +499,15 @@ _ARRAYS = "grid file needs 'n', 'p', and 'alpha' arrays"
      "grid cells repeat the scenario id 'linear-n50-p3-a2'"),
     ("grid.json", '{"n": [50], "p": [3], "alpha": [1.5, 1.5000001]}',
      "grid cells repeat the scenario id 'linear-n50-p3-a1.5'"),
+    # nesting past the recursion limit was an internal error (exit 1) in TOML
+    pytest.param("grid.toml", "n = " + "[" * 10 ** 5 + "\n", "malformed TOML in",
+                 marks=pytest.mark.skipif(_NO_TOML, reason="no TOML parser")),
+    ("grid.json", '{"n": ' + "[" * 10 ** 5, "malformed JSON in"),
 ], ids=["json-nan", "json-inf", "toml-nan", "toml-inf", "fractional-n", "fractional-p",
         "p-over-the-cap", "nan-n", "bool-n", "string-alpha", "huge-alpha", "fractional-cap",
         "bool-cap", "negative-cap", "missing-alpha", "scalar-n", "scalar-settings",
         "not-an-object", "misspelt-settings", "toml-misspelt-settings", "repeated-n",
-        "alphas-equal-under-g"])
+        "alphas-equal-under-g", "toml-deeply-nested", "json-deeply-nested"])
 def test_benchmark_grid_values_exit_2(tmp_path, capsys, name, text, message):
     grid_path = tmp_path / name
     grid_path.write_text(text)

@@ -38,15 +38,15 @@ def test_dag_validation():
 def test_non_integral_node_ids_are_refused_not_truncated():
     noise = NoiseSpec("student_t", 1.5)
     for edge in [(0.7, 1.2), (0, 1.0), (np.float64(0.0), 1), ("0", 1)]:
-        with pytest.raises(ValidationError, match="integer node ids"):
+        with pytest.raises(ValidationError, match="edge node id must be a whole number"):
             Dag(3, [edge])
-        with pytest.raises(ValidationError, match="integer"):
+        with pytest.raises(ValidationError, match="edge node id must be a whole number"):
             Scm(3, {edge: 0.5}, noise)
     for hidden in ([2.9], [2.0], [np.float64(1.0)]):
-        with pytest.raises(ValidationError, match="hidden node ids must be integers"):
+        with pytest.raises(ValidationError, match="hidden node id must be a whole number"):
             Scm(3, {(0, 1): 0.5}, noise, hidden=hidden)
     for sequence in ([0.9, 1.2, 2.5], [0, 1, 2.0], np.arange(3.0)):
-        with pytest.raises(ValidationError, match="order node ids must be integers"):
+        with pytest.raises(ValidationError, match="order node id must be a whole number"):
             CausalOrder(sequence)
     # ints of any integer type are node ids
     ids = np.arange(3)
@@ -332,5 +332,9 @@ def test_scm_invariants():
         Scm(2, {(0, 1): 1.0}, (noise, NoiseSpec("student_t", 2.0)))
     with pytest.raises(ValidationError, match="cycle"):
         Scm(2, {(0, 1): 1.0, (1, 0): 1.0}, noise)
+    # a key that is not a pair, or a coefficient that is no number, raised a bare ValueError
+    for coefficients in ({(0, 1, 2): 0.5}, {(0, 1): "x"}):
+        with pytest.raises(ValidationError, match="must map"):
+            Scm(3, coefficients, noise)
     # the coefficient keys are the DAG's edges
     assert Scm(2, {(0, 1): -1.0}, noise, mode="real").dag == Dag(2, [(0, 1)])

@@ -157,6 +157,34 @@ def test_every_document_reader_goes_through_one_rule():
     assert catchers == []
 
 
+def test_every_integer_input_goes_through_one_rule():
+    # one integer rule: errors.integer makes the only operator.index call, and
+    # graph, whose node ids are checked on every edge, has no integer helper of
+    # its own: no int() or __index__ call, no isinstance test against int or
+    # bool, no numbers.Integral
+    importers, graph_helpers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+            else:
+                modules = {getattr(node, "module", None)}
+            if "operator" in modules and path.stem != "errors":
+                importers.append(f"{path.stem}:{node.lineno}")
+            if path.stem != "graph":
+                continue
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                tested = {getattr(arg, "id", None) for arg in ast.walk(node)}
+                if called in ("int", "__index__") or (
+                        called == "isinstance" and tested & {"int", "bool"}):
+                    graph_helpers.append(f"graph:{node.lineno} {called}")
+            elif "Integral" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                graph_helpers.append(f"graph:{node.lineno} Integral")
+    assert importers == []
+    assert graph_helpers == []
+
+
 def test_no_module_keeps_state_in_closures():
     # state that outlives a call lives in an object, where a test can reach
     # it, not in a closure's nonlocal cells
