@@ -40,21 +40,22 @@ dev() {
     # -X dev reports unclosed resources and exceptions raised in threads, such
     # as simulate_grid's draw-ahead worker; the -W options fail the step on
     # those warnings. The simulate tests draw ahead with the threshold patched
-    # to 0; A4-A6 and the CLI benchmark tests draw ahead at n = 10^4, over the
+    # to 0, the split tests split with theirs patched to 0; A4-A6 and the CLI benchmark tests draw ahead at n = 10^4, over the
     # real threshold
     local run=(python -X dev -m pytest -q
                -W error::ResourceWarning
                -W error::pytest.PytestUnhandledThreadExceptionWarning
                -W error::pytest.PytestUnraisableExceptionWarning)
-    "${run[@]}" tests/test_simulate.py tests/test_evaluate.py
+    "${run[@]}" tests/test_simulate.py tests/test_evaluate.py tests/test_split.py
     "${run[@]}" tests/test_acceptance.py -k "a4 or a5 or a6"
     "${run[@]}" tests/test_cli.py -k benchmark
-    # which thread draws a replicate depends on timing, so the grid tests run
-    # five more times in a row to catch races (a shell loop: pytest-repeat is
-    # not a dependency)
+    # which thread draws a replicate, or sums a half, depends on timing, so
+    # the grid tests and the split and helper-lock tests run five more times
+    # in a row to catch races (a shell loop: pytest-repeat is not a dependency)
     local i
     for i in 1 2 3 4 5; do
         "${run[@]}" tests/test_simulate.py -k grid
+        "${run[@]}" tests/test_split.py
     done
 }
 

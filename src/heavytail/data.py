@@ -10,10 +10,18 @@ The ranks are stored in np.min_scalar_type(n), the narrowest unsigned
 integer that holds n (uint8 up to n = 255, uint16 up to 65535, then uint32),
 so the array costs 1, 2 or 4 bytes per entry and is held as long as the
 Dataset is, once it has been ranked.
+
+heavytail runs at most one helper thread at a time: the draw-ahead worker of
+a multi-replicate grid (simulate._DrawWindow), or the short-lived worker that
+takes half of a wide sample's ranks or tail sums (:func:`in_two`), never
+both. Whoever starts one holds HELPER_LOCK until it is joined; the lock is
+only ever taken without blocking, so work that cannot get it runs on the
+calling thread. Which thread does what changes no output.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,15 @@ KINDS = ("gamma", "psi")
 # of ranks in the rank dtype, under 5 bytes per row at n < 2**32
 # (tracemalloc read 2.63 columns, on tied and on tie-free columns).
 _RANK_SCRATCH_COLUMNS = 3
+
+HELPER_LOCK = threading.Lock()
+# Fewest values to rank, or weights to gather, for work to be split in two:
+# below it the worker's start and join cost about what it saves.
+SPLIT_MIN_VALUES = 1 << 18
+# Fewest columns a sample must have for its ranks to be split: the second
+# rank scratch, _RANK_SCRATCH_COLUMNS float64 columns, then costs at most a
+# sixteenth of what the sample's values already hold.
+SPLIT_MIN_COLUMNS = 48
 
 
 class Dataset:
@@ -89,8 +106,15 @@ class Dataset:
         """
         if self._ranks is None:
             ranks = np.empty((self.n, self.p), _rank_dtype(self.n), order="F")
-            for j in range(self.p):
-                rank_kernel(self.values[:, j], ranks[:, j])
+
+            def rank(columns):
+                for j in columns:
+                    rank_kernel(self.values[:, j], ranks[:, j])
+
+            if _splits_ranks(self.n, self.p):
+                in_two(rank, range(self.p // 2), range(self.p // 2, self.p))
+            else:
+                rank(range(self.p))
             ranks.setflags(write=False)
             self._ranks = ranks
         return self._ranks
@@ -147,13 +171,44 @@ class CoefMatrix:
         return self.values.shape[0]
 
 
+def in_two(work, first, second) -> None:
+    """``work(first)`` and ``work(second)``, the second on a worker thread if the helper is free.
+
+    The worker is a one-thread executor started here and joined before this
+    returns, also when either half raises; an exception of the worker's
+    half is raised here. If HELPER_LOCK is taken, both halves run on the
+    calling thread, in turn.
+    """
+    if not HELPER_LOCK.acquire(blocking=False):
+        work(first)
+        work(second)
+        return
+    try:
+        import concurrent.futures  # only a split needs it
+
+        with concurrent.futures.ThreadPoolExecutor(1, "heavytail-split") as worker:
+            half = worker.submit(work, second)
+            work(first)
+            half.result()
+    finally:
+        HELPER_LOCK.release()
+
+
+def _splits_ranks(n: int, p: int) -> bool:
+    """Whether Dataset.ranks ranks an n x p sample on two threads, when the helper is free."""
+    return p >= SPLIT_MIN_COLUMNS and n * p >= SPLIT_MIN_VALUES
+
+
 def ranking_bytes(n: int, p: int, ecdf: bool) -> int:
     """Bytes an n x p Dataset holds at once while all its columns are ranked.
 
     That is its float64 values, its rank array, and the larger of the rank
-    kernel's scratch and, with ``ecdf``, the values of its ecdf_dataset.
+    kernels' scratch (one per thread that ranks: two when the sample is
+    wide and large enough to split) and, with ``ecdf``, the values of its
+    ecdf_dataset.
     """
-    scratch = max(_RANK_SCRATCH_COLUMNS, p if ecdf else 0)
+    threads = 2 if _splits_ranks(n, p) else 1
+    scratch = max(threads * _RANK_SCRATCH_COLUMNS, p if ecdf else 0)
     return n * ((8 + _rank_dtype(n).itemsize) * p + 8 * scratch)
 
 

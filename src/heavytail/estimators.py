@@ -44,17 +44,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import KINDS, CoefMatrix, Dataset, ecdf_from_ranks, rank_kernel
+from .data import (KINDS, SPLIT_MIN_VALUES, CoefMatrix, Dataset, ecdf_from_ranks,
+                   in_two, rank_kernel)
 from .errors import ConfigError, ValidationError, check_bytes, integer
 
 # Weights _tail_sums gathers at a time: its scratch memory stays bounded
 # whatever p and k are.
 _BLOCK_ELEMENTS = 1 << 16
 # Bytes per p**2 that coefficient_matrix holds at its peak: _tail_sums' sums
-# and their quotient by the divisor, two float64 p x p arrays (tracemalloc,
-# both kinds, n = 3, 20 and 200: 16.3 to 17.6 bytes per p**2 at p = 1000 and
-# 2000). The ranks and the tail rows scale with the n x p sample the caller
-# already holds, and the block scratch is bounded, so only this term is checked.
+# and their quotient by the divisor, two float64 p x p arrays. Beside them it
+# holds the tail rows (8 bytes each) and, per thread that sums, one block:
+# the gathered ranks, their float64 weights and a float64 scratch
+# (_block_bytes). tracemalloc, both kinds, n = 3, 20 and 200, p = 1000 and
+# 2000: 0.68 to 1.3 MB beyond 16 bytes per p**2, inline.
 _MATRIX_BYTES_PER_ENTRY = 16
 
 
@@ -138,6 +140,31 @@ def _exceedance_rows(ranks: np.ndarray, k: int, psi: bool) -> tuple[np.ndarray, 
     return rows, bounds + lower_bounds
 
 
+def _block_bytes(m: int, longest: int) -> int:
+    """Bytes of one _tail_sums block over m columns, its slices at most ``longest`` long.
+
+    A block gathers at most max(_BLOCK_ELEMENTS // m, 1, longest) rows of the
+    m columns; it holds their ranks (at most 8 bytes each), their float64
+    weights and the float64 scratch _slice_sums cuts limbs into. Unless one
+    slice alone is longer, that is a fixed term of at most 24 *
+    _BLOCK_ELEMENTS bytes.
+    """
+    return 24 * m * max(_BLOCK_ELEMENTS // m, 1, longest)
+
+
+def _matrix_bytes(p: int, k: int, psi: bool) -> int:
+    """Bytes coefficient_matrix holds at its peak beyond the ranks of its sample.
+
+    Two float64 p x p arrays, the tail rows (k or, for psi, 2k per column at
+    most) and one block per thread that sums: two when the weights reach
+    SPLIT_MIN_VALUES, and _tail_sums may split.
+    """
+    longest = 2 * k if psi else k
+    threads = 2 if p * p * longest >= SPLIT_MIN_VALUES else 1
+    return (_MATRIX_BYTES_PER_ENTRY * p * p + 8 * p * longest
+            + threads * _block_bytes(p, longest))
+
+
 def _tail_sums(ranks: np.ndarray, rows: np.ndarray, bounds, divisor: int,
                psi: bool = False) -> np.ndarray:
     """Correctly rounded sums of the ECDF at ranks[rows] over consecutive row slices, over divisor.
@@ -147,31 +174,44 @@ def _tail_sums(ranks: np.ndarray, rows: np.ndarray, bounds, divisor: int,
     rows[bounds[i]:bounds[i + 1]]. With ``psi`` each gathered weight u counts
     as |2u - 1| instead. Rows are gathered for blocks of slices holding at
     most _BLOCK_ELEMENTS weights (a longer slice is gathered alone), and each
-    block is summed exactly by _slice_sums.
+    block is summed exactly by _slice_sums. With at least SPLIT_MIN_VALUES
+    weights, the slices are cut at the middle row and the two halves are
+    summed by in_two, each with its own block scratch, into disjoint rows
+    of the result; the sums are exact, so the cut changes none of them.
     """
     bounds = np.asarray(bounds)
     sizes = np.diff(bounds)
     m = ranks.shape[1]
     out = np.zeros((sizes.size, m))
     limit = max(_BLOCK_ELEMENTS // m, 1)  # rows per block
-    longest = int(sizes.max(initial=0))
-    scratch = np.empty(m * min(int(bounds[-1]), max(limit, longest)))
-    a = 0
-    while a < sizes.size:
-        b = max(int(np.searchsorted(bounds, bounds[a] + limit, "right")) - 1, a + 1)
-        # reduceat would give an empty slice the row after it, so only the
-        # nonempty slices are summed; the others keep their zero sum
-        filled = a + np.flatnonzero(sizes[a:b])
-        if filled.size:
-            block = ecdf_from_ranks(ranks[rows[bounds[a]:bounds[b]]], ranks.shape[0])
-            if psi:
-                block *= 2.0
-                block -= 1.0
-                np.abs(block, out=block)
-            whole = scratch[:block.size].reshape(block.shape)
-            out[filled] = _slice_sums(block, whole, bounds[filled] - bounds[a],
-                                      int(sizes[filled].max()))
-        a = b
+
+    def sum_slices(slices: range) -> None:
+        lo, hi = slices.start, slices.stop
+        longest = int(sizes[lo:hi].max(initial=0))
+        scratch = np.empty(m * min(int(bounds[hi] - bounds[lo]), max(limit, longest)))
+        a = lo
+        while a < hi:
+            b = min(max(int(np.searchsorted(bounds, bounds[a] + limit, "right")) - 1, a + 1), hi)
+            # reduceat would give an empty slice the row after it, so only the
+            # nonempty slices are summed; the others keep their zero sum
+            filled = a + np.flatnonzero(sizes[a:b])
+            if filled.size:
+                block = ecdf_from_ranks(ranks[rows[bounds[a]:bounds[b]]], ranks.shape[0])
+                if psi:
+                    block *= 2.0
+                    block -= 1.0
+                    np.abs(block, out=block)
+                whole = scratch[:block.size].reshape(block.shape)
+                out[filled] = _slice_sums(block, whole, bounds[filled] - bounds[a],
+                                          int(sizes[filled].max()))
+                del block  # before the next block is gathered
+            a = b
+
+    if sizes.size > 1 and m * int(bounds[-1]) >= SPLIT_MIN_VALUES:
+        middle = min(max(int(np.searchsorted(bounds, bounds[-1] // 2)), 1), sizes.size - 1)
+        in_two(sum_slices, range(middle), range(middle, sizes.size))
+    else:
+        sum_slices(range(sizes.size))
     return out / divisor
 
 
@@ -242,10 +282,10 @@ def coefficient_matrix(data: Dataset, config: EstimatorConfig) -> CoefMatrix:
     """
     if data.p < 2:
         raise ValidationError("coefficient estimation needs at least two columns")
-    check_bytes(_MATRIX_BYTES_PER_ENTRY * data.p ** 2,
-                f"a {data.p} x {data.p} coefficient matrix")
     k = resolve_k(data.n, config)
     psi = config.kind == "psi"
+    check_bytes(_matrix_bytes(data.p, k, psi),
+                f"a {data.p} x {data.p} coefficient matrix")
     ranks = data.ranks()
     rows, bounds = _exceedance_rows(ranks, k, psi)
     values = _tail_sums(ranks, rows, bounds, 2 * k if psi else k, psi)

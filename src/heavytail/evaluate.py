@@ -14,6 +14,7 @@ they share its seeding: a replicate is keyed on (seed, n, p, alpha, rep).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -161,18 +162,20 @@ def benchmark(grid: GridSpec, methods=METHODS, reps: int = 50, seed=None) -> lis
             raise ValidationError(f"grid cells repeat the scenario id {scenario_id!r}")
         cells[scenario_id] = setting, n, p, alpha
 
-    scenarios = simulate_grid(grid, reps, seed)
     orderers = [functools.partial(_method_order, method, seed) for method in methods]
     rows = []
-    for scenario_id, (setting, n, p, alpha) in cells.items():
-        per_method = _scores(orderers, itertools.islice(scenarios, reps))
-        for method, results in zip(methods, per_method):
-            mean, se, mistake = _aggregate(results)
-            rows.append(BenchmarkRow(
-                scenario_id=scenario_id,
-                setting=setting.kind, n=n, p=p, alpha=alpha, method=method,
-                mean_violation_fraction=mean, se=se, mistake_rate=mistake,
-                wall_ms=math.fsum(ms for _, ms in results)))
+    # closed on any exit, so its draw-ahead worker is joined and the helper
+    # freed even when scoring raises
+    with contextlib.closing(simulate_grid(grid, reps, seed)) as scenarios:
+        for scenario_id, (setting, n, p, alpha) in cells.items():
+            per_method = _scores(orderers, itertools.islice(scenarios, reps))
+            for method, results in zip(methods, per_method):
+                mean, se, mistake = _aggregate(results)
+                rows.append(BenchmarkRow(
+                    scenario_id=scenario_id,
+                    setting=setting.kind, n=n, p=p, alpha=alpha, method=method,
+                    mean_violation_fraction=mean, se=se, mistake_rate=mistake,
+                    wall_ms=math.fsum(ms for _, ms in results)))
     return rows
 
 
@@ -201,9 +204,10 @@ def k_sensitivity(exponents, *, p: int | None = None, alpha: float | None = None
     n = integer(n, "n", 2)
 
     configs = [EstimatorConfig(k_exponent=e, kind=kind) for e in exponents]
-    replicates = simulate_grid(GridSpec((n,), (p,), (alpha,)), reps, seed)
     # every exponent reads the replicate's ECDF, ranked once
-    per_config = _scores([functools.partial(_ease_order, c) for c in configs], replicates)
+    grid = GridSpec((n,), (p,), (alpha,))
+    with contextlib.closing(simulate_grid(grid, reps, seed)) as replicates:
+        per_config = _scores([functools.partial(_ease_order, c) for c in configs], replicates)
 
     rows = []
     for e, config, results in zip(exponents, configs, per_config):

@@ -11,6 +11,7 @@ order, ``Dag.ancestor_matrix[j, i]`` is true when ``i`` is a strict ancestor of 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +49,15 @@ class Dag:
         seen = set()
         parents = [[] for _ in range(p)]
         children = [[] for _ in range(p)]
-        for parent, child in edges:
+        if not isinstance(edges, Iterable):
+            raise ValidationError(f"edges must be an iterable of (parent, child) pairs, "
+                                  f"got {edges!r}")
+        for edge in edges:
+            try:
+                parent, child = edge
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"an edge must be a (parent, child) pair, got {edge!r}") from None
             parent, child = integer(parent, "edge node id"), integer(child, "edge node id")
             if not (0 <= parent < p and 0 <= child < p):
                 raise ValidationError(f"edge ({parent}, {child}) out of range for p={p}")
@@ -206,6 +215,8 @@ class Scm:
         alphas = {spec.alpha for spec in noise}
         if len(alphas) != 1:
             raise ValidationError("comparable tails require a single alpha across all noise terms")
+        if not isinstance(hidden, Iterable):
+            raise ValidationError(f"hidden must be an iterable of node ids, got {hidden!r}")
         hidden = frozenset(integer(h, "hidden node id") for h in hidden)
         for h in hidden:
             if not (0 <= h < dag.p):

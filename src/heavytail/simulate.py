@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import FLOAT_KEY_MAX, as_rng, derived_seed
-from .data import Dataset, ranking_bytes
+from .data import HELPER_LOCK, Dataset, ranking_bytes
 from .errors import (MEMORY_CAP_BYTES, DomainError, HeavytailError, ValidationError,
                      check_bytes, integer, whole_number)
 from .graph import REAL, GeneratorConfig, Scm, random_scm
@@ -277,8 +277,10 @@ def simulation_bytes(scm: Scm, setting: SimSetting, n: int) -> int:
     a second). Ranking the emitted Dataset holds data.ranking_bytes: under
     uniform margins simulate ranks it and builds its ECDF before the raw
     columns are dropped. The count is the larger of the two phases.
-    Estimation's tail gathers add a scratch of at most 2**16 weights, unless
-    one column's tails alone are longer.
+    Estimation's tail gathers add a block scratch of at most 2**16 weights
+    per thread that sums (two when a wide sample's tail sums are split),
+    unless one column's tails alone are longer; coefficient_matrix checks
+    it with the p x p matrices.
     """
     assigning = 8 * (2 if setting.kind == "nonlinear" else 1)
     simulating = n * (8 * scm.p + max(_draw_scratch(scm), assigning))
@@ -416,6 +418,11 @@ class _DrawWindow:
     a one-replicate grid starts no thread, and :meth:`close` shuts it down:
     a queued draw is cancelled, one in flight finishes, and the worker is
     joined.
+
+    heavytail runs at most one helper thread at a time (see heavytail.data):
+    the window holds data.HELPER_LOCK from its first draw handed on until
+    :meth:`close`, so no wide sample's ranks or tail sums are split while it
+    draws ahead, and a window that cannot get the lock draws inline.
     """
 
     def __init__(self, replicates, cap: int):
@@ -446,6 +453,8 @@ class _DrawWindow:
                                                    [slot.bytes for slot in self.slots[1:]]):
                     return
                 if self.helper is None:
+                    if not HELPER_LOCK.acquire(blocking=False):
+                        return  # another helper thread runs: the caller draws
                     import concurrent.futures  # only a call that draws ahead needs it
 
                     self.helper = concurrent.futures.ThreadPoolExecutor(1, "heavytail-draw-ahead")
@@ -471,6 +480,8 @@ class _DrawWindow:
         if self.helper is not None:
             # a draw still in flight is of a replicate nobody asked for
             self.helper.shutdown(wait=True, cancel_futures=True)
+            self.helper = None
+            HELPER_LOCK.release()
 
 
 def simulate_grid(grid: GridSpec, reps: int, seed=None):

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -232,3 +233,12 @@ def test_score_order_peak_stays_under_its_capacity_constant(p, complete, hidden)
     check_score_capacity(16384)
     with pytest.raises(CapacityError, match="the truth graph of 16385 nodes"):
         check_score_capacity(16385)
+
+
+def test_aggregate_standard_error_by_hand():
+    # fractions 0, 1/2, 1: mean 1/2, sample variance (1/4 + 0 + 1/4) / (3 - 1)
+    # = 1/4, standard error sqrt(1/4 / 3); two of the three orders are invalid
+    scores = [evaluate_module.OrderScore(f == 0.0, int(2 * f), f, 2) for f in (0.0, 0.5, 1.0)]
+    mean, se, mistake = evaluate_module._aggregate([(s, 1.0) for s in scores])
+    assert (mean, mistake) == (0.5, 2 / 3)
+    assert se == math.sqrt(0.25 / 3)

@@ -82,3 +82,18 @@ def test_every_count_and_node_id_takes_any_integer_type(name, call, least, good)
     expected = call(good)
     for value in (np.int32(good), np.int64(good)):
         np.testing.assert_equal(call(value), expected)
+
+
+# id, a call that passes a value of the wrong shape where node ids are expected
+MALFORMED = [
+    ("Dag-edge-not-a-pair", lambda: Dag(3, [5])),
+    ("Dag-edge-triple", lambda: Dag(3, [(0, 1, 2)])),
+    ("Dag-edges-none", lambda: Dag(3, None)),
+    ("Scm-hidden-not-iterable", lambda: Scm(3, {(0, 1): 0.5}, NOISE, hidden=5)),
+]
+
+
+@pytest.mark.parametrize("name, call", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_edges_and_hidden_nodes_are_refused(name, call):
+    with pytest.raises(ValidationError):
+        call()

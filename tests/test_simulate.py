@@ -803,3 +803,19 @@ def test_cap_rule_without_threads(case):
     grid, window, cap, expected = _CAP_RULE_CASES[case]
     h, d = _sizes(grid)
     assert _fits(cap(h, d), [h[j] for j in window], [d[j] for j in window[1:]]) is expected
+
+
+# (n, j) with fl(fl(j / n) * n) < j: q = j / n lies one ulp under the integer
+# j once multiplied by n, so the first guess of m falls one short
+_ROUNDED_BELOW = [(n, j) for n in range(2, 120) for j in range(1, n) if (j / n) * n < j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ROUNDED_BELOW), st.integers(0, 2**32 - 1), st.booleans())
+def test_quantile_threshold_at_q_times_n_just_under_an_integer(case, seed, ties):
+    n, j = case
+    q = j / n
+    assert q * n < j
+    rng = np.random.default_rng(seed)
+    column = np.round(rng.standard_t(1.5, size=n)) if ties else rng.standard_t(1.5, size=n)
+    assert np.array_equal(column >= _quantile_threshold(column, q), ecdf_values(column) > q)
